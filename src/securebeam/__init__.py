@@ -30,7 +30,6 @@ from .config import (
     SPEED_OF_LIGHT,
 )
 from .metrics import (
-    MetricSample,
     ReceivedModel,
     SurfaceSample,
     ber_monte_carlo,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +11,6 @@ import numpy as np
 from .channel import SteeringVector, steering_vector
 from .config import ConfigError, InfeasibleGeometryError, ScenarioConfig
 
-# residual tolerance for the null/alignment constraints on unit-norm inputs
-CONSTRAINT_TOL = 1e-10
 # minimum projected-target norm for the geometry to be feasible
 FEASIBILITY_TOL = 1e-9
 
@@ -30,8 +29,13 @@ class RegularizationParams:
     gamma_an: float
 
     def __post_init__(self):
-        if self.gamma_cm < 0.0 or self.gamma_an < 0.0:
-            raise ConfigError("regularization factors must be >= 0")
+        for gamma in (self.gamma_cm, self.gamma_an):
+            _check_gamma(gamma)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not math.isfinite(gamma) or gamma < 0.0:
+        raise ConfigError(f"regularization factors must be finite and >= 0, got {gamma}")
 
 
 #: plateau-region default used by the reference experiments
@@ -40,16 +44,28 @@ DEFAULT_GAMMAS = RegularizationParams(gamma_cm=2.1, gamma_an=1.8)
 
 @dataclass(frozen=True)
 class Projector:
-    """Orthogonal projector onto the complement of a single channel direction."""
+    """Orthogonal projector I_N - u u^H onto the complement of a unit-norm
+    direction u: applied in O(N), its dense (N, N) matrix built only on request."""
 
-    matrix: np.ndarray  # complex, (N, N)
+    direction: np.ndarray  # complex, (N,)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P x = x - u (u^H x)."""
+        u = self.direction
+        return x - u * (u.conj() @ x)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        u = self.direction
+        return np.eye(u.size, dtype=np.complex128) - np.outer(u, u.conj())
 
 
 @dataclass(frozen=True)
 class BeamPair:
     """Power-allocated message and jamming weight vectors for one method.
 
-    ||w_cm||^2 = beta * P_s and ||w_an||^2 = (1 - beta) * P_s.
+    ||w_cm||^2 = beta * P_s and ||w_an||^2 = (1 - beta) * P_s. The weights may
+    be stacked along leading axes, shape (..., N), to evaluate many beams at once.
     """
 
     w_cm: np.ndarray
@@ -60,9 +76,7 @@ class BeamPair:
 
 def null_projector(h: SteeringVector) -> Projector:
     """I_N - h h^H: Hermitian, idempotent, annihilates h, rank N-1."""
-    v = h.values
-    mat = np.eye(len(v), dtype=np.complex128) - np.outer(v, v.conj())
-    return Projector(matrix=mat)
+    return Projector(direction=h.values)
 
 
 def min_tp_beamformer(h_target: SteeringVector, h_null: SteeringVector) -> np.ndarray:
@@ -70,10 +84,9 @@ def min_tp_beamformer(h_target: SteeringVector, h_null: SteeringVector) -> np.nd
 
     Uses the exact simplification P (P^H P)^+ P^H = P for an orthogonal
     projector P, so the direction is P h_target / ||P h_target||^2 with no
-    numerical pseudo-inverse involved.
+    numerical pseudo-inverse involved, computed in O(N).
     """
-    proj = null_projector(h_null).matrix
-    p_ht = proj @ h_target.values
+    p_ht = null_projector(h_null).apply(h_target.values)
     gain = np.linalg.norm(p_ht) ** 2  # equals h_target^H P h_target, real
     if np.sqrt(gain) <= FEASIBILITY_TOL:
         raise InfeasibleGeometryError(
@@ -87,30 +100,23 @@ def regularized_direction(
     h_target: SteeringVector, h_null: SteeringVector, gamma: float
 ) -> np.ndarray:
     """Ridge-regularized update P (P^H P + gamma I)^-1 P^H h_target, before the
-    unit-gain rescale. Its norm shrinks monotonically as gamma grows."""
-    proj = null_projector(h_null).matrix
-    gram = proj.conj().T @ proj
-    reg = gram + gamma * np.eye(gram.shape[0], dtype=np.complex128)
-    return proj @ np.linalg.solve(reg, proj.conj().T @ h_target.values)
+    unit-gain rescale. For an orthogonal projector P this is exactly
+    P h_target / (1 + gamma), so its norm shrinks monotonically as gamma grows."""
+    _check_gamma(gamma)
+    return null_projector(h_null).apply(h_target.values) / (1.0 + gamma)
 
 
 def min_rtp_beamformer(
     h_target: SteeringVector, h_null: SteeringVector, gamma: float
 ) -> np.ndarray:
-    """Regularized minimum-power beam; the leading projector keeps the null exact
-    for every gamma, and gamma = 0 falls back to the unregularized solution."""
-    if gamma < 0.0:
-        raise ConfigError(f"gamma must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return min_tp_beamformer(h_target, h_null)
-    num = regularized_direction(h_target, h_null, gamma)
-    den = h_target.values.conj() @ num
-    if abs(den) <= 1e-12:
-        raise InfeasibleGeometryError(
-            "regularized system produced a vanishing target gain; "
-            "target and nulled channels are (near-)parallel"
-        )
-    return num / den
+    """Regularized minimum-power beam: regularized_direction at unit target gain.
+
+    P (P^H P + gamma I)^-1 P^H = P / (1 + gamma) for an orthogonal projector P,
+    and the unit-gain rescale cancels 1 / (1 + gamma) exactly: Min-RTP equals
+    Min-TP for every gamma >= 0, so this returns the Min-TP beam.
+    """
+    _check_gamma(gamma)
+    return min_tp_beamformer(h_target, h_null)
 
 
 def ea_beamformer(h_target: SteeringVector) -> np.ndarray:
@@ -154,6 +160,11 @@ def synthesize(
         raise ConfigError(f"unknown method {method!r}")
 
     beta = cfg.power_alloc
-    w_cm = np.sqrt(beta * cfg.total_power_w) * d_cm / np.linalg.norm(d_cm)
-    w_an = np.sqrt((1.0 - beta) * cfg.total_power_w) * d_an / np.linalg.norm(d_an)
+    w_cm = power_scaled(cfg, d_cm, beta)
+    w_an = power_scaled(cfg, d_an, 1.0 - beta)
     return BeamPair(w_cm=w_cm, w_an=w_an, method=method, gammas=gammas)
+
+
+def power_scaled(cfg: ScenarioConfig, direction: np.ndarray, share: float) -> np.ndarray:
+    """Unit-normalize a beam direction, then scale it to power share * P_s."""
+    return np.sqrt(share * cfg.total_power_w) * direction / np.linalg.norm(direction)

@@ -21,14 +21,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 @dataclass(frozen=True)
 class PolarPosition:
     """Receiver location seen from the array: direction angle (rad) and range (m)."""
@@ -39,8 +31,8 @@ class PolarPosition:
     def __post_init__(self):
         if not (0.0 < self.angle_rad < math.pi):
             raise ConfigError(f"angle_rad must lie strictly in (0, pi), got {self.angle_rad}")
-        if self.range_m <= 0.0:
-            raise ConfigError(f"range_m must be > 0, got {self.range_m}")
+        if not (math.isfinite(self.range_m) and self.range_m > 0.0):
+            raise ConfigError(f"range_m must be finite and > 0, got {self.range_m}")
 
     @classmethod
     def from_degrees(cls, angle_deg: float, range_m: float) -> "PolarPosition":
@@ -90,10 +82,11 @@ class ScenarioConfig:
                 f"num_subcarriers ({self.num_subcarriers}) must be >= num_antennas "
                 f"({self.num_antennas})"
             )
-        if self.carrier_freq_hz <= 0.0:
-            raise ConfigError(f"carrier_freq_hz must be > 0, got {self.carrier_freq_hz}")
-        if self.total_bandwidth_hz <= 0.0:
-            raise ConfigError(f"total_bandwidth_hz must be > 0, got {self.total_bandwidth_hz}")
+        for name in ("carrier_freq_hz", "total_bandwidth_hz", "total_power_w",
+                     "noise_power_bob_w", "noise_power_eve_w"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         # narrowband-per-subcarrier model: total spread must stay far below carrier
         if self.total_bandwidth_hz > self.carrier_freq_hz / 10.0:
             raise ConfigError(
@@ -102,16 +95,10 @@ class ScenarioConfig:
             )
         if not (0.0 <= self.power_alloc <= 1.0):
             raise ConfigError(f"power_alloc (beta) must lie in [0, 1], got {self.power_alloc}")
-        if self.total_power_w <= 0.0:
-            raise ConfigError(f"total_power_w must be > 0, got {self.total_power_w}")
-        if self.noise_power_bob_w <= 0.0:
-            raise ConfigError(f"noise_power_bob_w must be > 0, got {self.noise_power_bob_w}")
-        if self.noise_power_eve_w <= 0.0:
-            raise ConfigError(f"noise_power_eve_w must be > 0, got {self.noise_power_eve_w}")
         if self.element_spacing_m is None:
             object.__setattr__(self, "element_spacing_m", self.wavelength_m / 2.0)
-        elif self.element_spacing_m <= 0.0:
-            raise ConfigError(f"element_spacing_m must be > 0, got {self.element_spacing_m}")
+        elif not (math.isfinite(self.element_spacing_m) and self.element_spacing_m > 0.0):
+            raise ConfigError(f"element_spacing_m must be finite and > 0, got {self.element_spacing_m}")
 
     @property
     def wavelength_m(self) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .beamformers import DEFAULT_GAMMAS, Method, RegularizationParams, synthesize
 from .channel import build_subcarrier_plan, path_loss
-from .config import ConfigError, PolarPosition, ScenarioConfig
+from .config import ConfigError, PolarPosition, ScenarioConfig, dbm_to_watts
 from .metrics import ber_monte_carlo, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
 
@@ -125,11 +125,8 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
         plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
         grid = GammaGrid.linear(spec.gamma_grid_max, spec.gamma_grid_points)
         result = grid_search_gamma(cfg, plan, grid)
-        rows = [
-            [float(gc), float(ga), float(result.surface[i, j])]
-            for i, gc in enumerate(grid.gamma_cm_values)
-            for j, ga in enumerate(grid.gamma_an_values)
-        ]
+        gc, ga = np.meshgrid(grid.gamma_cm_values, grid.gamma_an_values, indexing="ij")
+        rows = np.column_stack([gc.ravel(), ga.ravel(), result.surface.ravel()]).tolist()
         path = out_dir / "gamma_surface_min_rtp.csv"
         _write_csv(path, ["gamma_cm", "gamma_an", "sr"], rows)
         outputs.append(path)
@@ -307,6 +304,13 @@ def _float(values: dict[str, str], key: str) -> float:
         raise ConfigError(f"{key}: not a number: {values[key]!r}") from exc
 
 
+def _int(values: dict[str, str], key: str) -> int:
+    number = _float(values, key)
+    if not number.is_integer():
+        raise ConfigError(f"{key}: not an integer: {values[key]!r}")
+    return int(number)
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.replace(",", " ").split())
@@ -319,9 +323,9 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
     standard scenario defaults for anything omitted."""
     scenario_kwargs: dict = {}
     if "n_antennas" in values:
-        scenario_kwargs["num_antennas"] = int(_float(values, "n_antennas"))
+        scenario_kwargs["num_antennas"] = _int(values, "n_antennas")
     if "n_subcarriers" in values:
-        scenario_kwargs["num_subcarriers"] = int(_float(values, "n_subcarriers"))
+        scenario_kwargs["num_subcarriers"] = _int(values, "n_subcarriers")
     if "carrier_freq_hz" in values:
         scenario_kwargs["carrier_freq_hz"] = _float(values, "carrier_freq_hz")
     if "bandwidth_hz" in values:
@@ -333,11 +337,11 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
     if "total_power_w" in values:
         scenario_kwargs["total_power_w"] = _float(values, "total_power_w")
     if "noise_bob_dbm" in values:
-        scenario_kwargs["noise_power_bob_w"] = 10.0 ** (_float(values, "noise_bob_dbm") / 10.0) * 1e-3
+        scenario_kwargs["noise_power_bob_w"] = dbm_to_watts(_float(values, "noise_bob_dbm"))
     if "noise_eve_dbm" in values:
-        scenario_kwargs["noise_power_eve_w"] = 10.0 ** (_float(values, "noise_eve_dbm") / 10.0) * 1e-3
+        scenario_kwargs["noise_power_eve_w"] = dbm_to_watts(_float(values, "noise_eve_dbm"))
     if "seed" in values:
-        scenario_kwargs["rng_seed"] = int(_float(values, "seed"))
+        scenario_kwargs["rng_seed"] = _int(values, "seed")
     bob_theta = _float(values, "bob_theta_deg") if "bob_theta_deg" in values else 70.0
     bob_range = _float(values, "bob_range_m") if "bob_range_m" in values else 1000.0
     eve_theta = _float(values, "eve_theta_deg") if "eve_theta_deg" in values else 100.0
@@ -381,7 +385,7 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
         "methods": methods,
     }
     if "mc_symbols" in values:
-        spec_kwargs["mc_symbols"] = int(_float(values, "mc_symbols"))
+        spec_kwargs["mc_symbols"] = _int(values, "mc_symbols")
     if "out_dir" in values:
         spec_kwargs["output_dir"] = values["out_dir"]
     if "gamma_cm" in values or "gamma_an" in values:
@@ -392,7 +396,7 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
     if "gamma_max" in values:
         spec_kwargs["gamma_grid_max"] = _float(values, "gamma_max")
     if "gamma_points" in values:
-        spec_kwargs["gamma_grid_points"] = int(_float(values, "gamma_points"))
+        spec_kwargs["gamma_grid_points"] = _int(values, "gamma_points")
     if kind is ExperimentKind.SR_VS_N and "snr_list" in values:
         spec_kwargs["snr_db_list"] = _float_list(values["snr_list"])
     return ExperimentSpec(**spec_kwargs)

@@ -23,24 +23,13 @@ def _to_db(power: np.ndarray | float) -> np.ndarray | float:
 class ReceivedModel:
     """Complex effective gains of the message and jamming beams at one position."""
 
-    cm_gain: complex
-    an_gain: complex
+    cm_gain: complex | np.ndarray
+    an_gain: complex | np.ndarray
     noise_power: float
 
     def __post_init__(self):
         if self.noise_power <= 0.0:
             raise ConfigError(f"noise_power must be > 0, got {self.noise_power}")
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """One point of a 1-D performance curve."""
-
-    axis_name: str
-    axis_value: float
-    metric_name: str
-    metric_value: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -62,26 +51,28 @@ def received_model(
     noise_power: float,
 ) -> ReceivedModel:
     """Effective gains sqrt(g(R)) h(pos)^H w at one probe position."""
-    h = steering_vector(plan, cfg, pos)
+    h_conj = steering_vector(plan, cfg, pos).values.conj()
     amp = math.sqrt(path_loss(pos.range_m))
     return ReceivedModel(
-        cm_gain=complex(amp * (h.values.conj() @ beams.w_cm)),
-        an_gain=complex(amp * (h.values.conj() @ beams.w_an)),
+        cm_gain=amp * (beams.w_cm @ h_conj),
+        an_gain=amp * (beams.w_an @ h_conj),
         noise_power=noise_power,
     )
 
 
-def sinr(model: ReceivedModel) -> float:
-    """|cm|^2 / (|an|^2 + noise), linear."""
+def sinr(model: ReceivedModel) -> float | np.ndarray:
+    """|cm|^2 / (|an|^2 + noise), linear; elementwise for stacked gains."""
     return abs(model.cm_gain) ** 2 / (abs(model.an_gain) ** 2 + model.noise_power)
 
 
-def secrecy_rate(cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair) -> float:
-    """max{ log2(1 + SINR_Bob) - log2(1 + SINR_Eve), 0 } in bits per channel use."""
+def secrecy_rate(
+    cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair
+) -> float | np.ndarray:
+    """max{ log2(1 + SINR_Bob) - log2(1 + SINR_Eve), 0 } in bits per channel use;
+    for stacked beams, one rate per stacked pair, broadcast over the leading axes."""
     bob = received_model(cfg, plan, beams, cfg.bob, cfg.noise_power_bob_w)
     eve = received_model(cfg, plan, beams, cfg.eve, cfg.noise_power_eve_w)
-    rate = math.log2(1.0 + sinr(bob)) - math.log2(1.0 + sinr(eve))
-    return max(rate, 0.0)
+    return np.maximum(np.log2(1.0 + sinr(bob)) - np.log2(1.0 + sinr(eve)), 0.0)
 
 
 def sinr_surface(

@@ -6,15 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import Method, RegularizationParams, synthesize
-from .channel import SubcarrierPlan
+from .beamformers import BeamPair, Method, RegularizationParams, min_rtp_beamformer, power_scaled
+from .channel import SubcarrierPlan, steering_vector
 from .config import ConfigError, ScenarioConfig
 from .metrics import secrecy_rate
 
 
 @dataclass(frozen=True)
 class GammaGrid:
-    """Ascending nonnegative grids for (gamma_cm, gamma_an)."""
+    """Ascending finite nonnegative grids for (gamma_cm, gamma_an)."""
 
     gamma_cm_values: np.ndarray
     gamma_an_values: np.ndarray
@@ -25,8 +25,8 @@ class GammaGrid:
             object.__setattr__(self, name, vals)
             if vals.size == 0:
                 raise ConfigError(f"{name} must be nonempty")
-            if vals[0] < 0.0:
-                raise ConfigError(f"{name} must be nonnegative")
+            if not np.all(np.isfinite(vals)) or vals[0] < 0.0:
+                raise ConfigError(f"{name} must be finite and nonnegative")
             if vals.size > 1 and np.any(np.diff(vals) <= 0.0):
                 raise ConfigError(f"{name} must be strictly ascending")
 
@@ -48,16 +48,21 @@ def grid_search_gamma(
     cfg: ScenarioConfig, plan: SubcarrierPlan, grid: GammaGrid
 ) -> GammaSearchResult:
     """Evaluate the regularized beamformer's secrecy rate on every grid cell and
-    return the first row-major argmax (gamma_cm-major, deterministic ties)."""
+    return the first row-major argmax (gamma_cm-major, deterministic ties).
+
+    The message beam depends only on gamma_cm and the jamming beam only on
+    gamma_an, so one beam is built per grid value. Stacked as (cm, 1, N) and
+    (1, an, N), their gains and rates broadcast to the (cm, an) surface.
+    """
     g_cm = grid.gamma_cm_values
     g_an = grid.gamma_an_values
-    surface = np.empty((g_cm.size, g_an.size), dtype=np.float64)
-    for i, gc in enumerate(g_cm):
-        for j, ga in enumerate(g_an):
-            beams = synthesize(
-                cfg, plan, Method.MIN_RTP, RegularizationParams(float(gc), float(ga))
-            )
-            surface[i, j] = secrecy_rate(cfg, plan, beams)
+    h_b = steering_vector(plan, cfg, cfg.bob)
+    h_e = steering_vector(plan, cfg, cfg.eve)
+    beta = cfg.power_alloc
+    w_cm = [power_scaled(cfg, min_rtp_beamformer(h_b, h_e, g), beta) for g in g_cm]
+    w_an = [power_scaled(cfg, min_rtp_beamformer(h_e, h_b, g), 1.0 - beta) for g in g_an]
+    beams = BeamPair(np.array(w_cm)[:, None, :], np.array(w_an)[None, :, :], Method.MIN_RTP)
+    surface = secrecy_rate(cfg, plan, beams)
     flat_best = int(np.argmax(surface))  # first maximum in row-major order
     bi, bj = np.unravel_index(flat_best, surface.shape)
     best = RegularizationParams(float(g_cm[bi]), float(g_an[bj]))

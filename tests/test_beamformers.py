@@ -166,6 +166,37 @@ class TestMinRtp:
         ]
         assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
 
+    def test_regularized_direction_matches_dense_ridge_solve(self):
+        # oracle: the literal N x N ridge solve P (P^H P + gamma I)^-1 P^H h_t
+        rng = np.random.default_rng(14)
+        for n in (2, 5, 16, 64):
+            for gamma in np.logspace(-2, 2, 9):
+                h_t, h_n = random_unit(n, rng), random_unit(n, rng)
+                p = np.eye(n, dtype=complex) - np.outer(h_n.values, h_n.values.conj())
+                reg = p.conj().T @ p + gamma * np.eye(n)
+                ref = p @ np.linalg.solve(reg, p.conj().T @ h_t.values)
+                got = regularized_direction(h_t, h_n, gamma)
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_identical_to_min_tp_for_positive_gamma(self):
+        rng = np.random.default_rng(15)
+        for gamma in (1e-12, 0.01, 2.1, 100.0):
+            h_t, h_n = random_unit(7, rng), random_unit(7, rng)
+            np.testing.assert_array_equal(
+                min_rtp_beamformer(h_t, h_n, gamma), min_tp_beamformer(h_t, h_n)
+            )
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        rng = np.random.default_rng(16)
+        h_t, h_n = random_unit(4, rng), random_unit(4, rng)
+        with pytest.raises(ConfigError):
+            min_rtp_beamformer(h_t, h_n, gamma)
+        with pytest.raises(ConfigError):
+            RegularizationParams(gamma_cm=gamma, gamma_an=1.0)
+        with pytest.raises(ConfigError):
+            RegularizationParams(gamma_cm=1.0, gamma_an=gamma)
+
     def test_negative_gamma_rejected(self):
         rng = np.random.default_rng(11)
         h_t, h_n = random_unit(4, rng), random_unit(4, rng)

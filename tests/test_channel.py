@@ -142,6 +142,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PolarPosition(math.pi, 100.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "carrier_freq_hz",
+            "total_bandwidth_hz",
+            "element_spacing_m",
+            "power_alloc",
+            "total_power_w",
+            "noise_power_bob_w",
+            "noise_power_eve_w",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_scenario_value_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("angle, range_m", [(1.0, math.nan), (1.0, math.inf), (math.nan, 100.0)])
+    def test_non_finite_position_rejected(self, angle, range_m):
+        with pytest.raises(ConfigError):
+            PolarPosition(angle, range_m)
+
     def test_default_spacing_is_half_wavelength(self):
         cfg = ScenarioConfig()
         assert cfg.element_spacing_m == pytest.approx(

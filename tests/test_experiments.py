@@ -66,6 +66,18 @@ class TestLoadConfig:
         assert spec.mc_symbols == 2000
         assert spec.scenario.rng_seed == 7
 
+    @pytest.mark.parametrize(
+        "key", ["n_antennas", "n_subcarriers", "seed", "mc_symbols", "gamma_points"]
+    )
+    def test_non_integral_count_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(write(tmp_path, f"{key} = 8.9\n"))
+
+    def test_integral_count_in_float_notation_accepted(self, tmp_path):
+        spec = load_config(write(tmp_path, "n_antennas = 16.0\nmc_symbols = 1e5\n"))
+        assert spec.scenario.num_antennas == 16
+        assert spec.mc_symbols == 100_000
+
     def test_ber_symbol_floor(self, tmp_path):
         with pytest.raises(ConfigError, match="mc_symbols"):
             load_config(write(tmp_path, "experiment = ber_vs_snr\nmc_symbols = 10\n"))
