@@ -2,6 +2,7 @@
 """Array geometry, random subcarrier assignment, steering vectors, and path loss."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,6 @@ def steering_vector(
 
 def path_loss(range_m: float) -> float:
     """Free-space square-law gain g = (R / 1 m)^-2, unit reference distance."""
-    if range_m <= 0.0:
-        raise ConfigError(f"range_m must be > 0, got {range_m}")
+    if not (math.isfinite(range_m) and range_m > 0.0):
+        raise ConfigError(f"range_m must be finite and > 0, got {range_m}")
     return float(range_m) ** -2.0

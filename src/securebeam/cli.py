@@ -13,31 +13,31 @@ from .experiments import (
     spec_from_values,
 )
 
-_SUBCOMMANDS = {
-    "gamma-surface": ExperimentKind.GAMMA_SURFACE,
-    "sinr-surface": ExperimentKind.SINR_SURFACE,
-    "sr-vs-snr": ExperimentKind.SR_VS_SNR,
-    "sr-vs-n": ExperimentKind.SR_VS_N,
-    "ber-vs-snr": ExperimentKind.BER_VS_SNR,
+_SUBCOMMANDS = [kind.value.replace("_", "-") for kind in ExperimentKind]
+
+# flag -> (config key, help); flag text goes through the config-file parsers
+_FLAGS = {
+    "--method": ("methods", "comma-separated subset of ea,min_tp,min_rtp"),
+    "--seed": ("seed", "RNG seed (subcarrier draw and BER noise)"),
+    "--out": ("out_dir", "output directory (default 'out')"),
+    "--snr-list": ("snr_list", "comma-separated SNR values in dB"),
+    "--n-list": ("n_list", "comma-separated antenna counts"),
+    "--mc-symbols": ("mc_symbols", "QPSK symbols per BER point"),
+    "--beta": ("beta", "power fraction for the message beam"),
+    "--n-antennas": ("n_antennas", "number of transmit antennas"),
+    "--snr-db": ("snr_db", "fixed SNR in dB (surfaces)"),
+    "--gamma-cm": ("gamma_cm", "message-beam regularization"),
+    "--gamma-an": ("gamma_an", "jamming-beam regularization"),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--method", help="comma-separated subset of ea,min_tp,min_rtp")
-    parser.add_argument("--seed", type=int, help="RNG seed (subcarrier draw and BER noise)")
-    parser.add_argument("--out", help="output directory (default 'out')")
-    parser.add_argument("--snr-list", help="comma-separated SNR values in dB")
-    parser.add_argument("--n-list", help="comma-separated antenna counts")
-    parser.add_argument("--mc-symbols", type=int, help="QPSK symbols per BER point")
     parser.add_argument(
         "--grid", help="gamma grid as MAX:POINTS, e.g. 3:31 (gamma-surface only)"
     )
-    parser.add_argument("--beta", type=float, help="power fraction for the message beam")
-    parser.add_argument("--n-antennas", type=int, help="number of transmit antennas")
-    parser.add_argument("--snr-db", type=float, help="fixed SNR in dB (surfaces)")
-    parser.add_argument("--gamma-cm", type=float, help="message-beam regularization")
-    parser.add_argument("--gamma-an", type=float, help="jamming-beam regularization")
+    for flag, (key, help_text) in _FLAGS.items():
+        parser.add_argument(flag, dest=key, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,33 +54,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _values_from_args(args: argparse.Namespace) -> dict[str, str]:
-    values: dict[str, str] = {}
-    if args.config:
-        values.update(_parse_kv_file(args.config))
-    values["experiment"] = _SUBCOMMANDS[args.command].value
-    overrides = {
-        "methods": args.method,
-        "seed": args.seed,
-        "out_dir": args.out,
-        "snr_list": args.snr_list,
-        "n_list": args.n_list,
-        "mc_symbols": args.mc_symbols,
-        "beta": args.beta,
-        "n_antennas": args.n_antennas,
-        "snr_db": args.snr_db,
-        "gamma_cm": args.gamma_cm,
-        "gamma_an": args.gamma_an,
-    }
+    values = _parse_kv_file(args.config) if args.config else {}
+    values["experiment"] = args.command
     if args.grid is not None:
         try:
-            gmax, gpoints = args.grid.split(":", 1)
+            values["gamma_max"], values["gamma_points"] = args.grid.split(":", 1)
         except ValueError as exc:
             raise ConfigError(f"--grid expects MAX:POINTS, got {args.grid!r}") from exc
-        overrides["gamma_max"] = gmax
-        overrides["gamma_points"] = gpoints
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = str(value)
+    values.update(
+        {key: getattr(args, key) for key, _ in _FLAGS.values() if getattr(args, key) is not None}
+    )
     return values
 
 

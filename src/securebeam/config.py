@@ -95,6 +95,10 @@ class ScenarioConfig:
             )
         if not (0.0 <= self.power_alloc <= 1.0):
             raise ConfigError(f"power_alloc (beta) must lie in [0, 1], got {self.power_alloc}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        # replace() derives the spacing again from its carrier unless it was set
+        object.__setattr__(self, "_spacing_is_set", self.element_spacing_m is not None)
         if self.element_spacing_m is None:
             object.__setattr__(self, "element_spacing_m", self.wavelength_m / 2.0)
         elif not (math.isfinite(self.element_spacing_m) and self.element_spacing_m > 0.0):
@@ -109,4 +113,6 @@ class ScenarioConfig:
         return self.total_bandwidth_hz / self.num_subcarriers
 
     def replace(self, **changes) -> "ScenarioConfig":
+        if not self._spacing_is_set:
+            changes.setdefault("element_spacing_m", None)
         return dataclasses.replace(self, **changes)

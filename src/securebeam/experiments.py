@@ -7,6 +7,7 @@ import datetime
 import enum
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,16 +66,23 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.sweep:
             if self.kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR):
-                self.sweep = tuple(float(s) for s in DEFAULT_SNR_SWEEP_DB)
+                self.sweep = DEFAULT_SNR_SWEEP_DB
             elif self.kind is ExperimentKind.SR_VS_N:
-                self.sweep = tuple(float(n) for n in DEFAULT_N_SWEEP)
+                self.sweep = DEFAULT_N_SWEEP
             else:
                 self.sweep = (0.0,)  # surfaces carry their own grids
+        self.sweep = tuple(float(s) for s in self.sweep)
+        if self.kind is ExperimentKind.SR_VS_N and not all(n.is_integer() for n in self.sweep):
+            raise ConfigError(f"antenna counts (n_list) must be integers, got {self.sweep}")
         if not self.methods:
             raise ConfigError("methods must be nonempty")
         if self.kind is ExperimentKind.BER_VS_SNR and self.mc_symbols < 1000:
             raise ConfigError(
                 f"mc_symbols must be >= 1000 for BER runs, got {self.mc_symbols}"
+            )
+        if self.gamma_grid_points < 1:
+            raise ConfigError(
+                f"gamma_grid_points (gamma_points) must be >= 1, got {self.gamma_grid_points}"
             )
 
 
@@ -164,9 +172,7 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
                 for n_f in spec.sweep:
                     n = int(n_f)
                     cfg_n = cfg.replace(
-                        num_antennas=n,
-                        element_spacing_m=cfg.element_spacing_m,
-                        total_power_w=power_for_snr_db(cfg, snr_db),
+                        num_antennas=n, total_power_w=power_for_snr_db(cfg, snr_db)
                     )
                     plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
                     beams = synthesize(cfg_n, plan, method, _gammas_for(spec, method))
@@ -210,7 +216,14 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
 
 
 def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    cfg = spec.scenario
+    scenario: dict = {}
+    for f in dataclasses.fields(ScenarioConfig):
+        value = getattr(spec.scenario, f.name)
+        if isinstance(value, PolarPosition):
+            scenario[f"{f.name}_theta_deg"] = value.angle_deg
+            scenario[f"{f.name}_range_m"] = value.range_m
+        else:
+            scenario[f.name] = value
     return {
         "experiment": spec.kind.value,
         "methods": [m.value for m in spec.methods],
@@ -218,22 +231,7 @@ def _spec_as_dict(spec: ExperimentSpec) -> dict:
         "mc_symbols": spec.mc_symbols,
         "gamma_cm": spec.gammas.gamma_cm,
         "gamma_an": spec.gammas.gamma_an,
-        "scenario": {
-            "num_antennas": cfg.num_antennas,
-            "num_subcarriers": cfg.num_subcarriers,
-            "carrier_freq_hz": cfg.carrier_freq_hz,
-            "total_bandwidth_hz": cfg.total_bandwidth_hz,
-            "element_spacing_m": cfg.element_spacing_m,
-            "power_alloc": cfg.power_alloc,
-            "total_power_w": cfg.total_power_w,
-            "noise_power_bob_w": cfg.noise_power_bob_w,
-            "noise_power_eve_w": cfg.noise_power_eve_w,
-            "bob_theta_deg": cfg.bob.angle_deg,
-            "bob_range_m": cfg.bob.range_m,
-            "eve_theta_deg": cfg.eve.angle_deg,
-            "eve_range_m": cfg.eve.range_m,
-            "rng_seed": cfg.rng_seed,
-        },
+        "scenario": scenario,
     }
 
 
@@ -241,44 +239,80 @@ def _spec_as_dict(spec: ExperimentSpec) -> dict:
 # flat key = value config files
 # ---------------------------------------------------------------------------
 
-_METHOD_ALIASES = {
-    "ea": Method.EA,
-    "min_tp": Method.MIN_TP,
-    "min-tp": Method.MIN_TP,
-    "mintp": Method.MIN_TP,
-    "min_rtp": Method.MIN_RTP,
-    "min-rtp": Method.MIN_RTP,
-    "minrtp": Method.MIN_RTP,
-}
+# "min_tp", "min-tp" and "mintp" all name Method.MIN_TP
+_METHOD_NAMES = {m.value.replace("_", ""): m for m in Method}
 
-_KIND_ALIASES = {k.value: k for k in ExperimentKind}
-_KIND_ALIASES.update({k.value.replace("_", "-"): k for k in ExperimentKind})
 
-_SCALAR_KEYS = {
-    "n_antennas",
-    "n_subcarriers",
-    "carrier_freq_hz",
-    "bandwidth_hz",
-    "element_spacing_m",
-    "beta",
-    "total_power_w",
-    "snr_db",
-    "noise_bob_dbm",
-    "noise_eve_dbm",
-    "bob_theta_deg",
-    "bob_range_m",
-    "eve_theta_deg",
-    "eve_range_m",
-    "seed",
-    "mc_symbols",
-    "gamma_cm",
-    "gamma_an",
-    "gamma_max",
-    "gamma_points",
+def _int(text: str) -> int:
+    number = float(text)
+    if not number.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(number)
+
+
+def _split(text: str) -> list[str]:
+    parts = text.replace(",", " ").split()
+    if not parts:
+        raise ValueError("empty list")
+    return parts
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in _split(text))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(_int(part) for part in _split(text))
+
+
+def _dbm(text: str) -> float:
+    return dbm_to_watts(float(text))
+
+
+def _kind(text: str) -> ExperimentKind:
+    return ExperimentKind(text.strip().lower().replace("-", "_"))
+
+
+def _methods(text: str) -> tuple[Method, ...]:
+    methods = []
+    for part in _split(text):
+        name = part.lower().replace("-", "").replace("_", "")
+        if name not in _METHOD_NAMES:
+            raise ValueError(f"unknown method {part!r}")
+        methods.append(_METHOD_NAMES[name])
+    return tuple(methods)
+
+
+# Every flat config key: the ScenarioConfig or ExperimentSpec field it sets
+# (None for the keys spec_from_values combines itself) and the parser of its
+# text. Parsers raise ValueError; CLI flags go through the same parsers.
+KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
+    "experiment": ("kind", _kind),
+    "methods": ("methods", _methods),
+    "seed": ("rng_seed", _int),
+    "n_antennas": ("num_antennas", _int),
+    "n_subcarriers": ("num_subcarriers", _int),
+    "carrier_freq_hz": ("carrier_freq_hz", float),
+    "bandwidth_hz": ("total_bandwidth_hz", float),
+    "element_spacing_m": ("element_spacing_m", float),
+    "beta": ("power_alloc", float),
+    "total_power_w": ("total_power_w", float),
+    "snr_db": (None, float),
+    "noise_bob_dbm": ("noise_power_bob_w", _dbm),
+    "noise_eve_dbm": ("noise_power_eve_w", _dbm),
+    "bob_theta_deg": (None, float),
+    "bob_range_m": (None, float),
+    "eve_theta_deg": (None, float),
+    "eve_range_m": (None, float),
+    "snr_list": (None, _floats),
+    "n_list": (None, _ints),
+    "mc_symbols": ("mc_symbols", _int),
+    "gamma_cm": (None, float),
+    "gamma_an": (None, float),
+    "gamma_max": ("gamma_grid_max", float),
+    "gamma_points": ("gamma_grid_points", _int),
+    "out_dir": ("output_dir", str),
 }
-_LIST_KEYS = {"snr_list", "n_list"}
-_TEXT_KEYS = {"experiment", "methods", "out_dir"}
-KNOWN_KEYS = _SCALAR_KEYS | _LIST_KEYS | _TEXT_KEYS
 
 
 def _parse_kv_file(path: str) -> dict[str, str]:
@@ -291,114 +325,51 @@ def _parse_kv_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in KNOWN_KEYS:
+            if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value
     return values
 
 
-def _float(values: dict[str, str], key: str) -> float:
-    try:
-        return float(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {values[key]!r}") from exc
-
-
-def _int(values: dict[str, str], key: str) -> int:
-    number = _float(values, key)
-    if not number.is_integer():
-        raise ConfigError(f"{key}: not an integer: {values[key]!r}")
-    return int(number)
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"not a number list: {text!r}") from exc
-
-
 def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
     """Build a validated ExperimentSpec from flat string key-values, applying the
     standard scenario defaults for anything omitted."""
-    scenario_kwargs: dict = {}
-    if "n_antennas" in values:
-        scenario_kwargs["num_antennas"] = _int(values, "n_antennas")
-    if "n_subcarriers" in values:
-        scenario_kwargs["num_subcarriers"] = _int(values, "n_subcarriers")
-    if "carrier_freq_hz" in values:
-        scenario_kwargs["carrier_freq_hz"] = _float(values, "carrier_freq_hz")
-    if "bandwidth_hz" in values:
-        scenario_kwargs["total_bandwidth_hz"] = _float(values, "bandwidth_hz")
-    if "element_spacing_m" in values:
-        scenario_kwargs["element_spacing_m"] = _float(values, "element_spacing_m")
-    if "beta" in values:
-        scenario_kwargs["power_alloc"] = _float(values, "beta")
-    if "total_power_w" in values:
-        scenario_kwargs["total_power_w"] = _float(values, "total_power_w")
-    if "noise_bob_dbm" in values:
-        scenario_kwargs["noise_power_bob_w"] = dbm_to_watts(_float(values, "noise_bob_dbm"))
-    if "noise_eve_dbm" in values:
-        scenario_kwargs["noise_power_eve_w"] = dbm_to_watts(_float(values, "noise_eve_dbm"))
-    if "seed" in values:
-        scenario_kwargs["rng_seed"] = _int(values, "seed")
-    bob_theta = _float(values, "bob_theta_deg") if "bob_theta_deg" in values else 70.0
-    bob_range = _float(values, "bob_range_m") if "bob_range_m" in values else 1000.0
-    eve_theta = _float(values, "eve_theta_deg") if "eve_theta_deg" in values else 100.0
-    eve_range = _float(values, "eve_range_m") if "eve_range_m" in values else 750.0
-    scenario_kwargs["bob"] = PolarPosition.from_degrees(bob_theta, bob_range)
-    scenario_kwargs["eve"] = PolarPosition.from_degrees(eve_theta, eve_range)
+    parsed: dict = {}
+    for key, text in values.items():
+        if key not in KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        try:
+            parsed[key] = KEYS[key][1](text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    get = parsed.get
+
+    fields = {KEYS[key][0]: value for key, value in parsed.items() if KEYS[key][0]}
+    scenario_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    scenario_kwargs = {n: v for n, v in fields.items() if n in scenario_names}
+    spec_kwargs = {n: v for n, v in fields.items() if n not in scenario_names}
+
+    scenario_kwargs["bob"] = PolarPosition.from_degrees(
+        get("bob_theta_deg", 70.0), get("bob_range_m", 1000.0)
+    )
+    scenario_kwargs["eve"] = PolarPosition.from_degrees(
+        get("eve_theta_deg", 100.0), get("eve_range_m", 750.0)
+    )
     cfg = ScenarioConfig(**scenario_kwargs)
+    if "snr_db" in parsed and "total_power_w" not in parsed:
+        cfg = cfg.replace(total_power_w=power_for_snr_db(cfg, parsed["snr_db"]))
+    spec_kwargs["scenario"] = cfg
 
-    if "snr_db" in values and "total_power_w" not in values:
-        cfg = cfg.replace(
-            total_power_w=power_for_snr_db(cfg, _float(values, "snr_db")),
-            element_spacing_m=cfg.element_spacing_m,
-        )
-
-    kind = ExperimentKind.SR_VS_SNR
-    if "experiment" in values:
-        name = values["experiment"].strip().lower()
-        if name not in _KIND_ALIASES:
-            raise ConfigError(f"experiment: unknown kind {values['experiment']!r}")
-        kind = _KIND_ALIASES[name]
-
-    methods = ALL_METHODS
-    if "methods" in values:
-        parsed = []
-        for part in values["methods"].replace(",", " ").split():
-            if part.lower() not in _METHOD_ALIASES:
-                raise ConfigError(f"methods: unknown method {part!r}")
-            parsed.append(_METHOD_ALIASES[part.lower()])
-        methods = tuple(parsed)
-
-    sweep: tuple[float, ...] = ()
-    if kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR) and "snr_list" in values:
-        sweep = _float_list(values["snr_list"])
-    if kind is ExperimentKind.SR_VS_N and "n_list" in values:
-        sweep = _float_list(values["n_list"])
-
-    spec_kwargs: dict = {
-        "kind": kind,
-        "scenario": cfg,
-        "sweep": sweep,
-        "methods": methods,
-    }
-    if "mc_symbols" in values:
-        spec_kwargs["mc_symbols"] = _int(values, "mc_symbols")
-    if "out_dir" in values:
-        spec_kwargs["output_dir"] = values["out_dir"]
-    if "gamma_cm" in values or "gamma_an" in values:
-        spec_kwargs["gammas"] = RegularizationParams(
-            gamma_cm=_float(values, "gamma_cm") if "gamma_cm" in values else DEFAULT_GAMMAS.gamma_cm,
-            gamma_an=_float(values, "gamma_an") if "gamma_an" in values else DEFAULT_GAMMAS.gamma_an,
-        )
-    if "gamma_max" in values:
-        spec_kwargs["gamma_grid_max"] = _float(values, "gamma_max")
-    if "gamma_points" in values:
-        spec_kwargs["gamma_grid_points"] = _int(values, "gamma_points")
-    if kind is ExperimentKind.SR_VS_N and "snr_list" in values:
-        spec_kwargs["snr_db_list"] = _float_list(values["snr_list"])
+    spec_kwargs["gammas"] = RegularizationParams(
+        gamma_cm=get("gamma_cm", DEFAULT_GAMMAS.gamma_cm),
+        gamma_an=get("gamma_an", DEFAULT_GAMMAS.gamma_an),
+    )
+    kind = spec_kwargs.get("kind", ExperimentSpec.kind)
+    if kind is ExperimentKind.SR_VS_N:
+        spec_kwargs["sweep"] = get("n_list", ())
+        spec_kwargs["snr_db_list"] = get("snr_list", DEFAULT_SR_VS_N_SNRS_DB)
+    elif kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR):
+        spec_kwargs["sweep"] = get("snr_list", ())
     return ExperimentSpec(**spec_kwargs)
 
 

@@ -28,8 +28,8 @@ class ReceivedModel:
     noise_power: float
 
     def __post_init__(self):
-        if self.noise_power <= 0.0:
-            raise ConfigError(f"noise_power must be > 0, got {self.noise_power}")
+        if not (math.isfinite(self.noise_power) and self.noise_power > 0.0):
+            raise ConfigError(f"noise_power must be finite and > 0, got {self.noise_power}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def sinr_surface(
     r = np.asarray(range_m_grid, dtype=np.float64)
     if theta_deg.size == 0 or r.size == 0:
         raise ConfigError("angle and range grids must be nonempty")
-    if probe_noise <= 0.0:
-        raise ConfigError(f"probe_noise must be > 0, got {probe_noise}")
+    if not (math.isfinite(probe_noise) and probe_noise > 0.0):
+        raise ConfigError(f"probe_noise must be finite and > 0, got {probe_noise}")
 
     tt, rr = np.meshgrid(theta_deg, r, indexing="ij")
     psi = steering_phases(plan, cfg, np.radians(tt), rr)  # (T, R, N)

@@ -121,7 +121,7 @@ class TestPathLoss:
         assert path_loss(1000.0) == pytest.approx(1e-6, rel=1e-15)
         assert path_loss(750.0) == pytest.approx(1.0 / 562500.0, rel=1e-15)
 
-    @pytest.mark.parametrize("r", [0.0, -3.0])
+    @pytest.mark.parametrize("r", [0.0, -3.0, math.nan, math.inf])
     def test_nonpositive_range_rejected(self, r):
         with pytest.raises(ConfigError):
             path_loss(r)
@@ -169,3 +169,17 @@ class TestConfigValidation:
         assert cfg.element_spacing_m == pytest.approx(
             SPEED_OF_LIGHT / (2.0 * 3e9), rel=1e-15
         )
+
+    def test_default_spacing_follows_carrier_on_replace(self):
+        cfg = ScenarioConfig().replace(carrier_freq_hz=6e9)
+        assert cfg.element_spacing_m == SPEED_OF_LIGHT / (2.0 * 6e9)
+        assert cfg.replace(carrier_freq_hz=3e9) == ScenarioConfig()
+
+    def test_explicit_spacing_survives_replace(self):
+        cfg = ScenarioConfig(element_spacing_m=0.04).replace(carrier_freq_hz=6e9)
+        assert cfg.element_spacing_m == 0.04
+        assert cfg.replace(num_antennas=4).element_spacing_m == 0.04
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            ScenarioConfig(rng_seed=-1)

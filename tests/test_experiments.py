@@ -1,10 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from securebeam import ConfigError, ExperimentKind, Method, load_config, run_experiment
+from securebeam.cli import build_parser
 from securebeam.cli import main as cli_main
-from securebeam.experiments import ExperimentSpec, power_for_snr_db
+from securebeam.experiments import KEYS, ExperimentSpec, power_for_snr_db
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -67,7 +72,7 @@ class TestLoadConfig:
         assert spec.scenario.rng_seed == 7
 
     @pytest.mark.parametrize(
-        "key", ["n_antennas", "n_subcarriers", "seed", "mc_symbols", "gamma_points"]
+        "key", ["n_antennas", "n_subcarriers", "seed", "mc_symbols", "gamma_points", "n_list"]
     )
     def test_non_integral_count_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match=key):
@@ -82,8 +87,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="mc_symbols"):
             load_config(write(tmp_path, "experiment = ber_vs_snr\nmc_symbols = 10\n"))
 
+    def test_readme_lists_every_key(self):
+        text = README.read_text()
+        listed = re.search(r"Recognized keys:(.*?)\.\s", text, re.S).group(1)
+        assert set(re.findall(r"`(\w+)`", listed)) == set(KEYS)
+
+    def test_every_cli_flag_sets_a_key(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for parser in sub.choices.values():
+            dests = {a.dest for a in parser._actions} - {"help", "config", "grid"}
+            assert dests <= set(KEYS)
+
 
 class TestRunExperiment:
+    def test_non_integral_antenna_sweep_rejected(self):
+        with pytest.raises(ConfigError, match="n_list"):
+            ExperimentSpec(kind=ExperimentKind.SR_VS_N, sweep=(8.9,))
+
     def test_sr_vs_snr_single_point(self, tmp_path):
         spec = ExperimentSpec(
             kind=ExperimentKind.SR_VS_SNR,
@@ -206,6 +226,30 @@ class TestCli:
         )
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["sr-vs-snr", "--seed", "-1"], "seed"),
+            (["sr-vs-snr", "--seed", "7.5"], "seed: not an integer"),
+            (["gamma-surface", "--grid", "3:-1"], "gamma_points"),
+            (["sr-vs-n", "--snr-list", ""], "snr_list"),
+        ],
+    )
+    def test_boundary_input_exit_code(self, tmp_path, capsys, argv, key):
+        rc = cli_main(argv + ["--out", str(tmp_path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_flags_parsed_like_config_file(self, tmp_path):
+        rc = cli_main(
+            ["sr-vs-snr", "--n-antennas", "16.0", "--method", "min_tp",
+             "--snr-list", "20", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["scenario"]["num_antennas"] == 16
 
     def test_gamma_surface_grid_flag(self, tmp_path):
         rc = cli_main(["gamma-surface", "--grid", "2:3", "--out", str(tmp_path)])

@@ -53,6 +53,11 @@ class TestReceivedModel:
         with pytest.raises(ConfigError):
             ReceivedModel(cm_gain=1.0, an_gain=0.0, noise_power=0.0)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise_power"):
+            ReceivedModel(cm_gain=1.0, an_gain=0.0, noise_power=noise)
+
 
 class TestSinr:
     def test_unity_when_signal_equals_noise(self):
@@ -145,6 +150,13 @@ class TestSinrSurface:
         beams = synthesize(cfg, plan, Method.MIN_TP)
         with pytest.raises(ConfigError):
             sinr_surface(cfg, plan, beams, np.array([]), np.array([1.0]), 1e-9)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_non_finite_probe_noise_rejected(self, scenario, noise):
+        cfg, plan = scenario
+        beams = synthesize(cfg, plan, Method.MIN_TP)
+        with pytest.raises(ConfigError, match="probe_noise"):
+            sinr_surface(cfg, plan, beams, np.array([70.0]), np.array([1000.0]), noise)
 
     def test_peaks_and_leakage(self, scenario):
         cfg, plan = scenario
