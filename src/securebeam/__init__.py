@@ -31,6 +31,7 @@ from .config import (
 )
 from .metrics import (
     ReceivedModel,
+    SinrSurface,
     SurfaceSample,
     ber_monte_carlo,
     received_model,

@@ -65,12 +65,13 @@ class BeamPair:
     """Power-allocated message and jamming weight vectors for one method.
 
     ||w_cm||^2 = beta * P_s and ||w_an||^2 = (1 - beta) * P_s. The weights may
-    be stacked along leading axes, shape (..., N), to evaluate many beams at once.
+    be stacked along leading axes, shape (..., N), to evaluate many beams at once;
+    a stack that mixes methods has method None.
     """
 
     w_cm: np.ndarray
     w_an: np.ndarray
-    method: Method
+    method: Method | None
     gammas: RegularizationParams | None = None
 
 

@@ -2,7 +2,6 @@
 """Array geometry, random subcarrier assignment, steering vectors, and path loss."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,9 @@ class SubcarrierPlan:
 
 @dataclass(frozen=True)
 class SteeringVector:
-    """Unit-norm complex array response h(theta, R) with its generating position."""
+    """Unit-norm complex array response h(theta, R)."""
 
     values: np.ndarray  # complex, shape (N,)
-    origin: PolarPosition | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -46,9 +44,6 @@ class SteeringVector:
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > 1e-12:
             raise ConfigError(f"steering vector must be unit norm, got ||h|| = {norm!r}")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 def build_subcarrier_plan(seed: int, n_antennas: int, n_subcarriers: int) -> SubcarrierPlan:
@@ -67,41 +62,44 @@ def build_subcarrier_plan(seed: int, n_antennas: int, n_subcarriers: int) -> Sub
     return SubcarrierPlan(indices=indices, num_subcarriers=n_subcarriers)
 
 
-def steering_phases(
+def steering_values(
     plan: SubcarrierPlan,
     cfg: ScenarioConfig,
     theta_rad: np.ndarray | float,
     range_m: np.ndarray | float,
 ) -> np.ndarray:
-    """Per-element phases for positions (theta, R); output shape broadcast(...) + (N,).
+    """Normalized array responses h(theta, R) at positions of any broadcast shape P;
+    output shape P + (N,).
 
     Element n (1-based) sees carrier f_c + k_n * df delayed by the geometric path
-    R - (n-1) d cos(theta), referenced to the carrier phase at range R.
+    R - (n-1) d cos(theta), with phase referenced to the carrier phase at range R.
     """
+    if len(plan) != cfg.num_antennas:
+        raise ConfigError(
+            f"plan length {len(plan)} does not match num_antennas {cfg.num_antennas}"
+        )
     theta = np.asarray(theta_rad, dtype=np.float64)[..., np.newaxis]
     r = np.asarray(range_m, dtype=np.float64)[..., np.newaxis]
     n = np.arange(len(plan), dtype=np.float64)  # (n-1) for 1-based n
     f_n = cfg.carrier_freq_hz + plan.indices * cfg.subcarrier_spacing_hz
     path = r - n * cfg.element_spacing_m * np.cos(theta)
     two_pi_c = 2.0 * np.pi / SPEED_OF_LIGHT
-    return two_pi_c * f_n * path - two_pi_c * cfg.carrier_freq_hz * r
+    psi = two_pi_c * f_n * path - two_pi_c * cfg.carrier_freq_hz * r
+    return np.exp(1j * psi) / np.sqrt(len(plan))
 
 
 def steering_vector(
     plan: SubcarrierPlan, cfg: ScenarioConfig, pos: PolarPosition
 ) -> SteeringVector:
     """Normalized array response h(theta, R) for one position."""
-    if len(plan) != cfg.num_antennas:
-        raise ConfigError(
-            f"plan length {len(plan)} does not match num_antennas {cfg.num_antennas}"
-        )
-    psi = steering_phases(plan, cfg, pos.angle_rad, pos.range_m)
-    values = np.exp(1j * psi) / np.sqrt(len(plan))
-    return SteeringVector(values=values, origin=pos)
+    return SteeringVector(steering_values(plan, cfg, pos.angle_rad, pos.range_m))
 
 
-def path_loss(range_m: float) -> float:
-    """Free-space square-law gain g = (R / 1 m)^-2, unit reference distance."""
-    if not (math.isfinite(range_m) and range_m > 0.0):
-        raise ConfigError(f"range_m must be finite and > 0, got {range_m}")
-    return float(range_m) ** -2.0
+def path_loss(range_m: np.ndarray | float) -> np.ndarray | float:
+    """Free-space square-law gain g = (R / 1 m)^-2, unit reference distance; elementwise."""
+    r = np.asarray(range_m, dtype=np.float64)
+    bad = r[~(np.isfinite(r) & (r > 0.0))]
+    if bad.size:
+        raise ConfigError(f"range_m must be finite and > 0, got {bad[0]}")
+    # r[()] unwraps a scalar range, whose pow matches a float's; the array loop may differ by 1 ulp
+    return r[()] ** -2.0

@@ -7,15 +7,15 @@ import datetime
 import enum
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .beamformers import DEFAULT_GAMMAS, Method, RegularizationParams, synthesize
-from .channel import build_subcarrier_plan, path_loss
+from .beamformers import DEFAULT_GAMMAS, BeamPair, Method, RegularizationParams, synthesize
+from .channel import SubcarrierPlan, build_subcarrier_plan, path_loss
 from .config import ConfigError, PolarPosition, ScenarioConfig, dbm_to_watts
 from .metrics import ber_monte_carlo, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
@@ -38,12 +38,16 @@ class ExperimentKind(str, enum.Enum):
     BER_VS_SNR = "ber_vs_snr"
 
 
-ALL_METHODS = (Method.EA, Method.MIN_TP, Method.MIN_RTP)
-
-
-def power_for_snr_db(cfg: ScenarioConfig, snr_db: float) -> float:
-    """Total transmit power giving the requested SNR through Bob's path loss."""
-    return 10.0 ** (snr_db / 10.0) * cfg.noise_power_bob_w / path_loss(cfg.bob.range_m)
+def power_for_snr_db(cfg: ScenarioConfig, snr_db: np.ndarray | float) -> np.ndarray | float:
+    """Total transmit power giving the requested SNR through Bob's path loss;
+    elementwise for an array of SNRs. Rejects an SNR whose power is not finite and > 0."""
+    snr = np.asarray(snr_db, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        power = 10.0 ** (snr[()] / 10.0) * cfg.noise_power_bob_w / path_loss(cfg.bob.range_m)
+    bad = snr[~(np.isfinite(power) & (power > 0.0))]
+    if bad.size:
+        raise ConfigError(f"SNR {bad[0]} dB does not give a finite transmit power > 0")
+    return power
 
 
 @dataclass
@@ -53,7 +57,7 @@ class ExperimentSpec:
     kind: ExperimentKind = ExperimentKind.SR_VS_SNR
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     sweep: tuple[float, ...] = ()  # SNR (dB) or antenna-count axis, kind-dependent
-    methods: tuple[Method, ...] = ALL_METHODS
+    methods: tuple[Method, ...] = tuple(Method)
     mc_symbols: int = 100_000
     output_dir: str = "out"
     gammas: RegularizationParams = DEFAULT_GAMMAS
@@ -84,6 +88,11 @@ class ExperimentSpec:
             raise ConfigError(
                 f"gamma_grid_points (gamma_points) must be >= 1, got {self.gamma_grid_points}"
             )
+        snr_sweep = self.kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR)
+        try:
+            power_for_snr_db(self.scenario, [*self.snr_db_list, *(self.sweep if snr_sweep else ())])
+        except ConfigError as exc:
+            raise ConfigError(f"snr_list: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -96,24 +105,19 @@ class RunManifest:
     outputs: tuple[str, ...]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+def _write_text(path: Path, text: str) -> None:
+    """Write through <name>.tmp and a rename, so a reader never sees a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _linspace(spec: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, count = spec
-    return np.linspace(lo, hi, int(count))
-
-
-def _gammas_for(spec: ExperimentSpec, method: Method) -> RegularizationParams | None:
-    return spec.gammas if method is Method.MIN_RTP else None
+def _write_csv(path: Path, header: list[str], columns: list) -> Path:
+    """Write equal-size columns, each flattened, as CSV rows of '%.12g' numbers."""
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+    rows = [row % tuple(r) for r in np.column_stack([np.ravel(c) for c in columns]).tolist()]
+    _write_text(path, ",".join(header) + "\n" + "".join(rows))
+    return path
 
 
 def _ber_seed(base_seed: int, sweep_index: int) -> int:
@@ -121,97 +125,81 @@ def _ber_seed(base_seed: int, sweep_index: int) -> int:
     return int(np.random.SeedSequence((base_seed, sweep_index)).generate_state(1)[0])
 
 
+def _power_sweep(
+    spec: ExperimentSpec, cfg: ScenarioConfig, plan: SubcarrierPlan, snrs_db: tuple[float, ...]
+) -> BeamPair:
+    """Every method's beams at every SNR, stacked as (methods, SNRs, N): every weight
+    scales with sqrt(P_s), so each method is synthesized once, at unit power."""
+    unit_cfg = cfg.replace(total_power_w=1.0)
+    units = [synthesize(unit_cfg, plan, m, spec.gammas) for m in spec.methods]
+    scale = np.sqrt(power_for_snr_db(cfg, snrs_db))[:, np.newaxis]
+    w_cm = np.array([scale * u.w_cm for u in units])
+    return BeamPair(w_cm, np.array([scale * u.w_an for u in units]), method=None)
+
+
+def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, list[str], list]]:
+    """Compute the experiment, yielding (file name, CSV header, columns) per file."""
+    cfg = spec.scenario
+    plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
+    if spec.kind is ExperimentKind.GAMMA_SURFACE:
+        grid = GammaGrid.linear(spec.gamma_grid_max, spec.gamma_grid_points)
+        surface = grid_search_gamma(cfg, plan, grid).surface
+        gc, ga = np.meshgrid(grid.gamma_cm_values, grid.gamma_an_values, indexing="ij")
+        yield "gamma_surface_min_rtp.csv", ["gamma_cm", "gamma_an", "sr"], [gc, ga, surface]
+
+    elif spec.kind is ExperimentKind.SINR_SURFACE:
+        theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
+        header = ["theta_deg", "range_m", "cm_sinr_db", "an_power_db"]
+        for method in spec.methods:
+            beams = synthesize(cfg, plan, method, spec.gammas)
+            surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+            yield f"sinr_surface_{method.value}.csv", header, list(surface.values.T)
+
+    elif spec.kind is ExperimentKind.SR_VS_SNR:
+        rates = secrecy_rate(cfg, plan, _power_sweep(spec, cfg, plan, spec.sweep))
+        for method, sr in zip(spec.methods, rates):
+            yield f"sr_vs_snr_{method.value}.csv", ["snr_db", "sr_bits"], [spec.sweep, sr]
+
+    elif spec.kind is ExperimentKind.SR_VS_N:
+        rates = []  # per antenna count: (methods, SNRs)
+        for n in spec.sweep:
+            cfg_n = cfg.replace(num_antennas=int(n))
+            plan = build_subcarrier_plan(cfg.rng_seed, int(n), cfg.num_subcarriers)
+            beams = _power_sweep(spec, cfg_n, plan, spec.snr_db_list)
+            rates.append(secrecy_rate(cfg_n, plan, beams))
+        for j, snr_db in enumerate(spec.snr_db_list):
+            for k, method in enumerate(spec.methods):
+                name = f"sr_vs_n_{method.value}_snr{snr_db:.12g}db.csv"
+                yield name, ["n", "sr_bits"], [spec.sweep, np.array(rates)[:, k, j]]
+
+    elif spec.kind is ExperimentKind.BER_VS_SNR:
+        beams = _power_sweep(spec, cfg, plan, spec.sweep)
+        # one draw of bits, jamming and noise per SNR point, shared by every method
+        ber = np.transpose([
+            ber_monte_carlo(
+                cfg, plan, BeamPair(beams.w_cm[:, i], beams.w_an[:, i], method=None),
+                cfg.bob, spec.mc_symbols, _ber_seed(cfg.rng_seed, i),
+            )
+            for i in range(len(spec.sweep))
+        ])
+        for method, rates in zip(spec.methods, ber):
+            yield f"ber_vs_snr_{method.value}.csv", ["snr_db", "ber"], [spec.sweep, rates]
+
+
 def run_experiment(spec: ExperimentSpec) -> RunManifest:
     """Run one experiment, write one CSV per method plus a manifest, return the manifest."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, spec.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = spec.scenario
-    outputs: list[Path] = []
+    outputs = [_write_csv(out_dir / name, header, cols) for name, header, cols in _datasets(spec)]
 
-    if spec.kind is ExperimentKind.GAMMA_SURFACE:
-        plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
-        grid = GammaGrid.linear(spec.gamma_grid_max, spec.gamma_grid_points)
-        result = grid_search_gamma(cfg, plan, grid)
-        gc, ga = np.meshgrid(grid.gamma_cm_values, grid.gamma_an_values, indexing="ij")
-        rows = np.column_stack([gc.ravel(), ga.ravel(), result.surface.ravel()]).tolist()
-        path = out_dir / "gamma_surface_min_rtp.csv"
-        _write_csv(path, ["gamma_cm", "gamma_an", "sr"], rows)
-        outputs.append(path)
-
-    elif spec.kind is ExperimentKind.SINR_SURFACE:
-        plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
-        theta = _linspace(spec.theta_grid_deg)
-        ranges = _linspace(spec.range_grid_m)
-        for method in spec.methods:
-            beams = synthesize(cfg, plan, method, _gammas_for(spec, method))
-            samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
-            rows = [
-                [s.theta_deg, s.range_m, s.cm_sinr_db, s.an_power_db] for s in samples
-            ]
-            path = out_dir / f"sinr_surface_{method.value}.csv"
-            _write_csv(path, ["theta_deg", "range_m", "cm_sinr_db", "an_power_db"], rows)
-            outputs.append(path)
-
-    elif spec.kind is ExperimentKind.SR_VS_SNR:
-        plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
-        for method in spec.methods:
-            rows = []
-            for snr_db in spec.sweep:
-                cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
-                beams = synthesize(cfg_p, plan, method, _gammas_for(spec, method))
-                rows.append([float(snr_db), secrecy_rate(cfg_p, plan, beams)])
-            path = out_dir / f"sr_vs_snr_{method.value}.csv"
-            _write_csv(path, ["snr_db", "sr_bits"], rows)
-            outputs.append(path)
-
-    elif spec.kind is ExperimentKind.SR_VS_N:
-        for snr_db in spec.snr_db_list:
-            for method in spec.methods:
-                rows = []
-                for n_f in spec.sweep:
-                    n = int(n_f)
-                    cfg_n = cfg.replace(
-                        num_antennas=n, total_power_w=power_for_snr_db(cfg, snr_db)
-                    )
-                    plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
-                    beams = synthesize(cfg_n, plan, method, _gammas_for(spec, method))
-                    rows.append([float(n), secrecy_rate(cfg_n, plan, beams)])
-                path = out_dir / f"sr_vs_n_{method.value}_snr{_fmt(float(snr_db))}db.csv"
-                _write_csv(path, ["n", "sr_bits"], rows)
-                outputs.append(path)
-
-    elif spec.kind is ExperimentKind.BER_VS_SNR:
-        plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
-        for method in spec.methods:
-            rows = []
-            for i, snr_db in enumerate(spec.sweep):
-                cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
-                beams = synthesize(cfg_p, plan, method, _gammas_for(spec, method))
-                ber = ber_monte_carlo(
-                    cfg_p, plan, beams, cfg.bob, spec.mc_symbols, _ber_seed(cfg.rng_seed, i)
-                )
-                rows.append([float(snr_db), float(ber)])
-            path = out_dir / f"ber_vs_snr_{method.value}.csv"
-            _write_csv(path, ["snr_db", "ber"], rows)
-            outputs.append(path)
-
-    else:
-        raise ConfigError(f"unknown experiment kind {spec.kind!r}")
-
-    finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = RunManifest(
-        config=_spec_as_dict(spec),
-        seed=cfg.rng_seed,
-        version=__version__,
-        started_at=started,
-        finished_at=finished,
+        config=_spec_as_dict(spec), seed=spec.scenario.rng_seed, version=__version__,
+        started_at=started, finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         outputs=tuple(str(p) for p in outputs),
     )
-    manifest_path = out_dir / "manifest.json"
-    tmp = manifest_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(dataclasses.asdict(manifest), indent=2) + "\n")
-    tmp.replace(manifest_path)
+    text = json.dumps(dataclasses.asdict(manifest), indent=2) + "\n"
+    _write_text(out_dir / "manifest.json", text)
     return manifest
 
 
@@ -357,7 +345,10 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
     )
     cfg = ScenarioConfig(**scenario_kwargs)
     if "snr_db" in parsed and "total_power_w" not in parsed:
-        cfg = cfg.replace(total_power_w=power_for_snr_db(cfg, parsed["snr_db"]))
+        try:
+            cfg = cfg.replace(total_power_w=power_for_snr_db(cfg, parsed["snr_db"]))
+        except ConfigError as exc:
+            raise ConfigError(f"snr_db: {exc}") from exc
     spec_kwargs["scenario"] = cfg
 
     spec_kwargs["gammas"] = RegularizationParams(

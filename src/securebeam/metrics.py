@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamformers import BeamPair
-from .channel import SubcarrierPlan, path_loss, steering_phases, steering_vector
+from .channel import SubcarrierPlan, path_loss, steering_values
 from .config import ConfigError, PolarPosition, ScenarioConfig
 
 # floor applied before converting powers to dB, avoids -inf at exact nulls
@@ -21,7 +21,7 @@ def _to_db(power: np.ndarray | float) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class ReceivedModel:
-    """Complex effective gains of the message and jamming beams at one position."""
+    """Complex effective gains of the message and jamming beams at one or more positions."""
 
     cm_gain: complex | np.ndarray
     an_gain: complex | np.ndarray
@@ -43,21 +43,50 @@ class SurfaceSample:
     method: str
 
 
+@dataclass(frozen=True, eq=False)
+class SinrSurface:
+    """A SINR / jamming-power field kept as one array and read as a sequence of SurfaceSample:
+    row i of `values` is (theta_deg, range_m, cm_sinr_db, an_power_db) at grid point i."""
+
+    values: np.ndarray  # (points, 4)
+    method: str
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> SurfaceSample:
+        return SurfaceSample(*self.values[i].tolist(), self.method)
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, SinrSurface) and self.method == other.method
+        return same and np.array_equal(self.values, other.values)
+
+
+def _received(
+    cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair,
+    theta_rad: np.ndarray | float, range_m: np.ndarray | float, noise_power: float,
+) -> ReceivedModel:
+    """Effective gains sqrt(g(R)) h(theta, R)^H w of the message and jamming beams:
+    weights stacked as B + (N,) at positions of shape P give gains of shape B + P."""
+    amp = np.sqrt(path_loss(range_m))
+    h_conj = steering_values(plan, cfg, theta_rad, range_m).conj()
+    h_cols = h_conj.reshape(-1, len(plan)).T  # (N, P)
+
+    def gain(w: np.ndarray) -> np.ndarray:
+        # one product per stacked beam, so a beam's gains do not depend on its stack:
+        # at an exact null they are pure rounding, which any other summation changes
+        rows = [row @ h_cols for row in w.reshape(-1, len(plan))]
+        return amp * np.reshape(rows, w.shape[:-1] + h_conj.shape[:-1])
+
+    return ReceivedModel(gain(beams.w_cm), gain(beams.w_an), noise_power)
+
+
 def received_model(
-    cfg: ScenarioConfig,
-    plan: SubcarrierPlan,
-    beams: BeamPair,
-    pos: PolarPosition,
+    cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair, pos: PolarPosition,
     noise_power: float,
 ) -> ReceivedModel:
     """Effective gains sqrt(g(R)) h(pos)^H w at one probe position."""
-    h_conj = steering_vector(plan, cfg, pos).values.conj()
-    amp = math.sqrt(path_loss(pos.range_m))
-    return ReceivedModel(
-        cm_gain=amp * (beams.w_cm @ h_conj),
-        an_gain=amp * (beams.w_an @ h_conj),
-        noise_power=noise_power,
-    )
+    return _received(cfg, plan, beams, pos.angle_rad, pos.range_m, noise_power)
 
 
 def sinr(model: ReceivedModel) -> float | np.ndarray:
@@ -82,45 +111,23 @@ def sinr_surface(
     theta_deg_grid: np.ndarray,
     range_m_grid: np.ndarray,
     probe_noise: float,
-) -> list[SurfaceSample]:
+) -> SinrSurface:
     """Message-beam SINR (dB) and jamming power (dB) over an angle-range grid.
 
-    Every grid point is probed with the same receiver noise power. Rows are
-    emitted theta-major, matching meshgrid order.
+    Every grid point is probed with the same receiver noise power. Entries run
+    theta-major, matching meshgrid order.
     """
     theta_deg = np.asarray(theta_deg_grid, dtype=np.float64)
     r = np.asarray(range_m_grid, dtype=np.float64)
-    if theta_deg.size == 0 or r.size == 0:
-        raise ConfigError("angle and range grids must be nonempty")
+    if theta_deg.size == 0 or r.size == 0 or not np.all(np.isfinite(theta_deg)):
+        raise ConfigError("angle and range grids must be nonempty, with finite angles")
     if not (math.isfinite(probe_noise) and probe_noise > 0.0):
         raise ConfigError(f"probe_noise must be finite and > 0, got {probe_noise}")
 
     tt, rr = np.meshgrid(theta_deg, r, indexing="ij")
-    psi = steering_phases(plan, cfg, np.radians(tt), rr)  # (T, R, N)
-    h = np.exp(1j * psi) / np.sqrt(cfg.num_antennas)
-    gain = np.sqrt(rr**-2.0)  # amplitude path loss, unit reference distance
-    cm_pow = np.abs(gain * (h.conj() @ beams.w_cm)) ** 2
-    an_pow = np.abs(gain * (h.conj() @ beams.w_an)) ** 2
-    cm_sinr_db = _to_db(cm_pow / (an_pow + probe_noise))
-    an_pow_db = _to_db(an_pow)
-
-    method = beams.method.value
-    return [
-        SurfaceSample(
-            theta_deg=float(tt[i, j]),
-            range_m=float(rr[i, j]),
-            cm_sinr_db=float(cm_sinr_db[i, j]),
-            an_power_db=float(an_pow_db[i, j]),
-            method=method,
-        )
-        for i in range(theta_deg.size)
-        for j in range(r.size)
-    ]
-
-
-def _qpsk_symbols(bits: np.ndarray) -> np.ndarray:
-    """Gray-mapped QPSK with unit average power; bits shaped (n_sym, 2)."""
-    return ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / math.sqrt(2.0)
+    model = _received(cfg, plan, beams, np.radians(tt), rr, probe_noise)
+    columns = (tt, rr, _to_db(sinr(model)), _to_db(np.abs(model.an_gain) ** 2))
+    return SinrSurface(np.column_stack([c.ravel() for c in columns]), beams.method.value)
 
 
 def ber_monte_carlo(
@@ -130,34 +137,35 @@ def ber_monte_carlo(
     pos: PolarPosition,
     num_symbols: int,
     seed: int,
-) -> float:
-    """Bit error rate of coherent QPSK at a probe position.
+) -> float | np.ndarray:
+    """Bit error rate of coherent QPSK at a probe position; for stacked beams, one
+    rate per stacked pair, broadcast over the leading axes.
 
     The receiver knows its complex message gain; the jamming signal (unit-power
-    circular Gaussian) is treated as noise. Deterministic for a fixed seed.
+    circular Gaussian) is treated as noise. Bits, jamming and noise are drawn once
+    and every stacked pair sees the same draws. Deterministic for a fixed seed.
     """
     if num_symbols < 1:
         raise ConfigError(f"num_symbols must be >= 1, got {num_symbols}")
-    if pos == cfg.eve:
-        noise_power = cfg.noise_power_eve_w
-    else:
-        noise_power = cfg.noise_power_bob_w
+    noise_power = cfg.noise_power_eve_w if pos == cfg.eve else cfg.noise_power_bob_w
     model = received_model(cfg, plan, beams, pos, noise_power)
 
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(num_symbols, 2))
-    x = _qpsk_symbols(bits)
+    # Gray-mapped QPSK with unit average power
+    x = ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / math.sqrt(2.0)
     z = (rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)) / math.sqrt(2.0)
     n = (
         rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)
     ) * math.sqrt(noise_power / 2.0)
-    y = model.cm_gain * x + model.an_gain * z + n
 
-    if model.cm_gain == 0.0:
-        decided = y  # no coherent reference; decisions are coin flips on noise
-    else:
-        decided = y / model.cm_gain
-    bhat0 = (decided.real < 0.0).astype(np.int64)
-    bhat1 = (decided.imag < 0.0).astype(np.int64)
-    errors = np.count_nonzero(bhat0 != bits[:, 0]) + np.count_nonzero(bhat1 != bits[:, 1])
-    return errors / (2.0 * num_symbols)
+    def bit_errors(cm_gain: complex, an_gain: complex) -> int:
+        # one pair's symbols live only in this call, freed before the next pair's
+        y = cm_gain * x + an_gain * z + n
+        if cm_gain != 0.0:  # with no message gain, decisions are coin flips on noise
+            y /= cm_gain
+        return np.count_nonzero(np.stack([y.real < 0.0, y.imag < 0.0], axis=-1) != bits)
+
+    pairs = np.broadcast(model.cm_gain, model.an_gain)
+    ber = np.reshape([bit_errors(*pair) for pair in pairs], pairs.shape) / (2.0 * num_symbols)
+    return ber if ber.ndim else float(ber)

@@ -1,15 +1,41 @@
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from securebeam import ConfigError, ExperimentKind, Method, load_config, run_experiment
+from securebeam import (
+    ConfigError,
+    ExperimentKind,
+    Method,
+    ScenarioConfig,
+    ber_monte_carlo,
+    build_subcarrier_plan,
+    load_config,
+    run_experiment,
+    synthesize,
+)
 from securebeam.cli import build_parser
 from securebeam.cli import main as cli_main
-from securebeam.experiments import KEYS, ExperimentSpec, power_for_snr_db
+from securebeam.experiments import KEYS, ExperimentSpec, _ber_seed, power_for_snr_db
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+# the five small specs of acceptance criterion 10; tests/data/golden holds the
+# CSVs they gave before the runner moved to one array path
+GOLDEN_SPECS = {
+    ExperimentKind.SR_VS_SNR: {"sweep": (10.0, 20.0)},
+    ExperimentKind.BER_VS_SNR: {"sweep": (8.0,), "mc_symbols": 5000},
+    ExperimentKind.SINR_SURFACE: {
+        "theta_grid_deg": (60.0, 110.0, 11),
+        "range_grid_m": (700.0, 1100.0, 9),
+    },
+    ExperimentKind.GAMMA_SURFACE: {"gamma_grid_points": 4},
+    ExperimentKind.SR_VS_N: {"sweep": (4.0, 8.0), "snr_db_list": (15.0,)},
+}
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -181,6 +207,78 @@ class TestRunExperiment:
         assert on_disk["outputs"] == list(manifest.outputs)
         assert on_disk["config"]["scenario"]["num_antennas"] == 8
 
+    def test_ber_csv_equals_per_method_calls(self, tmp_path):
+        # the runner stacks the methods' beams and shares one draw per SNR point;
+        # each value must equal the per-method, per-point call with the same seed
+        sweep, n = (0.0, 6.0, 12.0), 20_000
+        spec = ExperimentSpec(
+            kind=ExperimentKind.BER_VS_SNR, sweep=sweep, mc_symbols=n, output_dir=str(tmp_path)
+        )
+        run_experiment(spec)
+        cfg = spec.scenario
+        plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
+        for m in Method:
+            rows = []
+            for i, snr_db in enumerate(sweep):
+                cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
+                beams = synthesize(cfg_p, plan, m)
+                ber = ber_monte_carlo(cfg_p, plan, beams, cfg.bob, n, _ber_seed(cfg.rng_seed, i))
+                rows.append(f"{snr_db:.12g},{ber:.12g}")
+            lines = (tmp_path / f"ber_vs_snr_{m.value}.csv").read_text().splitlines()
+            assert lines[1:] == rows
+
+    def test_outputs_written_through_tmp_and_rename(self, tmp_path, monkeypatch):
+        renames = []
+        replace = Path.replace
+
+        def recording_replace(self, target):
+            renames.append((self.name, Path(target).name))
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", recording_replace)
+        spec = ExperimentSpec(
+            kind=ExperimentKind.SR_VS_SNR, sweep=(10.0,), output_dir=str(tmp_path)
+        )
+        manifest = run_experiment(spec)
+        names = [Path(p).name for p in manifest.outputs] + ["manifest.json"]
+        assert renames == [(name + ".tmp", name) for name in names]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    @pytest.mark.parametrize("kind", list(GOLDEN_SPECS), ids=lambda k: k.value)
+    def test_outputs_match_golden(self, tmp_path, kind):
+        manifest = run_experiment(
+            ExperimentSpec(kind=kind, output_dir=str(tmp_path), **GOLDEN_SPECS[kind])
+        )
+        golden = GOLDEN / kind.value
+        assert sorted(Path(p).name for p in manifest.outputs) == sorted(
+            p.name for p in golden.iterdir()
+        )
+        for path in map(Path, manifest.outputs):
+            got, want = path.read_text(), (golden / path.name).read_text()
+            if kind is ExperimentKind.BER_VS_SNR:
+                assert got == want
+                continue
+            header = want.splitlines()[0]
+            assert got.splitlines()[0] == header
+            got_v, want_v = (
+                np.loadtxt(text.splitlines()[1:], delimiter=",", ndmin=2) for text in (got, want)
+            )
+            assert got_v.shape == want_v.shape
+            for name, g, w in zip(header.split(","), got_v.T, want_v.T):
+                if name.endswith("_db"):
+                    np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-9, err_msg=name)
+                else:
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("snr_db", [1e5, -1e5, math.nan, math.inf, -math.inf])
+    def test_snr_without_finite_positive_power_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="SNR"):
+            power_for_snr_db(ScenarioConfig(), snr_db)
+        with pytest.raises(ConfigError, match="snr_list"):
+            ExperimentSpec(kind=ExperimentKind.BER_VS_SNR, sweep=(0.0, snr_db))
+        with pytest.raises(ConfigError, match="snr_list"):
+            ExperimentSpec(kind=ExperimentKind.SR_VS_N, snr_db_list=(snr_db,))
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("SECUREBEAM_OUT_DIR", str(target))
@@ -234,6 +332,10 @@ class TestCli:
             (["sr-vs-snr", "--seed", "7.5"], "seed: not an integer"),
             (["gamma-surface", "--grid", "3:-1"], "gamma_points"),
             (["sr-vs-n", "--snr-list", ""], "snr_list"),
+            (["sr-vs-snr", "--snr-list", "1e5"], "snr_list"),
+            (["ber-vs-snr", "--snr-list", "nan"], "snr_list"),
+            (["sr-vs-n", "--snr-list", "inf"], "snr_list"),
+            (["sinr-surface", "--snr-db", "1e5"], "snr_db"),
         ],
     )
     def test_boundary_input_exit_code(self, tmp_path, capsys, argv, key):

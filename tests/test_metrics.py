@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from securebeam import (
+    BeamPair,
     ConfigError,
     Method,
     PolarPosition,
@@ -151,6 +152,24 @@ class TestSinrSurface:
         with pytest.raises(ConfigError):
             sinr_surface(cfg, plan, beams, np.array([]), np.array([1.0]), 1e-9)
 
+    @pytest.mark.parametrize(
+        "theta, r",
+        [
+            (70.0, 0.0),
+            (70.0, -5.0),
+            (70.0, math.nan),
+            (70.0, math.inf),
+            (math.nan, 1000.0),
+            (math.inf, 1000.0),
+        ],
+    )
+    def test_non_finite_or_nonpositive_grid_rejected(self, scenario, theta, r):
+        cfg, plan = scenario
+        beams = synthesize(cfg, plan, Method.MIN_TP)
+        grid = (np.array([10.0, theta]), np.array([1000.0, r]))
+        with pytest.raises(ConfigError):
+            sinr_surface(cfg, plan, beams, *grid, 1e-9)
+
     @pytest.mark.parametrize("noise", [math.nan, math.inf])
     def test_non_finite_probe_noise_rejected(self, scenario, noise):
         cfg, plan = scenario
@@ -178,6 +197,23 @@ class TestSinrSurface:
         # nulled fields at the opposite receiver sit at least 80 dB down
         assert at_eve.cm_sinr_db <= at_bob.cm_sinr_db - 80.0
         assert at_bob.an_power_db <= at_eve.an_power_db - 80.0
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_matches_pointwise_received_model(self, scenario, method):
+        cfg, plan = scenario
+        beams = synthesize(cfg, plan, method)
+        theta, ranges = np.linspace(0.0, 180.0, 37), np.linspace(500.0, 2987.5, 40)
+        samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+        for i in np.random.default_rng(3).choice(len(samples), size=60, replace=False):
+            s = samples[i]
+            if not 0.0 < s.theta_deg < 180.0:
+                continue  # endfire rows lie outside PolarPosition's open interval
+            pos = PolarPosition.from_degrees(s.theta_deg, s.range_m)
+            model = received_model(cfg, plan, beams, pos, cfg.noise_power_bob_w)
+            cm_db = 10.0 * math.log10(max(sinr(model), 1e-30))
+            an_db = 10.0 * math.log10(max(abs(model.an_gain) ** 2, 1e-30))
+            assert s.cm_sinr_db == pytest.approx(cm_db, abs=1e-9)
+            assert s.an_power_db == pytest.approx(an_db, abs=1e-9)
 
     def test_deterministic(self, scenario):
         cfg, plan = scenario
@@ -216,6 +252,37 @@ class TestBerMonteCarlo:
         a = ber_monte_carlo(cfg, plan, beams, cfg.bob, 50_000, 9)
         b = ber_monte_carlo(cfg, plan, beams, cfg.bob, 50_000, 9)
         assert a == b
+
+    def test_stacked_beams_equal_unstacked_calls(self, scenario):
+        # one draw shared by every stacked pair must give each pair's own result
+        cfg, plan = scenario
+        pairs = [synthesize(cfg, plan, m) for m in Method]
+        stacked = BeamPair(
+            np.array([b.w_cm for b in pairs]), np.array([b.w_an for b in pairs]), method=None
+        )
+        for pos in (cfg.bob, cfg.eve):
+            got = ber_monte_carlo(cfg, plan, stacked, pos, 50_000, 4)
+            assert got.shape == (len(pairs),)
+            for ber, beams in zip(got, pairs):
+                assert ber == ber_monte_carlo(cfg, plan, beams, pos, 50_000, 4)
+
+    def test_jammed_ber_matches_q_of_sqrt_sinr(self, scenario):
+        # per bit, QPSK sees amplitude |cm|/sqrt(2) in Gaussian noise of variance
+        # (|an|^2 + noise)/2, so the BER is Q(sqrt(SINR)) with the jamming on
+        cfg, plan = scenario
+        num_symbols = 1_000_000
+        for i, snr_db in enumerate((0.0, 6.0, 12.0)):
+            cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
+            pairs = [synthesize(cfg_p, plan, m) for m in Method]
+            stacked = BeamPair(
+                np.array([b.w_cm for b in pairs]), np.array([b.w_an for b in pairs]), None
+            )
+            bers = ber_monte_carlo(cfg_p, plan, stacked, cfg.bob, num_symbols, 100 + i)
+            for ber, beams in zip(bers, pairs):
+                model = received_model(cfg_p, plan, beams, cfg.bob, cfg.noise_power_bob_w)
+                expected = qfunc(math.sqrt(sinr(model)))
+                se = math.sqrt(expected * (1.0 - expected) / (2.0 * num_symbols))
+                assert abs(ber - expected) <= 3.0 * se, (snr_db, beams.method, ber, expected)
 
     def test_awgn_qpsk_oracle(self, scenario):
         # jamming disabled: measured BER must match the closed-form AWGN curve
