@@ -31,8 +31,6 @@ from .config import (
 )
 from .metrics import (
     ReceivedModel,
-    SinrSurface,
-    SurfaceSample,
     ber_monte_carlo,
     received_model,
     secrecy_rate,

@@ -97,20 +97,11 @@ def min_tp_beamformer(h_target: SteeringVector, h_null: SteeringVector) -> np.nd
     return p_ht / gain
 
 
-def regularized_direction(
-    h_target: SteeringVector, h_null: SteeringVector, gamma: float
-) -> np.ndarray:
-    """Ridge-regularized update P (P^H P + gamma I)^-1 P^H h_target, before the
-    unit-gain rescale. For an orthogonal projector P this is exactly
-    P h_target / (1 + gamma), so its norm shrinks monotonically as gamma grows."""
-    _check_gamma(gamma)
-    return null_projector(h_null).apply(h_target.values) / (1.0 + gamma)
-
-
 def min_rtp_beamformer(
     h_target: SteeringVector, h_null: SteeringVector, gamma: float
 ) -> np.ndarray:
-    """Regularized minimum-power beam: regularized_direction at unit target gain.
+    """Regularized minimum-power beam: the ridge update P (P^H P + gamma I)^-1 P^H
+    h_target, rescaled to unit target gain.
 
     P (P^H P + gamma I)^-1 P^H = P / (1 + gamma) for an orthogonal projector P,
     and the unit-gain rescale cancels 1 / (1 + gamma) exactly: Min-RTP equals

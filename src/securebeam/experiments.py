@@ -25,7 +25,7 @@ OUTPUT_DIR_ENV = "SECUREBEAM_OUT_DIR"
 DEFAULT_SNR_SWEEP_DB = tuple(range(0, 31, 2))
 DEFAULT_N_SWEEP = (4, 8, 16, 32, 64)
 DEFAULT_SR_VS_N_SNRS_DB = (5.0, 15.0, 25.0)
-# 181 x 200 angle-range probe grid; hits Bob (70, 1000) and Eve (100, 750) exactly
+# 181 x 200 angle-range probe grid; hits the default Bob and Eve positions exactly
 DEFAULT_THETA_GRID_DEG = (0.0, 180.0, 181)
 DEFAULT_RANGE_GRID_M = (500.0, 2987.5, 200)
 
@@ -149,11 +149,11 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, list[str], list]]:
 
     elif spec.kind is ExperimentKind.SINR_SURFACE:
         theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
-        header = ["theta_deg", "range_m", "cm_sinr_db", "an_power_db"]
         for method in spec.methods:
             beams = synthesize(cfg, plan, method, spec.gammas)
             surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
-            yield f"sinr_surface_{method.value}.csv", header, list(surface.values.T)
+            names = list(surface.dtype.names)
+            yield f"sinr_surface_{method.value}.csv", names, [surface[n] for n in names]
 
     elif spec.kind is ExperimentKind.SR_VS_SNR:
         rates = secrecy_rate(cfg, plan, _power_sweep(spec, cfg, plan, spec.sweep))
@@ -337,12 +337,12 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
     scenario_kwargs = {n: v for n, v in fields.items() if n in scenario_names}
     spec_kwargs = {n: v for n, v in fields.items() if n not in scenario_names}
 
-    scenario_kwargs["bob"] = PolarPosition.from_degrees(
-        get("bob_theta_deg", 70.0), get("bob_range_m", 1000.0)
-    )
-    scenario_kwargs["eve"] = PolarPosition.from_degrees(
-        get("eve_theta_deg", 100.0), get("eve_range_m", 750.0)
-    )
+    defaults = ScenarioConfig()
+    for who in ("bob", "eve"):
+        pos = getattr(defaults, who)
+        scenario_kwargs[who] = PolarPosition.from_degrees(
+            get(f"{who}_theta_deg", pos.angle_deg), get(f"{who}_range_m", pos.range_m)
+        )
     cfg = ScenarioConfig(**scenario_kwargs)
     if "snr_db" in parsed and "total_power_w" not in parsed:
         try:

@@ -32,36 +32,6 @@ class ReceivedModel:
             raise ConfigError(f"noise_power must be finite and > 0, got {self.noise_power}")
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    """One angle-range grid point of the SINR / jamming-power field."""
-
-    theta_deg: float
-    range_m: float
-    cm_sinr_db: float
-    an_power_db: float
-    method: str
-
-
-@dataclass(frozen=True, eq=False)
-class SinrSurface:
-    """A SINR / jamming-power field kept as one array and read as a sequence of SurfaceSample:
-    row i of `values` is (theta_deg, range_m, cm_sinr_db, an_power_db) at grid point i."""
-
-    values: np.ndarray  # (points, 4)
-    method: str
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> SurfaceSample:
-        return SurfaceSample(*self.values[i].tolist(), self.method)
-
-    def __eq__(self, other: object) -> bool:
-        same = isinstance(other, SinrSurface) and self.method == other.method
-        return same and np.array_equal(self.values, other.values)
-
-
 def _received(
     cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair,
     theta_rad: np.ndarray | float, range_m: np.ndarray | float, noise_power: float,
@@ -111,10 +81,12 @@ def sinr_surface(
     theta_deg_grid: np.ndarray,
     range_m_grid: np.ndarray,
     probe_noise: float,
-) -> SinrSurface:
-    """Message-beam SINR (dB) and jamming power (dB) over an angle-range grid.
+) -> np.recarray:
+    """Message-beam SINR (dB) and jamming power (dB) over an angle-range grid, as a
+    record array with one record per grid point: the probe's angle and range, then
+    the two fields in dB, under the names in its `dtype.names`.
 
-    Every grid point is probed with the same receiver noise power. Entries run
+    Every grid point is probed with the same receiver noise power. Records run
     theta-major, matching meshgrid order.
     """
     theta_deg = np.asarray(theta_deg_grid, dtype=np.float64)
@@ -127,7 +99,9 @@ def sinr_surface(
     tt, rr = np.meshgrid(theta_deg, r, indexing="ij")
     model = _received(cfg, plan, beams, np.radians(tt), rr, probe_noise)
     columns = (tt, rr, _to_db(sinr(model)), _to_db(np.abs(model.an_gain) ** 2))
-    return SinrSurface(np.column_stack([c.ravel() for c in columns]), beams.method.value)
+    return np.rec.fromarrays(
+        [c.ravel() for c in columns], names=("theta_deg", "range_m", "cm_sinr_db", "an_power_db")
+    )
 
 
 def ber_monte_carlo(
@@ -138,8 +112,8 @@ def ber_monte_carlo(
     num_symbols: int,
     seed: int,
 ) -> float | np.ndarray:
-    """Bit error rate of coherent QPSK at a probe position; for stacked beams, one
-    rate per stacked pair, broadcast over the leading axes.
+    """Bit error rate of coherent QPSK at Bob or at Eve, with that receiver's noise
+    floor; for stacked beams, one rate per stacked pair, broadcast over the leading axes.
 
     The receiver knows its complex message gain; the jamming signal (unit-power
     circular Gaussian) is treated as noise. Bits, jamming and noise are drawn once
@@ -147,7 +121,10 @@ def ber_monte_carlo(
     """
     if num_symbols < 1:
         raise ConfigError(f"num_symbols must be >= 1, got {num_symbols}")
-    noise_power = cfg.noise_power_eve_w if pos == cfg.eve else cfg.noise_power_bob_w
+    # Eve's entry comes last, so it wins when Bob and Eve share one position
+    noise_power = {cfg.bob: cfg.noise_power_bob_w, cfg.eve: cfg.noise_power_eve_w}.get(pos)
+    if noise_power is None:
+        raise ConfigError(f"BER is defined at Bob or Eve only, got a probe at {pos}")
     model = received_model(cfg, plan, beams, pos, noise_power)
 
     rng = np.random.default_rng(seed)

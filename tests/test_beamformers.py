@@ -16,7 +16,6 @@ from securebeam import (
     steering_vector,
     synthesize,
 )
-from securebeam.beamformers import regularized_direction
 
 
 def random_unit(n, rng):
@@ -157,17 +156,9 @@ class TestMinRtp:
             assert abs(h_n.values.conj() @ v) <= 1e-10
             assert abs(h_t.values.conj() @ v - 1.0) <= 1e-10
 
-    def test_update_norm_monotone_in_gamma(self):
-        rng = np.random.default_rng(10)
-        h_t, h_n = random_unit(6, rng), random_unit(6, rng)
-        norms = [
-            np.linalg.norm(regularized_direction(h_t, h_n, g))
-            for g in np.logspace(-3, 2, 20)
-        ]
-        assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
-
-    def test_regularized_direction_matches_dense_ridge_solve(self):
-        # oracle: the literal N x N ridge solve P (P^H P + gamma I)^-1 P^H h_t
+    def test_matches_dense_ridge_solve_at_unit_gain(self):
+        # oracle: the literal N x N ridge solve P (P^H P + gamma I)^-1 P^H h_t,
+        # rescaled to unit gain on the target
         rng = np.random.default_rng(14)
         for n in (2, 5, 16, 64):
             for gamma in np.logspace(-2, 2, 9):
@@ -175,7 +166,8 @@ class TestMinRtp:
                 p = np.eye(n, dtype=complex) - np.outer(h_n.values, h_n.values.conj())
                 reg = p.conj().T @ p + gamma * np.eye(n)
                 ref = p @ np.linalg.solve(reg, p.conj().T @ h_t.values)
-                got = regularized_direction(h_t, h_n, gamma)
+                ref /= h_t.values.conj() @ ref
+                got = min_rtp_beamformer(h_t, h_n, gamma)
                 assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_identical_to_min_tp_for_positive_gamma(self):

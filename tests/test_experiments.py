@@ -14,12 +14,20 @@ from securebeam import (
     ber_monte_carlo,
     build_subcarrier_plan,
     load_config,
+    received_model,
     run_experiment,
+    secrecy_rate,
     synthesize,
 )
 from securebeam.cli import build_parser
 from securebeam.cli import main as cli_main
-from securebeam.experiments import KEYS, ExperimentSpec, _ber_seed, power_for_snr_db
+from securebeam.experiments import (
+    KEYS,
+    ExperimentSpec,
+    _ber_seed,
+    _power_sweep,
+    power_for_snr_db,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -117,6 +125,12 @@ class TestLoadConfig:
         text = README.read_text()
         listed = re.search(r"Recognized keys:(.*?)\.\s", text, re.S).group(1)
         assert set(re.findall(r"`(\w+)`", listed)) == set(KEYS)
+
+    def test_readme_library_example_runs(self, capsys):
+        text = README.read_text().split("\n## Library\n", 1)[1]
+        code = text.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, str(README), "exec"), {})
+        assert capsys.readouterr().out
 
     def test_every_cli_flag_sets_a_key(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
@@ -226,6 +240,40 @@ class TestRunExperiment:
                 rows.append(f"{snr_db:.12g},{ber:.12g}")
             lines = (tmp_path / f"ber_vs_snr_{m.value}.csv").read_text().splitlines()
             assert lines[1:] == rows
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_sr_vs_snr_matches_closed_form_in_power(self, tmp_path, n):
+        # with a, b, c, d the squared cm/an gains at Bob and Eve of the unit-power
+        # beams, SR(P) = max(log2(1 + aP/(bP + s_b)) - log2(1 + cP/(dP + s_e)), 0)
+        spec = ExperimentSpec(
+            kind=ExperimentKind.SR_VS_SNR,
+            scenario=ScenarioConfig(num_antennas=n),
+            output_dir=str(tmp_path),
+        )
+        run_experiment(spec)
+        cfg = spec.scenario
+        plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
+        rates = secrecy_rate(cfg, plan, _power_sweep(spec, cfg, plan, spec.sweep))
+        power = power_for_snr_db(cfg, spec.sweep)
+        unit = cfg.replace(total_power_w=1.0)
+        for method, sr in zip(spec.methods, rates):
+            beams = synthesize(unit, plan, method)
+            bob = received_model(unit, plan, beams, cfg.bob, cfg.noise_power_bob_w)
+            eve = received_model(unit, plan, beams, cfg.eve, cfg.noise_power_eve_w)
+            a, b = abs(bob.cm_gain) ** 2, abs(bob.an_gain) ** 2
+            c, d = abs(eve.cm_gain) ** 2, abs(eve.an_gain) ** 2
+            expected = np.maximum(
+                np.log2(1.0 + a * power / (b * power + cfg.noise_power_bob_w))
+                - np.log2(1.0 + c * power / (d * power + cfg.noise_power_eve_w)),
+                0.0,
+            )
+            np.testing.assert_allclose(sr, expected, rtol=1e-12, atol=0.0)
+            # '%.12g' keeps 12 significant digits: 5e-12 relative
+            csv = np.loadtxt(
+                tmp_path / f"sr_vs_snr_{method.value}.csv", delimiter=",", skiprows=1
+            )
+            np.testing.assert_array_equal(csv[:, 0], spec.sweep)
+            np.testing.assert_allclose(csv[:, 1], expected, rtol=5e-12, atol=0.0)
 
     def test_outputs_written_through_tmp_and_rename(self, tmp_path, monkeypatch):
         renames = []

@@ -130,6 +130,42 @@ class TestSecrecyRate:
             sr_b = secrecy_rate(scaled, plan, synthesize(scaled, plan, method))
             assert sr_b == pytest.approx(sr_a, rel=1e-9)
 
+    def test_min_tp_is_optimal_among_nulled_pairs(self):
+        # with both nulls exact, SR = log2(1 + beta P g_b / (||d||^2 s_b)) for a
+        # unit-gain message direction d, largest at the minimum-norm d: Min-TP.
+        # Adding components orthogonal to h_b and h_e keeps both nulls; at the same
+        # power it can only lower Bob's message gain.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(2, 65))
+            cfg = ScenarioConfig(
+                num_antennas=n,
+                bob=PolarPosition.from_degrees(rng.uniform(5, 175), rng.uniform(100, 2000)),
+                eve=PolarPosition.from_degrees(rng.uniform(5, 175), rng.uniform(100, 2000)),
+                total_power_w=10.0 ** rng.uniform(-4, 1),
+                power_alloc=rng.uniform(0.05, 0.95),
+                rng_seed=int(rng.integers(0, 2**31)),
+            )
+            plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
+            h_b = steering_vector(plan, cfg, cfg.bob).values
+            h_e = steering_vector(plan, cfg, cfg.eve).values
+            # orthonormal basis of the complement of span{h_b, h_e}; empty at N = 2
+            complement = np.linalg.qr(np.column_stack([h_b, h_e]), mode="complete")[0][:, 2:]
+            best = synthesize(cfg, plan, Method.MIN_TP)
+
+            def perturbed(w):
+                # add a random component in the complement, at the same power
+                c = rng.standard_normal(n - 2) + 1j * rng.standard_normal(n - 2)
+                size = 10.0 ** rng.uniform(-3, 1) * np.linalg.norm(w) / math.sqrt(n)
+                v = w + size * (complement @ c)
+                return v * np.linalg.norm(w) / np.linalg.norm(v)
+
+            w_cm, w_an = perturbed(best.w_cm), perturbed(best.w_an)
+            assert abs(h_e.conj() @ w_cm) <= 1e-10 * np.linalg.norm(w_cm)
+            assert abs(h_b.conj() @ w_an) <= 1e-10 * np.linalg.norm(w_an)
+            sr = secrecy_rate(cfg, plan, BeamPair(w_cm, w_an, method=None))
+            assert sr <= secrecy_rate(cfg, plan, best) + 1e-12
+
     def test_nonnegative(self, scenario):
         cfg, plan = scenario
         for method in Method:
@@ -221,7 +257,7 @@ class TestSinrSurface:
         theta, ranges = np.linspace(10, 170, 9), np.linspace(600, 1400, 9)
         a = sinr_surface(cfg, plan, beams, theta, ranges, 1e-9)
         b = sinr_surface(cfg, plan, beams, theta, ranges, 1e-9)
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 class TestBerMonteCarlo:
@@ -252,6 +288,22 @@ class TestBerMonteCarlo:
         a = ber_monte_carlo(cfg, plan, beams, cfg.bob, 50_000, 9)
         b = ber_monte_carlo(cfg, plan, beams, cfg.bob, 50_000, 9)
         assert a == b
+
+    def test_probe_off_bob_and_eve_rejected(self, scenario):
+        # the noise floor is only known at Bob and Eve
+        cfg, plan = scenario
+        beams = synthesize(cfg, plan, Method.EA)
+        past_eve = PolarPosition(cfg.eve.angle_rad, cfg.eve.range_m + 1e-9)
+        with pytest.raises(ConfigError, match="Bob or Eve"):
+            ber_monte_carlo(cfg, plan, beams, past_eve, 1000, 0)
+
+    def test_colocated_receivers_use_eve_noise(self, scenario):
+        cfg, plan = scenario
+        cfg = cfg.replace(eve=cfg.bob, noise_power_eve_w=1e-6)
+        beams = synthesize(cfg, plan, Method.EA)
+        ber = ber_monte_carlo(cfg, plan, beams, cfg.bob, 20_000, 3)
+        eve_floor = cfg.replace(noise_power_bob_w=1e-6)
+        assert ber == ber_monte_carlo(eve_floor, plan, beams, cfg.bob, 20_000, 3)
 
     def test_stacked_beams_equal_unstacked_calls(self, scenario):
         # one draw shared by every stacked pair must give each pair's own result
