@@ -62,37 +62,34 @@ def build_subcarrier_plan(seed: int, n_antennas: int, n_subcarriers: int) -> Sub
     return SubcarrierPlan(indices=indices, num_subcarriers=n_subcarriers)
 
 
-def steering_values(
-    plan: SubcarrierPlan,
-    cfg: ScenarioConfig,
-    theta_rad: np.ndarray | float,
-    range_m: np.ndarray | float,
-) -> np.ndarray:
-    """Normalized array responses h(theta, R) at positions of any broadcast shape P;
-    output shape P + (N,).
+def steering_factors(
+    plan: SubcarrierPlan, cfg: ScenarioConfig,
+    theta_rad: np.ndarray | float, range_m: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Angle factor a(theta), shape theta.shape + (N,), and range factor b(R), shape
+    R.shape + (N,), of the normalized array response h(theta, R) = a(theta) * b(R).
 
-    Element n (1-based) sees carrier f_c + k_n * df delayed by the geometric path
-    R - (n-1) d cos(theta), with phase referenced to the carrier phase at range R.
+    Element n (1-based) sees f_n = f_c + k_n df over the path R - (n-1) d cos(theta),
+    with phase referenced to f_c R. The f_c R terms cancel exactly, so no phase is
+    formed as a difference: a = exp(-j 2 pi f_n (n-1) d cos(theta) / c) and
+    b = exp(j 2 pi k_n df R / c) / sqrt(N).
     """
     if len(plan) != cfg.num_antennas:
-        raise ConfigError(
-            f"plan length {len(plan)} does not match num_antennas {cfg.num_antennas}"
-        )
-    theta = np.asarray(theta_rad, dtype=np.float64)[..., np.newaxis]
-    r = np.asarray(range_m, dtype=np.float64)[..., np.newaxis]
-    n = np.arange(len(plan), dtype=np.float64)  # (n-1) for 1-based n
-    f_n = cfg.carrier_freq_hz + plan.indices * cfg.subcarrier_spacing_hz
-    path = r - n * cfg.element_spacing_m * np.cos(theta)
+        raise ConfigError(f"plan length {len(plan)} does not match num_antennas {cfg.num_antennas}")
     two_pi_c = 2.0 * np.pi / SPEED_OF_LIGHT
-    psi = two_pi_c * f_n * path - two_pi_c * cfg.carrier_freq_hz * r
-    return np.exp(1j * psi) / np.sqrt(len(plan))
+    f_n = cfg.carrier_freq_hz + plan.indices * cfg.subcarrier_spacing_hz
+    per_cos_theta = two_pi_c * f_n * (np.arange(len(plan)) * cfg.element_spacing_m)
+    per_metre = two_pi_c * cfg.subcarrier_spacing_hz * plan.indices
+    a = np.exp(-1j * np.multiply.outer(np.cos(theta_rad), per_cos_theta))
+    return a, np.exp(1j * np.multiply.outer(range_m, per_metre)) / np.sqrt(len(plan))
 
 
 def steering_vector(
     plan: SubcarrierPlan, cfg: ScenarioConfig, pos: PolarPosition
 ) -> SteeringVector:
-    """Normalized array response h(theta, R) for one position."""
-    return SteeringVector(steering_values(plan, cfg, pos.angle_rad, pos.range_m))
+    """Normalized array response h(theta, R) = a(theta) * b(R) for one position."""
+    a, b = steering_factors(plan, cfg, pos.angle_rad, pos.range_m)
+    return SteeringVector(a * b)
 
 
 def path_loss(range_m: np.ndarray | float) -> np.ndarray | float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamformers import BeamPair
-from .channel import SubcarrierPlan, path_loss, steering_values
+from .channel import SubcarrierPlan, path_loss, steering_factors
 from .config import ConfigError, PolarPosition, ScenarioConfig
 
 # floor applied before converting powers to dB, avoids -inf at exact nulls
@@ -36,17 +36,19 @@ def _received(
     cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair,
     theta_rad: np.ndarray | float, range_m: np.ndarray | float, noise_power: float,
 ) -> ReceivedModel:
-    """Effective gains sqrt(g(R)) h(theta, R)^H w of the message and jamming beams:
-    weights stacked as B + (N,) at positions of shape P give gains of shape B + P."""
-    amp = np.sqrt(path_loss(range_m))
-    h_conj = steering_values(plan, cfg, theta_rad, range_m).conj()
-    h_cols = h_conj.reshape(-1, len(plan)).T  # (N, P)
+    """Effective gains sqrt(g(R)) h(theta, R)^H w of the message and jamming beams on
+    the grid of every angle with every range: weights stacked as B + (N,) give gains
+    of shape B + theta.shape + range.shape."""
+    amp = np.sqrt(path_loss(range_m))  # rejects bad ranges before any exponential
+    a, b = steering_factors(plan, cfg, theta_rad, range_m)
+    a_conj = a.conj().reshape(-1, len(plan))  # (Theta, N)
+    b_cols = (np.expand_dims(amp, -1) * b.conj()).reshape(-1, len(plan)).T  # (N, R)
 
     def gain(w: np.ndarray) -> np.ndarray:
-        # one product per stacked beam, so a beam's gains do not depend on its stack:
-        # at an exact null they are pure rounding, which any other summation changes
-        rows = [row @ h_cols for row in w.reshape(-1, len(plan))]
-        return amp * np.reshape(rows, w.shape[:-1] + h_conj.shape[:-1])
+        # matmul takes each stacked beam's (Theta, N) slice as its own product, so a beam's
+        # gains do not depend on its stack: at an exact null they are pure rounding
+        gains = (a_conj * w.reshape(-1, 1, len(plan))) @ b_cols  # (B, Theta, R)
+        return gains.reshape(w.shape[:-1] + a.shape[:-1] + b.shape[:-1])[()]
 
     return ReceivedModel(gain(beams.w_cm), gain(beams.w_an), noise_power)
 
@@ -97,7 +99,7 @@ def sinr_surface(
         raise ConfigError(f"probe_noise must be finite and > 0, got {probe_noise}")
 
     tt, rr = np.meshgrid(theta_deg, r, indexing="ij")
-    model = _received(cfg, plan, beams, np.radians(tt), rr, probe_noise)
+    model = _received(cfg, plan, beams, np.radians(theta_deg), r, probe_noise)
     columns = (tt, rr, _to_db(sinr(model)), _to_db(np.abs(model.an_gain) ** 2))
     return np.rec.fromarrays(
         [c.ravel() for c in columns], names=("theta_deg", "range_m", "cm_sinr_db", "an_power_db")

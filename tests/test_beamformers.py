@@ -135,19 +135,6 @@ class TestMinRtp:
             v = min_rtp_beamformer(h_t, h_n, gamma)
             np.testing.assert_allclose(v, h_t.values, atol=1e-12)
 
-    def test_matches_literal_closed_form(self):
-        # oracle: literal transcription of the regularized closed form using a
-        # dense inverse instead of a solve
-        rng = np.random.default_rng(8)
-        h_t, h_n = random_unit(8, rng), random_unit(8, rng)
-        gamma = 2.1
-        a = np.eye(8, dtype=complex) - np.outer(h_n.values, h_n.values.conj())
-        m = np.linalg.inv(a.conj().T @ a + gamma * np.eye(8))
-        num = a @ m @ a.conj().T @ h_t.values
-        v_ref = num / (h_t.values.conj() @ num)
-        v = min_rtp_beamformer(h_t, h_n, gamma)
-        np.testing.assert_allclose(v, v_ref, rtol=1e-9)
-
     def test_constraints_hold_for_positive_gamma(self):
         rng = np.random.default_rng(9)
         for gamma in (0.1, 1.8, 5.0):
@@ -160,15 +147,15 @@ class TestMinRtp:
         # oracle: the literal N x N ridge solve P (P^H P + gamma I)^-1 P^H h_t,
         # rescaled to unit gain on the target
         rng = np.random.default_rng(14)
-        for n in (2, 5, 16, 64):
-            for gamma in np.logspace(-2, 2, 9):
-                h_t, h_n = random_unit(n, rng), random_unit(n, rng)
-                p = np.eye(n, dtype=complex) - np.outer(h_n.values, h_n.values.conj())
-                reg = p.conj().T @ p + gamma * np.eye(n)
-                ref = p @ np.linalg.solve(reg, p.conj().T @ h_t.values)
-                ref /= h_t.values.conj() @ ref
-                got = min_rtp_beamformer(h_t, h_n, gamma)
-                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        cases = [(n, gamma) for n in (2, 5, 16, 64) for gamma in np.logspace(-2, 2, 9)]
+        for n, gamma in cases + [(8, 2.1)]:
+            h_t, h_n = random_unit(n, rng), random_unit(n, rng)
+            p = np.eye(n, dtype=complex) - np.outer(h_n.values, h_n.values.conj())
+            reg = p.conj().T @ p + gamma * np.eye(n)
+            ref = p @ np.linalg.solve(reg, p.conj().T @ h_t.values)
+            ref /= h_t.values.conj() @ ref
+            got = min_rtp_beamformer(h_t, h_n, gamma)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (n, gamma)
 
     def test_identical_to_min_tp_for_positive_gamma(self):
         rng = np.random.default_rng(15)

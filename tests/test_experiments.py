@@ -33,7 +33,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 # the five small specs of acceptance criterion 10; tests/data/golden holds the
-# CSVs they gave before the runner moved to one array path
+# CSVs they give with the separable steering formula (see README)
 GOLDEN_SPECS = {
     ExperimentKind.SR_VS_SNR: {"sweep": (10.0, 20.0)},
     ExperimentKind.BER_VS_SNR: {"sweep": (8.0,), "mc_symbols": 5000},

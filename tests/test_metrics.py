@@ -21,7 +21,11 @@ from securebeam import (
     steering_vector,
     synthesize,
 )
-from securebeam.experiments import power_for_snr_db
+from securebeam.experiments import (
+    DEFAULT_RANGE_GRID_M,
+    DEFAULT_THETA_GRID_DEG,
+    power_for_snr_db,
+)
 
 
 def qfunc(x):
@@ -234,9 +238,14 @@ class TestSinrSurface:
         assert at_eve.cm_sinr_db <= at_bob.cm_sinr_db - 80.0
         assert at_bob.an_power_db <= at_eve.an_power_db - 80.0
 
-    @pytest.mark.parametrize("method", list(Method))
-    def test_matches_pointwise_received_model(self, scenario, method):
-        cfg, plan = scenario
+    @pytest.mark.parametrize(
+        "method, n",
+        [pytest.param(m, n, id=m.value if n == 8 else f"{m.value}-{n}")
+         for n in (8, 256) for m in Method],
+    )
+    def test_matches_pointwise_received_model(self, method, n):
+        cfg = ScenarioConfig(num_antennas=n)
+        plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
         beams = synthesize(cfg, plan, method)
         theta, ranges = np.linspace(0.0, 180.0, 37), np.linspace(500.0, 2987.5, 40)
         samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
@@ -250,6 +259,26 @@ class TestSinrSurface:
             an_db = 10.0 * math.log10(max(abs(model.an_gain) ** 2, 1e-30))
             assert s.cm_sinr_db == pytest.approx(cm_db, abs=1e-9)
             assert s.an_power_db == pytest.approx(an_db, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 256])
+    @pytest.mark.parametrize("method", [Method.MIN_TP, Method.MIN_RTP])
+    def test_nulls_sit_at_the_floor_on_the_default_grid(self, n, method):
+        # both nulls are exact, so the grid product must leave only rounding there:
+        # far below the -300 dB floor that the dB conversion applies
+        cfg = ScenarioConfig(num_antennas=n)
+        plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
+        beams = synthesize(cfg, plan, method)
+        theta, ranges = np.linspace(*DEFAULT_THETA_GRID_DEG), np.linspace(*DEFAULT_RANGE_GRID_M)
+        field = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+
+        def cell(pos):
+            hit = np.isclose(field.theta_deg, pos.angle_deg, rtol=0.0)
+            hit &= field.range_m == pos.range_m
+            assert np.count_nonzero(hit) == 1  # the default grid holds Bob and Eve
+            return field[hit][0]
+
+        assert cell(cfg.eve).cm_sinr_db == -300.0
+        assert cell(cfg.bob).an_power_db == -300.0
 
     def test_deterministic(self, scenario):
         cfg, plan = scenario
