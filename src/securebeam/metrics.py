@@ -131,19 +131,18 @@ def ber_monte_carlo(
 
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(num_symbols, 2))
-    # Gray-mapped QPSK with unit average power
-    x = ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / math.sqrt(2.0)
-    z = (rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)) / math.sqrt(2.0)
-    n = (
-        rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)
-    ) * math.sqrt(noise_power / 2.0)
+    # Gray-mapped QPSK with unit average power sends (1 - 2b)/sqrt(2) per bit b; the rows
+    # Re z, Im z, Re n, Im n of the jamming z and the noise n are one draw, in stream order
+    sign, draws = 1.0 - 2.0 * bits.T, rng.standard_normal((4, num_symbols))
 
     def bit_errors(cm_gain: complex, an_gain: complex) -> int:
-        # one pair's symbols live only in this call, freed before the next pair's
-        y = cm_gain * x + an_gain * z + n
-        if cm_gain != 0.0:  # with no message gain, decisions are coin flips on noise
-            y /= cm_gain
-        return np.count_nonzero(np.stack([y.real < 0.0, y.imag < 0.0], axis=-1) != bits)
+        # decide on conj(cm) y = |cm|^2 x + conj(cm) (an z + n), whose parts have the signs
+        # of those of y / cm; with no message gain, decisions are coin flips on noise
+        rot = cm_gain.conjugate() if cm_gain != 0.0 else 1.0
+        u, v = rot * an_gain / math.sqrt(2.0), rot * math.sqrt(noise_power / 2.0)
+        rows = [[u.real, -u.imag, v.real, -v.imag], [u.imag, u.real, v.imag, v.real]]
+        g = np.array(rows) @ draws  # one pair's products, freed before the next pair's
+        return np.count_nonzero(np.multiply(g, sign, out=g) < -(abs(cm_gain) ** 2) / math.sqrt(2.0))
 
     pairs = np.broadcast(model.cm_gain, model.an_gain)
     ber = np.reshape([bit_errors(*pair) for pair in pairs], pairs.shape) / (2.0 * num_symbols)

@@ -82,23 +82,6 @@ class TestSteeringVector:
         b = steering_vector(plan, cfg, pos)
         assert np.array_equal(a.values, b.values)
 
-    def test_phase_formula_against_scalar_oracle(self, cfg):
-        # oracle: one-line scalar evaluation of the per-element phase, 1-based n
-        plan = SubcarrierPlan(indices=np.array([12, 500, 711, 1023]), num_subcarriers=1024)
-        pos = PolarPosition.from_degrees(70.0, 1000.0)
-        h = steering_vector(plan, cfg, pos)
-        df = cfg.total_bandwidth_hz / cfg.num_subcarriers
-        d = cfg.element_spacing_m
-        for n in range(1, 5):
-            k = plan.indices[n - 1]
-            psi = (
-                2.0 * math.pi * (cfg.carrier_freq_hz + k * df)
-                * (pos.range_m - (n - 1) * d * math.cos(pos.angle_rad)) / SPEED_OF_LIGHT
-                - 2.0 * math.pi * cfg.carrier_freq_hz * pos.range_m / SPEED_OF_LIGHT
-            )
-            expected = math.cos(psi) / 2.0 + 1j * math.sin(psi) / 2.0
-            assert abs(h.values[n - 1] - expected) < 1e-10
-
     def test_common_subcarrier_is_range_independent(self, cfg):
         plan = SubcarrierPlan(indices=np.array([1, 2, 3, 4]), num_subcarriers=1024)
         object.__setattr__(plan, "indices", np.zeros(4, dtype=np.int64))

@@ -289,7 +289,65 @@ class TestSinrSurface:
         assert np.array_equal(a, b)
 
 
+def literal_ber(cfg, plan, beams, pos, noise_power, num_symbols, seed):
+    """BER by the complex decision rule written out in full: Gray-mapped QPSK x,
+    unit-power jamming z and noise n drawn from `seed`, y = cm x + an z + n, and
+    sign decisions on y / cm (on y itself when cm == 0), one stacked pair at a time."""
+    model = received_model(cfg, plan, beams, pos, noise_power)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(num_symbols, 2))
+    x = ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / math.sqrt(2.0)
+    z = (rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)) / math.sqrt(2.0)
+    n = (
+        rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)
+    ) * math.sqrt(noise_power / 2.0)
+    pairs = np.broadcast(model.cm_gain, model.an_gain)
+    errors = []
+    for cm, an in pairs:
+        y = cm * x + an * z + n
+        if cm != 0.0:
+            y = y / cm
+        errors.append(np.count_nonzero(np.stack([y.real < 0.0, y.imag < 0.0], axis=-1) != bits))
+    return np.reshape(errors, pairs.shape) / (2.0 * num_symbols)
+
+
+def stack(pairs):
+    return BeamPair(np.array([b.w_cm for b in pairs]), np.array([b.w_an for b in pairs]), None)
+
+
 class TestBerMonteCarlo:
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_error_counts_equal_literal_complex_decisions(self, n, beta):
+        # at 6 dB every probe errs often, so many decisions sit near their threshold
+        cfg = ScenarioConfig(num_antennas=n)
+        cfg = cfg.replace(power_alloc=beta, total_power_w=power_for_snr_db(cfg, 6.0))
+        plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
+        pairs = [synthesize(cfg, plan, m) for m in Method]
+        stacked, num_symbols = stack(pairs), 20_000
+        for pos, noise in ((cfg.bob, cfg.noise_power_bob_w), (cfg.eve, cfg.noise_power_eve_w)):
+            for seed in (0, 1, 2):
+                want = literal_ber(cfg, plan, stacked, pos, noise, num_symbols, seed)
+                got = ber_monte_carlo(cfg, plan, stacked, pos, num_symbols, seed)
+                np.testing.assert_array_equal(got, want)
+                for beams, ber in zip(pairs, want):
+                    assert ber_monte_carlo(cfg, plan, beams, pos, num_symbols, seed) == ber
+
+    def test_exact_zero_message_gain_is_coin_flipping(self, scenario):
+        # beta = 0 sends no message power, so cm == 0 exactly and the decisions see
+        # only jamming and noise
+        cfg, plan = scenario
+        cfg = cfg.replace(power_alloc=0.0)
+        stacked = stack([synthesize(cfg, plan, m) for m in Method])
+        num_symbols = 100_000
+        model = received_model(cfg, plan, stacked, cfg.bob, cfg.noise_power_bob_w)
+        assert np.all(model.cm_gain == 0.0)
+        bers = ber_monte_carlo(cfg, plan, stacked, cfg.bob, num_symbols, 6)
+        se = math.sqrt(0.25 / (2.0 * num_symbols))
+        assert np.all(np.abs(bers - 0.5) <= 3.0 * se), bers
+        want = literal_ber(cfg, plan, stacked, cfg.bob, cfg.noise_power_bob_w, num_symbols, 6)
+        np.testing.assert_array_equal(bers, want)
+
     def test_noiseless_jamming_free_is_error_free(self, scenario):
         cfg, plan = scenario
         quiet = cfg.replace(

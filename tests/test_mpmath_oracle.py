@@ -20,6 +20,7 @@ from securebeam import (
     steering_vector,
     synthesize,
 )
+from securebeam.channel import SubcarrierPlan
 from securebeam.experiments import DEFAULT_RANGE_GRID_M, DEFAULT_THETA_GRID_DEG
 
 mpmath = pytest.importorskip("mpmath")
@@ -67,16 +68,22 @@ def test_steering_values_match_oracle():
     # a float64 phase of psi rad is itself off by up to ~psi * 1e-16; out to Bob's
     # 1 km every phase stays below ~110 rad, which leaves room for 1e-14 absolute
     rng = np.random.default_rng(21)
+    # a hand-picked plan that spans the band, at Bob's default position, then random cases
+    cases = [(SubcarrierPlan(np.array([12, 500, 711, 1023]), 1024),
+              PolarPosition.from_degrees(70.0, 1000.0))]
     for _ in range(40):
         n = int(rng.integers(2, 65))
-        cfg = ScenarioConfig(num_antennas=n)
-        plan = build_subcarrier_plan(int(rng.integers(0, 2**31)), n, cfg.num_subcarriers)
-        pos = PolarPosition(rng.uniform(0.01, np.pi - 0.01), rng.uniform(1.0, 1000.0))
+        plan = build_subcarrier_plan(int(rng.integers(0, 2**31)), n, 1024)
+        cases.append(
+            (plan, PolarPosition(rng.uniform(0.01, np.pi - 0.01), rng.uniform(1.0, 1000.0)))
+        )
+    for plan, pos in cases:
+        cfg = ScenarioConfig(num_antennas=len(plan))
         got = steering_vector(plan, cfg, pos).values
         want = np.array(
             [complex(v) for v in mp_steering(cfg, plan, pos.angle_rad, pos.range_m)]
         )
-        assert np.max(np.abs(got - want)) <= 1e-14, (n, pos)
+        assert np.max(np.abs(got - want)) <= 1e-14, (plan.indices, pos)
 
 
 @pytest.mark.parametrize("n", [8, 64])
