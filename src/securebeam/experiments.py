@@ -112,11 +112,17 @@ def _write_text(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
-def _write_csv(path: Path, header: list[str], columns: list) -> Path:
-    """Write equal-size columns, each flattened, as CSV rows of '%.12g' numbers."""
-    row = ",".join(["%.12g"] * len(header)) + "\n"
-    rows = [row % tuple(r) for r in np.column_stack([np.ravel(c) for c in columns]).tolist()]
-    _write_text(path, ",".join(header) + "\n" + "".join(rows))
+def _write_csv(path: Path, axes: dict, values: dict) -> Path:
+    """Write values on the axes' grid (first axis slowest) as CSV rows of '%.12g' numbers."""
+    prefixes = [""]  # axis values are formatted once; a '%.12g' number needs no '%' escape
+    for axis in axes.values():
+        cells = ["%.12g," % a for a in np.ravel(axis).tolist()]
+        prefixes = [p + c for p in prefixes for c in cells]
+    if any(np.size(v) != len(prefixes) for v in values.values()):
+        raise ValueError(f"values must have one entry per grid point ({len(prefixes)})")
+    template = (",".join(["%.12g"] * len(values)) + "\n").join([*prefixes, ""])
+    flat = np.column_stack([np.ravel(v) for v in values.values()]).ravel().tolist()
+    _write_text(path, ",".join([*axes, *values]) + "\n" + template % tuple(flat))
     return path
 
 
@@ -137,28 +143,29 @@ def _power_sweep(
     return BeamPair(w_cm, np.array([scale * u.w_an for u in units]), method=None)
 
 
-def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, list[str], list]]:
-    """Compute the experiment, yielding (file name, CSV header, columns) per file."""
+def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, dict, dict]]:
+    """Compute the experiment, yielding (file name, 1-D axes, values on their grid) per file."""
     cfg = spec.scenario
     plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
     if spec.kind is ExperimentKind.GAMMA_SURFACE:
         grid = GammaGrid.linear(spec.gamma_grid_max, spec.gamma_grid_points)
         surface = grid_search_gamma(cfg, plan, grid).surface
-        gc, ga = np.meshgrid(grid.gamma_cm_values, grid.gamma_an_values, indexing="ij")
-        yield "gamma_surface_min_rtp.csv", ["gamma_cm", "gamma_an", "sr"], [gc, ga, surface]
+        axes = {"gamma_cm": grid.gamma_cm_values, "gamma_an": grid.gamma_an_values}
+        yield "gamma_surface_min_rtp.csv", axes, {"sr": surface}
 
     elif spec.kind is ExperimentKind.SINR_SURFACE:
         theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
         for method in spec.methods:
             beams = synthesize(cfg, plan, method, spec.gammas)
             surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
-            names = list(surface.dtype.names)
-            yield f"sinr_surface_{method.value}.csv", names, [surface[n] for n in names]
+            axes = dict(zip(surface.dtype.names[:2], (theta, ranges)))
+            values = {n: surface[n] for n in surface.dtype.names[2:]}
+            yield f"sinr_surface_{method.value}.csv", axes, values
 
     elif spec.kind is ExperimentKind.SR_VS_SNR:
         rates = secrecy_rate(cfg, plan, _power_sweep(spec, cfg, plan, spec.sweep))
         for method, sr in zip(spec.methods, rates):
-            yield f"sr_vs_snr_{method.value}.csv", ["snr_db", "sr_bits"], [spec.sweep, sr]
+            yield f"sr_vs_snr_{method.value}.csv", {"snr_db": spec.sweep}, {"sr_bits": sr}
 
     elif spec.kind is ExperimentKind.SR_VS_N:
         rates = []  # per antenna count: (methods, SNRs)
@@ -167,10 +174,10 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, list[str], list]]:
             plan = build_subcarrier_plan(cfg.rng_seed, int(n), cfg.num_subcarriers)
             beams = _power_sweep(spec, cfg_n, plan, spec.snr_db_list)
             rates.append(secrecy_rate(cfg_n, plan, beams))
-        for j, snr_db in enumerate(spec.snr_db_list):
-            for k, method in enumerate(spec.methods):
+        for snr_db, by_method in zip(spec.snr_db_list, np.array(rates).T):  # (SNRs, methods, Ns)
+            for method, sr in zip(spec.methods, by_method):
                 name = f"sr_vs_n_{method.value}_snr{snr_db:.12g}db.csv"
-                yield name, ["n", "sr_bits"], [spec.sweep, np.array(rates)[:, k, j]]
+                yield name, {"n": spec.sweep}, {"sr_bits": sr}
 
     elif spec.kind is ExperimentKind.BER_VS_SNR:
         beams = _power_sweep(spec, cfg, plan, spec.sweep)
@@ -183,7 +190,7 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, list[str], list]]:
             for i in range(len(spec.sweep))
         ])
         for method, rates in zip(spec.methods, ber):
-            yield f"ber_vs_snr_{method.value}.csv", ["snr_db", "ber"], [spec.sweep, rates]
+            yield f"ber_vs_snr_{method.value}.csv", {"snr_db": spec.sweep}, {"ber": rates}
 
 
 def run_experiment(spec: ExperimentSpec) -> RunManifest:
@@ -191,7 +198,7 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, spec.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [_write_csv(out_dir / name, header, cols) for name, header, cols in _datasets(spec)]
+    outputs = [_write_csv(out_dir / name, axes, values) for name, axes, values in _datasets(spec)]
 
     manifest = RunManifest(
         config=_spec_as_dict(spec), seed=spec.scenario.rng_seed, version=__version__,

@@ -133,7 +133,8 @@ def ber_monte_carlo(
     bits = rng.integers(0, 2, size=(num_symbols, 2))
     # Gray-mapped QPSK with unit average power sends (1 - 2b)/sqrt(2) per bit b; the rows
     # Re z, Im z, Re n, Im n of the jamming z and the noise n are one draw, in stream order
-    sign, draws = 1.0 - 2.0 * bits.T, rng.standard_normal((4, num_symbols))
+    sign, draws = np.empty((2, num_symbols)), rng.standard_normal((4, num_symbols))
+    np.subtract(1.0, np.multiply(bits.T, 2.0, out=sign), out=sign)  # C order, as each g
 
     def bit_errors(cm_gain: complex, an_gain: complex) -> int:
         # decide on conj(cm) y = |cm|^2 x + conj(cm) (an z + n), whose parts have the signs

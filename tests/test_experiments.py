@@ -17,6 +17,7 @@ from securebeam import (
     received_model,
     run_experiment,
     secrecy_rate,
+    sinr_surface,
     synthesize,
 )
 from securebeam.cli import build_parser
@@ -26,6 +27,7 @@ from securebeam.experiments import (
     ExperimentSpec,
     _ber_seed,
     _power_sweep,
+    _write_csv,
     power_for_snr_db,
 )
 
@@ -50,6 +52,62 @@ def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def per_row_csv(header, columns):
+    """The CSV text of a literal per-row writer: equal-size columns, each flattened,
+    one '%.12g' row at a time."""
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+    rows = [row % tuple(r) for r in np.column_stack([np.ravel(c) for c in columns]).tolist()]
+    return ",".join(header) + "\n" + "".join(rows)
+
+
+def assert_same_text(got, want):
+    """Exact equality that names the first differing line; pytest's own diff of two
+    multi-megabyte strings would take minutes."""
+    if got != want:
+        lines = list(zip(got.splitlines(True), want.splitlines(True)))
+        i = next((i for i, (g, w) in enumerate(lines) if g != w), len(lines))
+        g, w = (text.splitlines(True)[i : i + 1] for text in (got, want))
+        pytest.fail(f"line {i} differs: got {g}, want {w}")
+
+
+# values whose '%.12g' text is easy to get wrong: nan, infinities, signed zero, the
+# smallest subnormal, huge magnitudes and integral floats
+AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 8.0, -3.0, 0.1]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "shape, n_values",
+        [((17,), 1), ((4, 5), 1), ((3, 7), 2), ((1, 1), 2)],
+        ids=["1-axis-1-value", "2-axes-1-value", "2-axes-2-values", "1x1-grid"],
+    )
+    def test_bytes_equal_per_row_writer(self, tmp_path, shape, n_values):
+        rng = np.random.default_rng(len(shape) * 10 + n_values)
+        # axes start with -0.0, nan and the infinities; values start with as many awkward
+        # numbers as fit, the rest random with magnitudes from 1e-300 to 1e300
+        axes = {
+            f"axis{i}": np.array([-0.0, *AWKWARD[:3], *rng.normal(size=size)])[:size]
+            for i, size in enumerate(shape)
+        }
+        values = {}
+        for k in range(n_values):
+            v = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            awkward = (AWKWARD[k:] + AWKWARD[:k])[: v.size]
+            v.flat[: len(awkward)] = awkward
+            values[f"value{k}"] = v
+        _write_csv(tmp_path / "out.csv", axes, values)
+        grid = np.meshgrid(*axes.values(), indexing="ij")
+        want = per_row_csv([*axes, *values], [*grid, *values.values()])
+        assert_same_text((tmp_path / "out.csv").read_text(), want)
+
+    @pytest.mark.parametrize("size", [11, 13, 1])
+    def test_value_size_must_match_grid(self, tmp_path, size):
+        axes = {"a": np.arange(3.0), "b": np.arange(4.0)}
+        with pytest.raises(ValueError, match="one entry per grid point"):
+            _write_csv(tmp_path / "out.csv", axes, {"v": np.zeros(12), "w": np.zeros(size)})
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestLoadConfig:
@@ -194,6 +252,21 @@ class TestRunExperiment:
         lines = open(manifest.outputs[0]).read().splitlines()
         assert lines[0] == "theta_deg,range_m,cm_sinr_db,an_power_db"
         assert len(lines) == 1 + 30
+
+    def test_default_sinr_surface_csv_equals_its_record_array(self, tmp_path):
+        # the writer takes theta and range as axes; its rows must be the record array's,
+        # theta-major as meshgrid 'ij' gives them, column for column
+        spec = ExperimentSpec(kind=ExperimentKind.SINR_SURFACE, output_dir=str(tmp_path))
+        run_experiment(spec)
+        cfg = spec.scenario
+        plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
+        theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
+        for method in Method:
+            beams = synthesize(cfg, plan, method, spec.gammas)
+            surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+            names = surface.dtype.names
+            want = per_row_csv(names, [surface[n] for n in names])
+            assert_same_text((tmp_path / f"sinr_surface_{method.value}.csv").read_text(), want)
 
     def test_sr_vs_n_files_per_snr(self, tmp_path):
         spec = ExperimentSpec(
