@@ -45,14 +45,9 @@ DEFAULT_GAMMAS = RegularizationParams(gamma_cm=2.1, gamma_an=1.8)
 @dataclass(frozen=True)
 class Projector:
     """Orthogonal projector I_N - u u^H onto the complement of a unit-norm
-    direction u: applied in O(N), its dense (N, N) matrix built only on request."""
+    direction u; its dense (N, N) matrix is built only on request."""
 
     direction: np.ndarray  # complex, (N,)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """P x = x - u (u^H x)."""
-        u = self.direction
-        return x - u * (u.conj() @ x)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -62,17 +57,14 @@ class Projector:
 
 @dataclass(frozen=True)
 class BeamPair:
-    """Power-allocated message and jamming weight vectors for one method.
+    """Power-allocated message and jamming weight vectors.
 
     ||w_cm||^2 = beta * P_s and ||w_an||^2 = (1 - beta) * P_s. The weights may
-    be stacked along leading axes, shape (..., N), to evaluate many beams at once;
-    a stack that mixes methods has method None.
+    be stacked along leading axes, shape (..., N), to evaluate many beams at once.
     """
 
     w_cm: np.ndarray
     w_an: np.ndarray
-    method: Method | None
-    gammas: RegularizationParams | None = None
 
 
 def null_projector(h: SteeringVector) -> Projector:
@@ -85,9 +77,10 @@ def min_tp_beamformer(h_target: SteeringVector, h_null: SteeringVector) -> np.nd
 
     Uses the exact simplification P (P^H P)^+ P^H = P for an orthogonal
     projector P, so the direction is P h_target / ||P h_target||^2 with no
-    numerical pseudo-inverse involved, computed in O(N).
+    numerical pseudo-inverse involved, computed in O(N) as h_t - h_n (h_n^H h_t).
     """
-    p_ht = null_projector(h_null).apply(h_target.values)
+    h_t, h_n = h_target.values, h_null.values
+    p_ht = h_t - h_n * (h_n.conj() @ h_t)
     gain = np.linalg.norm(p_ht) ** 2  # equals h_target^H P h_target, real
     if np.sqrt(gain) <= FEASIBILITY_TOL:
         raise InfeasibleGeometryError(
@@ -124,7 +117,7 @@ def synthesize(
     cfg: ScenarioConfig,
     plan,
     method: Method,
-    gammas: RegularizationParams | None = None,
+    gammas: RegularizationParams = DEFAULT_GAMMAS,
 ) -> BeamPair:
     """Build the power-allocated beam pair for one method.
 
@@ -138,23 +131,17 @@ def synthesize(
     if method is Method.EA:
         d_cm = ea_beamformer(h_b)
         d_an = ea_beamformer(h_e)
-        gammas = None
     elif method is Method.MIN_TP:
         d_cm = min_tp_beamformer(h_b, h_e)
         d_an = min_tp_beamformer(h_e, h_b)
-        gammas = None
     elif method is Method.MIN_RTP:
-        if gammas is None:
-            gammas = DEFAULT_GAMMAS
         d_cm = min_rtp_beamformer(h_b, h_e, gammas.gamma_cm)
         d_an = min_rtp_beamformer(h_e, h_b, gammas.gamma_an)
     else:
         raise ConfigError(f"unknown method {method!r}")
 
     beta = cfg.power_alloc
-    w_cm = power_scaled(cfg, d_cm, beta)
-    w_an = power_scaled(cfg, d_an, 1.0 - beta)
-    return BeamPair(w_cm=w_cm, w_an=w_an, method=method, gammas=gammas)
+    return BeamPair(power_scaled(cfg, d_cm, beta), power_scaled(cfg, d_an, 1.0 - beta))
 
 
 def power_scaled(cfg: ScenarioConfig, direction: np.ndarray, share: float) -> np.ndarray:

@@ -6,7 +6,7 @@ import dataclasses
 import datetime
 import enum
 import json
-import os
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,8 +19,6 @@ from .channel import SubcarrierPlan, build_subcarrier_plan, path_loss
 from .config import ConfigError, PolarPosition, ScenarioConfig, dbm_to_watts
 from .metrics import ber_monte_carlo, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
-
-OUTPUT_DIR_ENV = "SECUREBEAM_OUT_DIR"
 
 DEFAULT_SNR_SWEEP_DB = tuple(range(0, 31, 2))
 DEFAULT_N_SWEEP = (4, 8, 16, 32, 64)
@@ -78,8 +76,8 @@ class ExperimentSpec:
         self.sweep = tuple(float(s) for s in self.sweep)
         if self.kind is ExperimentKind.SR_VS_N and not all(n.is_integer() for n in self.sweep):
             raise ConfigError(f"antenna counts (n_list) must be integers, got {self.sweep}")
-        if not self.methods:
-            raise ConfigError("methods must be nonempty")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must be nonempty and distinct, got {self.methods}")
         if self.kind is ExperimentKind.BER_VS_SNR and self.mc_symbols < 1000:
             raise ConfigError(
                 f"mc_symbols must be >= 1000 for BER runs, got {self.mc_symbols}"
@@ -88,6 +86,9 @@ class ExperimentSpec:
             raise ConfigError(
                 f"gamma_grid_points (gamma_points) must be >= 1, got {self.gamma_grid_points}"
             )
+        top = self.gamma_grid_max  # linspace(0, top, points) must be finite and ascending
+        if not (math.isfinite(top) and (top > 0.0 or (top == 0.0 and self.gamma_grid_points == 1))):
+            raise ConfigError(f"gamma_max must be finite and > 0 (or 0 with one point), got {top}")
         snr_sweep = self.kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR)
         try:
             power_for_snr_db(self.scenario, [*self.snr_db_list, *(self.sweep if snr_sweep else ())])
@@ -140,7 +141,7 @@ def _power_sweep(
     units = [synthesize(unit_cfg, plan, m, spec.gammas) for m in spec.methods]
     scale = np.sqrt(power_for_snr_db(cfg, snrs_db))[:, np.newaxis]
     w_cm = np.array([scale * u.w_cm for u in units])
-    return BeamPair(w_cm, np.array([scale * u.w_an for u in units]), method=None)
+    return BeamPair(w_cm, np.array([scale * u.w_an for u in units]))
 
 
 def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, dict, dict]]:
@@ -155,8 +156,10 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, dict, dict]]:
 
     elif spec.kind is ExperimentKind.SINR_SURFACE:
         theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
-        for method in spec.methods:
-            beams = synthesize(cfg, plan, method, spec.gammas)
+        # every beam is built before the first file is written, so an infeasible
+        # method leaves no partial output behind
+        pairs = [synthesize(cfg, plan, m, spec.gammas) for m in spec.methods]
+        for method, beams in zip(spec.methods, pairs):
             surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
             axes = dict(zip(surface.dtype.names[:2], (theta, ranges)))
             values = {n: surface[n] for n in surface.dtype.names[2:]}
@@ -184,7 +187,7 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, dict, dict]]:
         # one draw of bits, jamming and noise per SNR point, shared by every method
         ber = np.transpose([
             ber_monte_carlo(
-                cfg, plan, BeamPair(beams.w_cm[:, i], beams.w_an[:, i], method=None),
+                cfg, plan, BeamPair(beams.w_cm[:, i], beams.w_an[:, i]),
                 cfg.bob, spec.mc_symbols, _ber_seed(cfg.rng_seed, i),
             )
             for i in range(len(spec.sweep))
@@ -196,7 +199,7 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, dict, dict]]:
 def run_experiment(spec: ExperimentSpec) -> RunManifest:
     """Run one experiment, write one CSV per method plus a manifest, return the manifest."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, spec.output_dir))
+    out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [_write_csv(out_dir / name, axes, values) for name, axes, values in _datasets(spec)]
 
@@ -227,6 +230,8 @@ def _spec_as_dict(spec: ExperimentSpec) -> dict:
         "gamma_cm": spec.gammas.gamma_cm,
         "gamma_an": spec.gammas.gamma_an,
         "scenario": scenario,
+        **{k: getattr(spec, k) for k in ("snr_db_list", "gamma_grid_max", "gamma_grid_points",
+                                         "theta_grid_deg", "range_grid_m")},
     }
 
 

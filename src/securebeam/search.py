@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import BeamPair, Method, RegularizationParams, min_rtp_beamformer, power_scaled
+from .beamformers import BeamPair, RegularizationParams, min_rtp_beamformer, power_scaled
 from .channel import SubcarrierPlan, steering_vector
 from .config import ConfigError, ScenarioConfig
 from .metrics import secrecy_rate
@@ -61,7 +61,7 @@ def grid_search_gamma(
     beta = cfg.power_alloc
     w_cm = [power_scaled(cfg, min_rtp_beamformer(h_b, h_e, g), beta) for g in g_cm]
     w_an = [power_scaled(cfg, min_rtp_beamformer(h_e, h_b, g), 1.0 - beta) for g in g_an]
-    beams = BeamPair(np.array(w_cm)[:, None, :], np.array(w_an)[None, :, :], Method.MIN_RTP)
+    beams = BeamPair(np.array(w_cm)[:, None, :], np.array(w_an)[None, :, :])
     surface = secrecy_rate(cfg, plan, beams)
     flat_best = int(np.argmax(surface))  # first maximum in row-major order
     bi, bj = np.unravel_index(flat_best, surface.shape)

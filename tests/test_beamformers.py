@@ -254,11 +254,6 @@ class TestSynthesize:
         np.testing.assert_allclose(doubled.w_cm, np.sqrt(2.0) * base.w_cm, rtol=1e-15)
         np.testing.assert_allclose(doubled.w_an, np.sqrt(2.0) * base.w_an, rtol=1e-15)
 
-    def test_default_gammas_recorded(self, setup):
-        cfg, plan = setup
-        beams = synthesize(cfg, plan, Method.MIN_RTP)
-        assert beams.gammas == RegularizationParams(2.1, 1.8)
-
     def test_colocated_receivers_infeasible(self, setup):
         cfg, plan = setup
         bad = cfg.replace(eve=cfg.bob)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from securebeam import (
     ConfigError,
     ExperimentKind,
     Method,
+    RegularizationParams,
     ScenarioConfig,
     ber_monte_carlo,
     build_subcarrier_plan,
@@ -128,6 +130,7 @@ class TestLoadConfig:
         assert cfg.element_spacing_m == pytest.approx(cfg.wavelength_m / 2.0)
         assert spec.methods == (Method.EA, Method.MIN_TP, Method.MIN_RTP)
         assert spec.sweep == tuple(float(s) for s in range(0, 31, 2))
+        assert spec.gammas == RegularizationParams(2.1, 1.8)
 
     def test_beta_out_of_range_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="beta"):
@@ -400,17 +403,16 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="snr_list"):
             ExperimentSpec(kind=ExperimentKind.SR_VS_N, snr_db_list=(snr_db,))
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("SECUREBEAM_OUT_DIR", str(target))
+    def test_output_dir_is_the_only_output_location(self, tmp_path, monkeypatch):
+        # output_dir alone places the outputs; a stray environment variable is ignored
+        monkeypatch.setenv("SECUREBEAM_OUT_DIR", str(tmp_path / "env_out"))
+        out = str(tmp_path / "out")
         spec = ExperimentSpec(
-            kind=ExperimentKind.SR_VS_SNR,
-            sweep=(10.0,),
-            methods=(Method.EA,),
-            output_dir=str(tmp_path / "ignored"),
+            kind=ExperimentKind.SR_VS_SNR, sweep=(10.0,), methods=(Method.EA,), output_dir=out
         )
         manifest = run_experiment(spec)
-        assert all(p.startswith(str(target)) for p in manifest.outputs)
+        assert manifest.outputs and all(p.startswith(out) for p in manifest.outputs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 class TestCli:
@@ -435,16 +437,18 @@ class TestCli:
         assert rc == 2
         assert "beta" in capsys.readouterr().err
 
-    def test_infeasible_geometry_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sr-vs-snr", "sinr-surface"])
+    def test_infeasible_geometry_exit_code(self, tmp_path, capsys, command):
+        # EA is feasible with Bob at Eve's position; Min-TP is not, and the run
+        # must fail before writing EA's file
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(
-            "eve_theta_deg = 70\neve_range_m = 1000\nmethods = min_tp\nsnr_list = 20\n"
+            "eve_theta_deg = 70\neve_range_m = 1000\nmethods = ea, min_tp\nsnr_list = 20\n"
         )
-        rc = cli_main(
-            ["sr-vs-snr", "--config", str(cfgfile), "--out", str(tmp_path / "o")]
-        )
+        rc = cli_main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
+        assert not list((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -457,10 +461,17 @@ class TestCli:
             (["ber-vs-snr", "--snr-list", "nan"], "snr_list"),
             (["sr-vs-n", "--snr-list", "inf"], "snr_list"),
             (["sinr-surface", "--snr-db", "1e5"], "snr_db"),
+            (["gamma-surface", "--grid", "inf:2"], "gamma_max"),
+            (["gamma-surface", "--grid", "nan:3"], "gamma_max"),
+            (["gamma-surface", "--grid=-1:3"], "gamma_max"),
+            (["gamma-surface", "--grid", "0:2"], "gamma_max"),
+            (["sr-vs-snr", "--method", "ea,ea"], "methods"),
         ],
     )
     def test_boundary_input_exit_code(self, tmp_path, capsys, argv, key):
-        rc = cli_main(argv + ["--out", str(tmp_path)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(argv + ["--out", str(tmp_path)])
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -479,3 +490,25 @@ class TestCli:
         assert rc == 0
         lines = (tmp_path / "gamma_surface_min_rtp.csv").read_text().splitlines()
         assert len(lines) == 1 + 9
+
+    @pytest.mark.parametrize(
+        "argv, recorded",
+        [
+            (["sr-vs-n", "--snr-list", "5,15"],
+             {"experiment": "sr_vs_n", "sweep": [4.0, 8.0, 16.0, 32.0, 64.0],
+              "snr_db_list": [5.0, 15.0]}),
+            (["gamma-surface", "--grid", "2:3"],
+             {"experiment": "gamma_surface", "gamma_grid_max": 2.0, "gamma_grid_points": 3}),
+        ],
+    )
+    def test_manifest_records_every_spec_field(self, tmp_path, argv, recorded):
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        defaults = {
+            "methods": ["ea", "min_tp", "min_rtp"], "mc_symbols": 100_000,
+            "gamma_cm": 2.1, "gamma_an": 1.8, "snr_db_list": [5.0, 15.0, 25.0],
+            "gamma_grid_max": 3.0, "gamma_grid_points": 31,
+            "theta_grid_deg": [0.0, 180.0, 181], "range_grid_m": [500.0, 2987.5, 200],
+        }
+        assert config == {**defaults, "sweep": [0.0], "scenario": config["scenario"], **recorded}
+        assert config["scenario"]["num_antennas"] == 8

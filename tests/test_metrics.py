@@ -167,7 +167,7 @@ class TestSecrecyRate:
             w_cm, w_an = perturbed(best.w_cm), perturbed(best.w_an)
             assert abs(h_e.conj() @ w_cm) <= 1e-10 * np.linalg.norm(w_cm)
             assert abs(h_b.conj() @ w_an) <= 1e-10 * np.linalg.norm(w_an)
-            sr = secrecy_rate(cfg, plan, BeamPair(w_cm, w_an, method=None))
+            sr = secrecy_rate(cfg, plan, BeamPair(w_cm, w_an))
             assert sr <= secrecy_rate(cfg, plan, best) + 1e-12
 
     def test_nonnegative(self, scenario):
@@ -312,7 +312,7 @@ def literal_ber(cfg, plan, beams, pos, noise_power, num_symbols, seed):
 
 
 def stack(pairs):
-    return BeamPair(np.array([b.w_cm for b in pairs]), np.array([b.w_an for b in pairs]), None)
+    return BeamPair(np.array([b.w_cm for b in pairs]), np.array([b.w_an for b in pairs]))
 
 
 class TestBerMonteCarlo:
@@ -396,9 +396,7 @@ class TestBerMonteCarlo:
         # one draw shared by every stacked pair must give each pair's own result
         cfg, plan = scenario
         pairs = [synthesize(cfg, plan, m) for m in Method]
-        stacked = BeamPair(
-            np.array([b.w_cm for b in pairs]), np.array([b.w_an for b in pairs]), method=None
-        )
+        stacked = stack(pairs)
         for pos in (cfg.bob, cfg.eve):
             got = ber_monte_carlo(cfg, plan, stacked, pos, 50_000, 4)
             assert got.shape == (len(pairs),)
@@ -413,15 +411,12 @@ class TestBerMonteCarlo:
         for i, snr_db in enumerate((0.0, 6.0, 12.0)):
             cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
             pairs = [synthesize(cfg_p, plan, m) for m in Method]
-            stacked = BeamPair(
-                np.array([b.w_cm for b in pairs]), np.array([b.w_an for b in pairs]), None
-            )
-            bers = ber_monte_carlo(cfg_p, plan, stacked, cfg.bob, num_symbols, 100 + i)
-            for ber, beams in zip(bers, pairs):
+            bers = ber_monte_carlo(cfg_p, plan, stack(pairs), cfg.bob, num_symbols, 100 + i)
+            for method, ber, beams in zip(Method, bers, pairs):
                 model = received_model(cfg_p, plan, beams, cfg.bob, cfg.noise_power_bob_w)
                 expected = qfunc(math.sqrt(sinr(model)))
                 se = math.sqrt(expected * (1.0 - expected) / (2.0 * num_symbols))
-                assert abs(ber - expected) <= 3.0 * se, (snr_db, beams.method, ber, expected)
+                assert abs(ber - expected) <= 3.0 * se, (snr_db, method, ber, expected)
 
     def test_awgn_qpsk_oracle(self, scenario):
         # jamming disabled: measured BER must match the closed-form AWGN curve
