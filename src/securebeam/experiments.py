@@ -79,16 +79,13 @@ class ExperimentSpec:
         if not self.methods or len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"methods must be nonempty and distinct, got {self.methods}")
         if self.kind is ExperimentKind.BER_VS_SNR and self.mc_symbols < 1000:
-            raise ConfigError(
-                f"mc_symbols must be >= 1000 for BER runs, got {self.mc_symbols}"
-            )
-        if self.gamma_grid_points < 1:
-            raise ConfigError(
-                f"gamma_grid_points (gamma_points) must be >= 1, got {self.gamma_grid_points}"
-            )
-        top = self.gamma_grid_max  # linspace(0, top, points) must be finite and ascending
-        if not (math.isfinite(top) and (top > 0.0 or (top == 0.0 and self.gamma_grid_points == 1))):
-            raise ConfigError(f"gamma_max must be finite and > 0 (or 0 with one point), got {top}")
+            raise ConfigError(f"mc_symbols must be >= 1000 for BER runs, got {self.mc_symbols}")
+        top, points = self.gamma_grid_max, self.gamma_grid_points
+        if points < 1:
+            raise ConfigError(f"gamma_grid_points (gamma_points) must be >= 1, got {points}")
+        # the grid linspace(0, top, points) must be finite and end at top; one point is just 0
+        if not (math.isfinite(top) and top >= 0.0 and (top == 0.0) == (points == 1)):
+            raise ConfigError(f"gamma_max must be 0 for 1 point, else finite and > 0, got {top}")
         snr_sweep = self.kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR)
         try:
             power_for_snr_db(self.scenario, [*self.snr_db_list, *(self.sweep if snr_sweep else ())])
@@ -108,13 +105,14 @@ class RunManifest:
 
 def _write_text(path: Path, text: str) -> None:
     """Write through <name>.tmp and a rename, so a reader never sees a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)  # at the first write: a failed run makes none
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     tmp.replace(path)
 
 
-def _write_csv(path: Path, axes: dict, values: dict) -> Path:
-    """Write values on the axes' grid (first axis slowest) as CSV rows of '%.12g' numbers."""
+def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
+    """Write values on the axes' grid (first axis slowest) as '%.12g' CSV rows to every path."""
     prefixes = [""]  # axis values are formatted once; a '%.12g' number needs no '%' escape
     for axis in axes.values():
         cells = ["%.12g," % a for a in np.ravel(axis).tolist()]
@@ -123,8 +121,23 @@ def _write_csv(path: Path, axes: dict, values: dict) -> Path:
         raise ValueError(f"values must have one entry per grid point ({len(prefixes)})")
     template = (",".join(["%.12g"] * len(values)) + "\n").join([*prefixes, ""])
     flat = np.column_stack([np.ravel(v) for v in values.values()]).ravel().tolist()
-    _write_text(path, ",".join([*axes, *values]) + "\n" + template % tuple(flat))
-    return path
+    text = ",".join([*axes, *values]) + "\n" + template % tuple(flat)
+    for path in paths:
+        _write_text(path, text)
+
+
+def _distinct(pairs: list[BeamPair]) -> tuple[list[BeamPair], list[int]]:
+    """The pairs without repeats, in order of first appearance, and each pair's position among
+    them. Only bit-identical weights repeat, so one computation serves every pair it stands for."""
+    keys = [p.w_cm.tobytes() + p.w_an.tobytes() for p in pairs]
+    firsts = list(dict.fromkeys(keys))
+    return [pairs[keys.index(k)] for k in firsts], [firsts.index(k) for k in keys]
+
+
+def _shared(spec: ExperimentSpec, index: list[int], k: int) -> dict[int, str]:
+    """{position in spec.methods: file name} of the methods at position k of _distinct."""
+    kind = spec.kind.value
+    return {i: f"{kind}_{m.value}.csv" for i, m in enumerate(spec.methods) if index[i] == k}
 
 
 def _ber_seed(base_seed: int, sweep_index: int) -> int:
@@ -134,79 +147,80 @@ def _ber_seed(base_seed: int, sweep_index: int) -> int:
 
 def _power_sweep(
     spec: ExperimentSpec, cfg: ScenarioConfig, plan: SubcarrierPlan, snrs_db: tuple[float, ...]
-) -> BeamPair:
-    """Every method's beams at every SNR, stacked as (methods, SNRs, N): every weight
-    scales with sqrt(P_s), so each method is synthesized once, at unit power."""
+) -> tuple[BeamPair, list[int]]:
+    """The methods' distinct beams at every SNR, stacked as (pairs, SNRs, N), and each method's
+    position in the stack: every weight scales with sqrt(P_s), so each is built at unit power."""
     unit_cfg = cfg.replace(total_power_w=1.0)
-    units = [synthesize(unit_cfg, plan, m, spec.gammas) for m in spec.methods]
+    units, index = _distinct([synthesize(unit_cfg, plan, m, spec.gammas) for m in spec.methods])
     scale = np.sqrt(power_for_snr_db(cfg, snrs_db))[:, np.newaxis]
     w_cm = np.array([scale * u.w_cm for u in units])
-    return BeamPair(w_cm, np.array([scale * u.w_an for u in units]))
+    return BeamPair(w_cm, np.array([scale * u.w_an for u in units])), index
 
 
-def _datasets(spec: ExperimentSpec) -> Iterator[tuple[str, dict, dict]]:
-    """Compute the experiment, yielding (file name, 1-D axes, values on their grid) per file."""
+def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
+    """Compute the experiment, yielding per distinct dataset ({position in the manifest: name}
+    of each file that holds it, 1-D axes, values on their grid)."""
     cfg = spec.scenario
     plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
     if spec.kind is ExperimentKind.GAMMA_SURFACE:
         grid = GammaGrid.linear(spec.gamma_grid_max, spec.gamma_grid_points)
         surface = grid_search_gamma(cfg, plan, grid).surface
         axes = {"gamma_cm": grid.gamma_cm_values, "gamma_an": grid.gamma_an_values}
-        yield "gamma_surface_min_rtp.csv", axes, {"sr": surface}
+        yield {0: "gamma_surface_min_rtp.csv"}, axes, {"sr": surface}
 
     elif spec.kind is ExperimentKind.SINR_SURFACE:
         theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
         # every beam is built before the first file is written, so an infeasible
         # method leaves no partial output behind
-        pairs = [synthesize(cfg, plan, m, spec.gammas) for m in spec.methods]
-        for method, beams in zip(spec.methods, pairs):
+        pairs, index = _distinct([synthesize(cfg, plan, m, spec.gammas) for m in spec.methods])
+        for k, beams in enumerate(pairs):
             surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
             axes = dict(zip(surface.dtype.names[:2], (theta, ranges)))
             values = {n: surface[n] for n in surface.dtype.names[2:]}
-            yield f"sinr_surface_{method.value}.csv", axes, values
-
-    elif spec.kind is ExperimentKind.SR_VS_SNR:
-        rates = secrecy_rate(cfg, plan, _power_sweep(spec, cfg, plan, spec.sweep))
-        for method, sr in zip(spec.methods, rates):
-            yield f"sr_vs_snr_{method.value}.csv", {"snr_db": spec.sweep}, {"sr_bits": sr}
+            yield _shared(spec, index, k), axes, values
 
     elif spec.kind is ExperimentKind.SR_VS_N:
-        rates = []  # per antenna count: (methods, SNRs)
+        rates = []  # per antenna count: (methods, SNRs); transposed, (SNRs, methods, Ns)
         for n in spec.sweep:
             cfg_n = cfg.replace(num_antennas=int(n))
             plan = build_subcarrier_plan(cfg.rng_seed, int(n), cfg.num_subcarriers)
-            beams = _power_sweep(spec, cfg_n, plan, spec.snr_db_list)
-            rates.append(secrecy_rate(cfg_n, plan, beams))
-        for snr_db, by_method in zip(spec.snr_db_list, np.array(rates).T):  # (SNRs, methods, Ns)
-            for method, sr in zip(spec.methods, by_method):
+            beams, index = _power_sweep(spec, cfg_n, plan, spec.snr_db_list)
+            rates.append(secrecy_rate(cfg_n, plan, beams)[index])
+        for s, (snr_db, by_method) in enumerate(zip(spec.snr_db_list, np.array(rates).T)):
+            for i, (method, sr) in enumerate(zip(spec.methods, by_method)):
                 name = f"sr_vs_n_{method.value}_snr{snr_db:.12g}db.csv"
-                yield name, {"n": spec.sweep}, {"sr_bits": sr}
+                yield {(s, i): name}, {"n": spec.sweep}, {"sr_bits": sr}
 
-    elif spec.kind is ExperimentKind.BER_VS_SNR:
-        beams = _power_sweep(spec, cfg, plan, spec.sweep)
-        # one draw of bits, jamming and noise per SNR point, shared by every method
-        ber = np.transpose([
-            ber_monte_carlo(
-                cfg, plan, BeamPair(beams.w_cm[:, i], beams.w_an[:, i]),
-                cfg.bob, spec.mc_symbols, _ber_seed(cfg.rng_seed, i),
-            )
-            for i in range(len(spec.sweep))
-        ])
-        for method, rates in zip(spec.methods, ber):
-            yield f"ber_vs_snr_{method.value}.csv", {"snr_db": spec.sweep}, {"ber": rates}
+    else:  # SR_VS_SNR or BER_VS_SNR
+        beams, index = _power_sweep(spec, cfg, plan, spec.sweep)
+        if spec.kind is ExperimentKind.SR_VS_SNR:
+            column, rates = "sr_bits", secrecy_rate(cfg, plan, beams)
+        else:  # one draw of bits, jamming and noise per SNR point, shared by every method
+            column, rates = "ber", np.transpose([
+                ber_monte_carlo(
+                    cfg, plan, BeamPair(beams.w_cm[:, i], beams.w_an[:, i]),
+                    cfg.bob, spec.mc_symbols, _ber_seed(cfg.rng_seed, i),
+                )
+                for i in range(len(spec.sweep))
+            ])
+        for k, values in enumerate(rates):
+            yield _shared(spec, index, k), {"snr_db": spec.sweep}, {column: values}
 
 
 def run_experiment(spec: ExperimentSpec) -> RunManifest:
     """Run one experiment, write one CSV per method plus a manifest, return the manifest."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [_write_csv(out_dir / name, axes, values) for name, axes, values in _datasets(spec)]
+    outputs = {}  # position in the manifest -> path
+    for names, axes, values in _datasets(spec):
+        paths = {rank: out_dir / name for rank, name in names.items()}
+        _write_csv(list(paths.values()), axes, values)
+        outputs.update(paths)
 
     manifest = RunManifest(
         config=_spec_as_dict(spec), seed=spec.scenario.rng_seed, version=__version__,
         started_at=started, finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        outputs=tuple(str(p) for p in outputs),
+        outputs=tuple(str(outputs[rank]) for rank in sorted(outputs)),
     )
     text = json.dumps(dataclasses.asdict(manifest), indent=2) + "\n"
     _write_text(out_dir / "manifest.json", text)

@@ -16,12 +16,14 @@ from securebeam import (
     ber_monte_carlo,
     build_subcarrier_plan,
     load_config,
+    min_tp_beamformer,
     received_model,
     run_experiment,
     secrecy_rate,
     sinr_surface,
     synthesize,
 )
+from securebeam import beamformers, experiments
 from securebeam.cli import build_parser
 from securebeam.cli import main as cli_main
 from securebeam.experiments import (
@@ -99,7 +101,7 @@ class TestWriteCsv:
             awkward = (AWKWARD[k:] + AWKWARD[:k])[: v.size]
             v.flat[: len(awkward)] = awkward
             values[f"value{k}"] = v
-        _write_csv(tmp_path / "out.csv", axes, values)
+        _write_csv([tmp_path / "out.csv"], axes, values)
         grid = np.meshgrid(*axes.values(), indexing="ij")
         want = per_row_csv([*axes, *values], [*grid, *values.values()])
         assert_same_text((tmp_path / "out.csv").read_text(), want)
@@ -108,7 +110,7 @@ class TestWriteCsv:
     def test_value_size_must_match_grid(self, tmp_path, size):
         axes = {"a": np.arange(3.0), "b": np.arange(4.0)}
         with pytest.raises(ValueError, match="one entry per grid point"):
-            _write_csv(tmp_path / "out.csv", axes, {"v": np.zeros(12), "w": np.zeros(size)})
+            _write_csv([tmp_path / "out.csv"], axes, {"v": np.zeros(12), "w": np.zeros(size)})
         assert not (tmp_path / "out.csv").exists()
 
 
@@ -329,7 +331,8 @@ class TestRunExperiment:
         run_experiment(spec)
         cfg = spec.scenario
         plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
-        rates = secrecy_rate(cfg, plan, _power_sweep(spec, cfg, plan, spec.sweep))
+        beams, index = _power_sweep(spec, cfg, plan, spec.sweep)
+        rates = secrecy_rate(cfg, plan, beams)[index]
         power = power_for_snr_db(cfg, spec.sweep)
         unit = cfg.replace(total_power_w=1.0)
         for method, sr in zip(spec.methods, rates):
@@ -415,6 +418,87 @@ class TestRunExperiment:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
+def leaky_min_rtp(h_target, h_null, gamma):
+    """The Min-TP beam with a small leak toward the nulled receiver: close to Min-TP, but
+    not bit-identical to it."""
+    return min_tp_beamformer(h_target, h_null) + 0.2 * h_null.values
+
+
+SMALL_GRID = {"theta_grid_deg": (60.0, 110.0, 11), "range_grid_m": (700.0, 1100.0, 9)}
+
+
+class TestSharedWork:
+    # methods share one computation and one formatted text exactly when their weights
+    # are bit-identical; the method names never decide it
+
+    @pytest.mark.parametrize("leaky, calls", [(False, 2), (True, 3)], ids=["min-rtp", "leaky"])
+    def test_sinr_surface_once_per_distinct_pair(self, tmp_path, monkeypatch, leaky, calls):
+        if leaky:
+            monkeypatch.setattr(beamformers, "min_rtp_beamformer", leaky_min_rtp)
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return sinr_surface(*args)
+
+        monkeypatch.setattr(experiments, "sinr_surface", counting)
+        spec = ExperimentSpec(
+            kind=ExperimentKind.SINR_SURFACE, output_dir=str(tmp_path), **SMALL_GRID
+        )
+        assert len(run_experiment(spec).outputs) == 3
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (ExperimentKind.SINR_SURFACE, SMALL_GRID),
+            (ExperimentKind.SR_VS_SNR, {}),
+            (ExperimentKind.BER_VS_SNR, {"sweep": (8.0, 20.0), "mc_symbols": 5000}),
+        ],
+        ids=["sinr-surface", "sr-vs-snr", "ber-vs-snr"],
+    )
+    def test_leaky_min_rtp_is_computed_on_its_own(self, tmp_path, monkeypatch, kind, fields):
+        monkeypatch.setattr(beamformers, "min_rtp_beamformer", leaky_min_rtp)
+
+        def run(out, methods):
+            out = tmp_path / out
+            spec = ExperimentSpec(kind=kind, methods=methods, output_dir=str(out), **fields)
+            run_experiment(spec)
+            return {m: (out / f"{kind.value}_{m.value}.csv").read_bytes() for m in methods}
+
+        together = run("all", tuple(Method))
+        assert together[Method.MIN_RTP] != together[Method.MIN_TP]
+        assert together[Method.MIN_RTP] == run("alone", (Method.MIN_RTP,))[Method.MIN_RTP]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sinr-surface"],
+            ["sr-vs-snr"],
+            ["sr-vs-n", "--n-list", "4,8"],
+            ["ber-vs-snr", "--snr-list", "0,10", "--mc-symbols", "2000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_method_order_only_orders_the_manifest(self, tmp_path, capsys, argv):
+        order = ["min_rtp", "ea", "min_tp"]
+        assert cli_main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert cli_main(argv + ["--method", ",".join(order), "--out", str(tmp_path / "given")]) == 0
+        default, given = (
+            json.loads((tmp_path / out / "manifest.json").read_text())["outputs"]
+            for out in ("default", "given")
+        )
+        assert capsys.readouterr().out.splitlines()[-len(given):] == given
+        names = [Path(p).name for p in default]
+        # the default lists the methods in Method order, per SNR for sr-vs-n
+        perm = [list(Method).index(Method(m)) for m in order]
+        want = [names[block + i] for block in range(0, len(names), len(perm)) for i in perm]
+        assert [Path(p).name for p in given] == want
+        for name in names:
+            got, expected = ((tmp_path / out / name).read_bytes() for out in ("given", "default"))
+            assert got == expected, name
+
+
 class TestCli:
     def test_sr_vs_snr_smoke(self, tmp_path, capsys):
         rc = cli_main(
@@ -440,7 +524,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["sr-vs-snr", "sinr-surface"])
     def test_infeasible_geometry_exit_code(self, tmp_path, capsys, command):
         # EA is feasible with Bob at Eve's position; Min-TP is not, and the run
-        # must fail before writing EA's file
+        # must fail before writing EA's file, or even making the output directory
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(
             "eve_theta_deg = 70\neve_range_m = 1000\nmethods = ea, min_tp\nsnr_list = 20\n"
@@ -448,7 +532,7 @@ class TestCli:
         rc = cli_main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
-        assert not list((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -466,6 +550,7 @@ class TestCli:
             (["gamma-surface", "--grid=-1:3"], "gamma_max"),
             (["gamma-surface", "--grid", "0:2"], "gamma_max"),
             (["sr-vs-snr", "--method", "ea,ea"], "methods"),
+            (["gamma-surface", "--grid", "3:1"], "gamma_max"),
         ],
     )
     def test_boundary_input_exit_code(self, tmp_path, capsys, argv, key):

@@ -175,6 +175,41 @@ class TestSecrecyRate:
         for method in Method:
             assert secrecy_rate(cfg, plan, synthesize(cfg, plan, method)) >= 0.0
 
+    def test_closed_forms_in_rho(self):
+        # with rho = h_e^H h_b and S_b, S_e the transmit SNRs through each path loss:
+        # Min-TP:  SR = log2(1 + beta S_b (1 - |rho|^2));
+        # EA, whose weights are h_b and h_e themselves:
+        #   SR = max(log2(1 + beta S_b / ((1 - beta) S_b |rho|^2 + 1))
+        #            - log2(1 + beta S_e |rho|^2 / ((1 - beta) S_e + 1)), 0)
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(2, 65))
+            cfg = ScenarioConfig(
+                num_antennas=n,
+                bob=PolarPosition.from_degrees(rng.uniform(5, 175), rng.uniform(100, 2000)),
+                eve=PolarPosition.from_degrees(rng.uniform(5, 175), rng.uniform(100, 2000)),
+                power_alloc=rng.uniform(0.05, 0.95),
+                rng_seed=int(rng.integers(0, 2**31)),
+            )
+            plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
+            h_b = steering_vector(plan, cfg, cfg.bob).values
+            h_e = steering_vector(plan, cfg, cfg.eve).values
+            rho2 = abs(h_e.conj() @ h_b) ** 2
+            beta = cfg.power_alloc
+            s_b = cfg.total_power_w * path_loss(cfg.bob.range_m) / cfg.noise_power_bob_w
+            s_e = cfg.total_power_w * path_loss(cfg.eve.range_m) / cfg.noise_power_eve_w
+            expected = {
+                Method.MIN_TP: math.log2(1.0 + beta * s_b * (1.0 - rho2)),
+                Method.EA: max(
+                    math.log2(1.0 + beta * s_b / ((1.0 - beta) * s_b * rho2 + 1.0))
+                    - math.log2(1.0 + beta * s_e * rho2 / ((1.0 - beta) * s_e + 1.0)),
+                    0.0,
+                ),
+            }
+            for method, want in expected.items():
+                got = secrecy_rate(cfg, plan, synthesize(cfg, plan, method))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=method.value)
+
 
 class TestSinrSurface:
     def test_single_point_grid(self, scenario):
