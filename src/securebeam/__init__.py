@@ -7,7 +7,6 @@ from .beamformers import (
     BeamPair,
     DEFAULT_GAMMAS,
     Method,
-    Projector,
     RegularizationParams,
     ea_beamformer,
     min_rtp_beamformer,
@@ -16,7 +15,6 @@ from .beamformers import (
     synthesize,
 )
 from .channel import (
-    SteeringVector,
     SubcarrierPlan,
     build_subcarrier_plan,
     path_loss,
@@ -30,7 +28,6 @@ from .config import (
     SPEED_OF_LIGHT,
 )
 from .metrics import (
-    ReceivedModel,
     ber_monte_carlo,
     received_model,
     secrecy_rate,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SteeringVector, steering_vector
+from .channel import steering_vector
 from .config import ConfigError, InfeasibleGeometryError, ScenarioConfig
 
 # minimum projected-target norm for the geometry to be feasible
@@ -43,19 +43,6 @@ DEFAULT_GAMMAS = RegularizationParams(gamma_cm=2.1, gamma_an=1.8)
 
 
 @dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector I_N - u u^H onto the complement of a unit-norm
-    direction u; its dense (N, N) matrix is built only on request."""
-
-    direction: np.ndarray  # complex, (N,)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        u = self.direction
-        return np.eye(u.size, dtype=np.complex128) - np.outer(u, u.conj())
-
-
-@dataclass(frozen=True)
 class BeamPair:
     """Power-allocated message and jamming weight vectors.
 
@@ -67,20 +54,21 @@ class BeamPair:
     w_an: np.ndarray
 
 
-def null_projector(h: SteeringVector) -> Projector:
-    """I_N - h h^H: Hermitian, idempotent, annihilates h, rank N-1."""
-    return Projector(direction=h.values)
+def null_projector(h: np.ndarray) -> np.ndarray:
+    """Dense I_N - h h^H for a unit-norm h: Hermitian, idempotent, annihilates h, rank N-1.
+    The beamformers apply it in rank-1 form; this (N, N) matrix is their reference."""
+    return np.eye(h.size, dtype=np.complex128) - np.outer(h, h.conj())
 
 
-def min_tp_beamformer(h_target: SteeringVector, h_null: SteeringVector) -> np.ndarray:
-    """Minimum-norm beam with unit gain on the target and a null on h_null.
+def min_tp_beamformer(h_target: np.ndarray, h_null: np.ndarray) -> np.ndarray:
+    """Minimum-norm beam with unit gain on h_target and a null on the unit-norm
+    h_null, both (N,) arrays.
 
-    Uses the exact simplification P (P^H P)^+ P^H = P for an orthogonal
-    projector P, so the direction is P h_target / ||P h_target||^2 with no
-    numerical pseudo-inverse involved, computed in O(N) as h_t - h_n (h_n^H h_t).
+    Uses the exact simplification P (P^H P)^+ P^H = P for the orthogonal projector
+    P = null_projector(h_null), so the direction is P h_target / ||P h_target||^2
+    with no numerical pseudo-inverse involved, computed in O(N) as h_t - h_n (h_n^H h_t).
     """
-    h_t, h_n = h_target.values, h_null.values
-    p_ht = h_t - h_n * (h_n.conj() @ h_t)
+    p_ht = h_target - h_null * (h_null.conj() @ h_target)
     gain = np.linalg.norm(p_ht) ** 2  # equals h_target^H P h_target, real
     if np.sqrt(gain) <= FEASIBILITY_TOL:
         raise InfeasibleGeometryError(
@@ -90,11 +78,10 @@ def min_tp_beamformer(h_target: SteeringVector, h_null: SteeringVector) -> np.nd
     return p_ht / gain
 
 
-def min_rtp_beamformer(
-    h_target: SteeringVector, h_null: SteeringVector, gamma: float
-) -> np.ndarray:
+def min_rtp_beamformer(h_target: np.ndarray, h_null: np.ndarray, gamma: float) -> np.ndarray:
     """Regularized minimum-power beam: the ridge update P (P^H P + gamma I)^-1 P^H
-    h_target, rescaled to unit target gain.
+    h_target for P = null_projector(h_null), rescaled to unit target gain; both
+    channels are (N,) arrays.
 
     P (P^H P + gamma I)^-1 P^H = P / (1 + gamma) for an orthogonal projector P,
     and the unit-gain rescale cancels 1 / (1 + gamma) exactly: Min-RTP equals
@@ -104,13 +91,11 @@ def min_rtp_beamformer(
     return min_tp_beamformer(h_target, h_null)
 
 
-def ea_beamformer(h_target: SteeringVector) -> np.ndarray:
-    """Equal-amplitude baseline: every element at magnitude 1/sqrt(N) with the
-    target's phase, so the target gain is real, positive, and maximal among
-    equal-amplitude weights. No null is imposed."""
-    v = h_target.values
-    n = len(v)
-    return np.exp(1j * np.angle(v)) / np.sqrt(n)
+def ea_beamformer(h_target: np.ndarray) -> np.ndarray:
+    """Equal-amplitude baseline for the (N,) h_target: every element at magnitude
+    1/sqrt(N) with the target's phase, so the target gain is real, positive, and
+    maximal among equal-amplitude weights. No null is imposed."""
+    return np.exp(1j * np.angle(h_target)) / np.sqrt(len(h_target))
 
 
 def synthesize(

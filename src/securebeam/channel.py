@@ -32,20 +32,6 @@ class SubcarrierPlan:
         return int(self.indices.size)
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Unit-norm complex array response h(theta, R)."""
-
-    values: np.ndarray  # complex, shape (N,)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", v)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-12:
-            raise ConfigError(f"steering vector must be unit norm, got ||h|| = {norm!r}")
-
-
 def build_subcarrier_plan(seed: int, n_antennas: int, n_subcarriers: int) -> SubcarrierPlan:
     """Draw N distinct subcarrier indices uniformly from {0, ..., N_S - 1}.
 
@@ -84,12 +70,10 @@ def steering_factors(
     return a, np.exp(1j * np.multiply.outer(range_m, per_metre)) / np.sqrt(len(plan))
 
 
-def steering_vector(
-    plan: SubcarrierPlan, cfg: ScenarioConfig, pos: PolarPosition
-) -> SteeringVector:
-    """Normalized array response h(theta, R) = a(theta) * b(R) for one position."""
+def steering_vector(plan: SubcarrierPlan, cfg: ScenarioConfig, pos: PolarPosition) -> np.ndarray:
+    """Unit-norm array response h(theta, R) = a(theta) * b(R) at one position, shape (N,)."""
     a, b = steering_factors(plan, cfg, pos.angle_rad, pos.range_m)
-    return SteeringVector(a * b)
+    return a * b
 
 
 def path_loss(range_m: np.ndarray | float) -> np.ndarray | float:

@@ -370,7 +370,9 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
             get(f"{who}_theta_deg", pos.angle_deg), get(f"{who}_range_m", pos.range_m)
         )
     cfg = ScenarioConfig(**scenario_kwargs)
-    if "snr_db" in parsed and "total_power_w" not in parsed:
+    if "snr_db" in parsed and "total_power_w" in parsed:
+        raise ConfigError("snr_db and total_power_w both set the transmit power; give one")
+    if "snr_db" in parsed:
         try:
             cfg = cfg.replace(total_power_w=power_for_snr_db(cfg, parsed["snr_db"]))
         except ConfigError as exc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,23 +18,10 @@ def _to_db(power: np.ndarray | float) -> np.ndarray | float:
     return 10.0 * np.log10(np.maximum(power, _DB_FLOOR))
 
 
-@dataclass(frozen=True)
-class ReceivedModel:
-    """Complex effective gains of the message and jamming beams at one or more positions."""
-
-    cm_gain: complex | np.ndarray
-    an_gain: complex | np.ndarray
-    noise_power: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.noise_power) and self.noise_power > 0.0):
-            raise ConfigError(f"noise_power must be finite and > 0, got {self.noise_power}")
-
-
 def _received(
     cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair,
-    theta_rad: np.ndarray | float, range_m: np.ndarray | float, noise_power: float,
-) -> ReceivedModel:
+    theta_rad: np.ndarray | float, range_m: np.ndarray | float,
+) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     """Effective gains sqrt(g(R)) h(theta, R)^H w of the message and jamming beams on
     the grid of every angle with every range: weights stacked as B + (N,) give gains
     of shape B + theta.shape + range.shape."""
@@ -50,20 +36,23 @@ def _received(
         gains = (a_conj * w.reshape(-1, 1, len(plan))) @ b_cols  # (B, Theta, R)
         return gains.reshape(w.shape[:-1] + a.shape[:-1] + b.shape[:-1])[()]
 
-    return ReceivedModel(gain(beams.w_cm), gain(beams.w_an), noise_power)
+    return gain(beams.w_cm), gain(beams.w_an)
 
 
 def received_model(
-    cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair, pos: PolarPosition,
-    noise_power: float,
-) -> ReceivedModel:
-    """Effective gains sqrt(g(R)) h(pos)^H w at one probe position."""
-    return _received(cfg, plan, beams, pos.angle_rad, pos.range_m, noise_power)
+    cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair, pos: PolarPosition
+) -> tuple[complex | np.ndarray, complex | np.ndarray]:
+    """Effective gains (cm_gain, an_gain) = sqrt(g(R)) h(pos)^H w at one probe position."""
+    return _received(cfg, plan, beams, pos.angle_rad, pos.range_m)
 
 
-def sinr(model: ReceivedModel) -> float | np.ndarray:
+def sinr(
+    cm_gain: complex | np.ndarray, an_gain: complex | np.ndarray, noise_power: float
+) -> float | np.ndarray:
     """|cm|^2 / (|an|^2 + noise), linear; elementwise for stacked gains."""
-    return abs(model.cm_gain) ** 2 / (abs(model.an_gain) ** 2 + model.noise_power)
+    if not (math.isfinite(noise_power) and noise_power > 0.0):
+        raise ConfigError(f"noise_power must be finite and > 0, got {noise_power}")
+    return abs(cm_gain) ** 2 / (abs(an_gain) ** 2 + noise_power)
 
 
 def secrecy_rate(
@@ -71,9 +60,9 @@ def secrecy_rate(
 ) -> float | np.ndarray:
     """max{ log2(1 + SINR_Bob) - log2(1 + SINR_Eve), 0 } in bits per channel use;
     for stacked beams, one rate per stacked pair, broadcast over the leading axes."""
-    bob = received_model(cfg, plan, beams, cfg.bob, cfg.noise_power_bob_w)
-    eve = received_model(cfg, plan, beams, cfg.eve, cfg.noise_power_eve_w)
-    return np.maximum(np.log2(1.0 + sinr(bob)) - np.log2(1.0 + sinr(eve)), 0.0)
+    sinr_b = sinr(*received_model(cfg, plan, beams, cfg.bob), cfg.noise_power_bob_w)
+    sinr_e = sinr(*received_model(cfg, plan, beams, cfg.eve), cfg.noise_power_eve_w)
+    return np.maximum(np.log2(1.0 + sinr_b) - np.log2(1.0 + sinr_e), 0.0)
 
 
 def sinr_surface(
@@ -95,12 +84,14 @@ def sinr_surface(
     r = np.asarray(range_m_grid, dtype=np.float64)
     if theta_deg.size == 0 or r.size == 0 or not np.all(np.isfinite(theta_deg)):
         raise ConfigError("angle and range grids must be nonempty, with finite angles")
-    if not (math.isfinite(probe_noise) and probe_noise > 0.0):
-        raise ConfigError(f"probe_noise must be finite and > 0, got {probe_noise}")
 
     tt, rr = np.meshgrid(theta_deg, r, indexing="ij")
-    model = _received(cfg, plan, beams, np.radians(theta_deg), r, probe_noise)
-    columns = (tt, rr, _to_db(sinr(model)), _to_db(np.abs(model.an_gain) ** 2))
+    cm, an = _received(cfg, plan, beams, np.radians(theta_deg), r)
+    try:
+        cm_sinr = sinr(cm, an, probe_noise)
+    except ConfigError as exc:
+        raise ConfigError(f"probe_noise: {exc}") from exc
+    columns = (tt, rr, _to_db(cm_sinr), _to_db(np.abs(an) ** 2))
     return np.rec.fromarrays(
         [c.ravel() for c in columns], names=("theta_deg", "range_m", "cm_sinr_db", "an_power_db")
     )
@@ -127,7 +118,7 @@ def ber_monte_carlo(
     noise_power = {cfg.bob: cfg.noise_power_bob_w, cfg.eve: cfg.noise_power_eve_w}.get(pos)
     if noise_power is None:
         raise ConfigError(f"BER is defined at Bob or Eve only, got a probe at {pos}")
-    model = received_model(cfg, plan, beams, pos, noise_power)
+    cm_gains, an_gains = received_model(cfg, plan, beams, pos)
 
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(num_symbols, 2))
@@ -145,6 +136,6 @@ def ber_monte_carlo(
         g = np.array(rows) @ draws  # one pair's products, freed before the next pair's
         return np.count_nonzero(np.multiply(g, sign, out=g) < -(abs(cm_gain) ** 2) / math.sqrt(2.0))
 
-    pairs = np.broadcast(model.cm_gain, model.an_gain)
+    pairs = np.broadcast(cm_gains, an_gains)
     ber = np.reshape([bit_errors(*pair) for pair in pairs], pairs.shape) / (2.0 * num_symbols)
     return ber if ber.ndim else float(ber)

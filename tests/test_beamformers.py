@@ -7,7 +7,6 @@ from securebeam import (
     Method,
     RegularizationParams,
     ScenarioConfig,
-    SteeringVector,
     build_subcarrier_plan,
     ea_beamformer,
     min_rtp_beamformer,
@@ -20,14 +19,14 @@ from securebeam import (
 
 def random_unit(n, rng):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return SteeringVector(values=v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def kkt_min_norm(h_target, h_null):
     """Independent oracle: assemble and solve the full KKT system for
     min ||v||^2 s.t. h_null^H v = 0, h_target^H v = 1."""
-    n = len(h_target.values)
-    c = np.column_stack([h_null.values, h_target.values])
+    n = len(h_target)
+    c = np.column_stack([h_null, h_target])
     kkt = np.zeros((n + 2, n + 2), dtype=np.complex128)
     kkt[:n, :n] = 2.0 * np.eye(n)
     kkt[:n, n:] = c
@@ -40,31 +39,31 @@ def kkt_min_norm(h_target, h_null):
 
 class TestNullProjector:
     def test_single_antenna_projects_to_zero(self):
-        h = SteeringVector(values=np.array([1.0 + 0j]))
-        assert np.allclose(null_projector(h).matrix, np.zeros((1, 1)))
+        h = np.array([1.0 + 0j])
+        assert np.allclose(null_projector(h), np.zeros((1, 1)))
 
     def test_two_antenna_hand_expansion(self):
-        h = SteeringVector(values=np.array([1.0, 1j]) / np.sqrt(2.0))
+        h = np.array([1.0, 1j]) / np.sqrt(2.0)
         expected = 0.5 * np.array([[1.0, 1j], [-1j, 1.0]])
-        np.testing.assert_allclose(null_projector(h).matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(null_projector(h), expected, atol=1e-15)
 
     def test_projector_invariants(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             h = random_unit(6, rng)
-            p = null_projector(h).matrix
+            p = null_projector(h)
             np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
             np.testing.assert_allclose(p @ p, p, atol=1e-10)
-            assert np.linalg.norm(p @ h.values) <= 1e-12
+            assert np.linalg.norm(p @ h) <= 1e-12
             assert np.linalg.matrix_rank(p) == 5
 
 
 class TestMinTp:
     def test_orthogonal_channels_return_target(self):
-        h_t = SteeringVector(values=np.array([1.0, 0, 0, 0], dtype=complex))
-        h_n = SteeringVector(values=np.array([0, 1.0, 0, 0], dtype=complex))
+        h_t = np.array([1.0, 0, 0, 0], dtype=complex)
+        h_n = np.array([0, 1.0, 0, 0], dtype=complex)
         v = min_tp_beamformer(h_t, h_n)
-        np.testing.assert_allclose(v, h_t.values, atol=1e-12)
+        np.testing.assert_allclose(v, h_t, atol=1e-12)
 
     def test_parallel_channels_infeasible(self):
         rng = np.random.default_rng(1)
@@ -77,8 +76,8 @@ class TestMinTp:
         for _ in range(50):
             h_t, h_n = random_unit(5, rng), random_unit(5, rng)
             v = min_tp_beamformer(h_t, h_n)
-            assert abs(h_n.values.conj() @ v) <= 1e-10
-            assert abs(h_t.values.conj() @ v - 1.0) <= 1e-10
+            assert abs(h_n.conj() @ v) <= 1e-10
+            assert abs(h_t.conj() @ v - 1.0) <= 1e-10
 
     def test_matches_kkt_oracle(self):
         rng = np.random.default_rng(3)
@@ -94,7 +93,7 @@ class TestMinTp:
         for _ in range(20):
             h_t, h_n = random_unit(6, rng), random_unit(6, rng)
             v = min_tp_beamformer(h_t, h_n)
-            p_ht = null_projector(h_n).matrix @ h_t.values
+            p_ht = null_projector(h_n) @ h_t
             v_ref = p_ht / np.linalg.norm(p_ht) ** 2
             np.testing.assert_allclose(v, v_ref, rtol=1e-10)
 
@@ -103,12 +102,12 @@ class TestMinTp:
         h_t, h_n = random_unit(6, rng), random_unit(6, rng)
         v = min_tp_beamformer(h_t, h_n)
         # orthonormal basis of the constrained pair, to build feasible directions
-        q, _ = np.linalg.qr(np.column_stack([h_n.values, h_t.values]))
+        q, _ = np.linalg.qr(np.column_stack([h_n, h_t]))
         for _ in range(100):
             delta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             delta -= q @ (q.conj().T @ delta)
-            assert abs(h_n.values.conj() @ delta) < 1e-12
-            assert abs(h_t.values.conj() @ delta) < 1e-12
+            assert abs(h_n.conj() @ delta) < 1e-12
+            assert abs(h_t.conj() @ delta) < 1e-12
             assert np.linalg.norm(v + delta) >= np.linalg.norm(v) - 1e-12
 
 
@@ -129,19 +128,19 @@ class TestMinRtp:
         )
 
     def test_orthogonal_channels_return_target(self):
-        h_t = SteeringVector(values=np.array([0, 0, 1.0, 0], dtype=complex))
-        h_n = SteeringVector(values=np.array([1.0, 0, 0, 0], dtype=complex))
+        h_t = np.array([0, 0, 1.0, 0], dtype=complex)
+        h_n = np.array([1.0, 0, 0, 0], dtype=complex)
         for gamma in (0.3, 2.1, 10.0):
             v = min_rtp_beamformer(h_t, h_n, gamma)
-            np.testing.assert_allclose(v, h_t.values, atol=1e-12)
+            np.testing.assert_allclose(v, h_t, atol=1e-12)
 
     def test_constraints_hold_for_positive_gamma(self):
         rng = np.random.default_rng(9)
         for gamma in (0.1, 1.8, 5.0):
             h_t, h_n = random_unit(6, rng), random_unit(6, rng)
             v = min_rtp_beamformer(h_t, h_n, gamma)
-            assert abs(h_n.values.conj() @ v) <= 1e-10
-            assert abs(h_t.values.conj() @ v - 1.0) <= 1e-10
+            assert abs(h_n.conj() @ v) <= 1e-10
+            assert abs(h_t.conj() @ v - 1.0) <= 1e-10
 
     def test_matches_dense_ridge_solve_at_unit_gain(self):
         # oracle: the literal N x N ridge solve P (P^H P + gamma I)^-1 P^H h_t,
@@ -150,10 +149,10 @@ class TestMinRtp:
         cases = [(n, gamma) for n in (2, 5, 16, 64) for gamma in np.logspace(-2, 2, 9)]
         for n, gamma in cases + [(8, 2.1)]:
             h_t, h_n = random_unit(n, rng), random_unit(n, rng)
-            p = np.eye(n, dtype=complex) - np.outer(h_n.values, h_n.values.conj())
+            p = np.eye(n, dtype=complex) - np.outer(h_n, h_n.conj())
             reg = p.conj().T @ p + gamma * np.eye(n)
-            ref = p @ np.linalg.solve(reg, p.conj().T @ h_t.values)
-            ref /= h_t.values.conj() @ ref
+            ref = p @ np.linalg.solve(reg, p.conj().T @ h_t)
+            ref /= h_t.conj() @ ref
             got = min_rtp_beamformer(h_t, h_n, gamma)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), (n, gamma)
 
@@ -185,8 +184,8 @@ class TestMinRtp:
 
 class TestEa:
     def test_aligned_input_is_fixed_point(self):
-        h = SteeringVector(values=np.full(4, 0.5 + 0j))
-        np.testing.assert_allclose(ea_beamformer(h), h.values, atol=1e-15)
+        h = np.full(4, 0.5 + 0j)
+        np.testing.assert_allclose(ea_beamformer(h), h, atol=1e-15)
 
     def test_equal_amplitudes(self):
         rng = np.random.default_rng(12)
@@ -199,16 +198,16 @@ class TestEa:
         cfg = ScenarioConfig(num_antennas=8)
         plan = build_subcarrier_plan(1, 8, 1024)
         h = steering_vector(plan, cfg, cfg.bob)
-        gain = h.values.conj() @ ea_beamformer(h)
+        gain = h.conj() @ ea_beamformer(h)
         assert gain == pytest.approx(1.0, abs=1e-12)
 
     def test_maximal_among_equal_amplitude_weights(self):
         rng = np.random.default_rng(13)
         h = random_unit(8, rng)
-        best = abs(h.values.conj() @ ea_beamformer(h))
+        best = abs(h.conj() @ ea_beamformer(h))
         for _ in range(1000):
             w = np.exp(1j * rng.uniform(0, 2 * np.pi, 8)) / np.sqrt(8)
-            assert abs(h.values.conj() @ w) <= best + 1e-12
+            assert abs(h.conj() @ w) <= best + 1e-12
 
 
 class TestSynthesize:
@@ -229,15 +228,15 @@ class TestSynthesize:
     def test_min_tp_nulls(self, setup):
         cfg, plan = setup
         beams = synthesize(cfg, plan, Method.MIN_TP)
-        h_b = steering_vector(plan, cfg, cfg.bob).values
-        h_e = steering_vector(plan, cfg, cfg.eve).values
+        h_b = steering_vector(plan, cfg, cfg.bob)
+        h_e = steering_vector(plan, cfg, cfg.eve)
         assert abs(h_e.conj() @ beams.w_cm) <= 1e-8 * np.linalg.norm(beams.w_cm)
         assert abs(h_b.conj() @ beams.w_an) <= 1e-8 * np.linalg.norm(beams.w_an)
 
     def test_min_rtp_alignment_phase(self, setup):
         cfg, plan = setup
         beams = synthesize(cfg, plan, Method.MIN_RTP, RegularizationParams(2.1, 1.8))
-        h_b = steering_vector(plan, cfg, cfg.bob).values
+        h_b = steering_vector(plan, cfg, cfg.bob)
         gain = h_b.conj() @ beams.w_cm
         assert abs(np.angle(gain)) <= 1e-8
         assert gain.real > 0.0

@@ -67,20 +67,29 @@ class TestSteeringVector:
         plan = SubcarrierPlan(indices=np.array([0, 1, 2, 3]), num_subcarriers=1024)
         object.__setattr__(plan, "indices", np.zeros(4, dtype=np.int64))
         h = steering_vector(plan, cfg, PolarPosition(math.pi / 2, 500.0))
-        np.testing.assert_allclose(h.values, np.full(4, 0.5 + 0j), atol=1e-9)
+        np.testing.assert_allclose(h, np.full(4, 0.5 + 0j), atol=1e-9)
 
     def test_unit_norm(self, cfg):
+        # steering vectors are plain arrays, so unit norm is checked here and nowhere else
         for seed in range(50):
             plan = build_subcarrier_plan(seed, 4, 1024)
             h = steering_vector(plan, cfg, PolarPosition.from_degrees(37.0, 820.0))
-            assert abs(np.linalg.norm(h.values) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
+        for n in (2, 8, 256, 1024):  # 1024 uses every subcarrier
+            cfg_n = cfg.replace(num_antennas=n)
+            for seed in range(5):
+                plan = build_subcarrier_plan(seed, n, 1024)
+                for theta in (0.5, 37.0, 90.0, 143.0, 179.5):
+                    for r in (1.0, 820.0, 2500.0, 5000.0):
+                        h = steering_vector(plan, cfg_n, PolarPosition.from_degrees(theta, r))
+                        assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
 
     def test_deterministic_bitwise(self, cfg):
         plan = build_subcarrier_plan(3, 4, 1024)
         pos = PolarPosition.from_degrees(70.0, 1000.0)
         a = steering_vector(plan, cfg, pos)
         b = steering_vector(plan, cfg, pos)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_common_subcarrier_is_range_independent(self, cfg):
         plan = SubcarrierPlan(indices=np.array([1, 2, 3, 4]), num_subcarriers=1024)
@@ -88,7 +97,7 @@ class TestSteeringVector:
         theta = math.radians(55.0)
         h1 = steering_vector(plan, cfg, PolarPosition(theta, 300.0))
         h2 = steering_vector(plan, cfg, PolarPosition(theta, 4000.0))
-        np.testing.assert_allclose(h1.values, h2.values, atol=1e-9)
+        np.testing.assert_allclose(h1, h2, atol=1e-9)
 
     def test_plan_length_mismatch_rejected(self, cfg):
         plan = build_subcarrier_plan(0, 5, 1024)

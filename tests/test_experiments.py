@@ -337,10 +337,10 @@ class TestRunExperiment:
         unit = cfg.replace(total_power_w=1.0)
         for method, sr in zip(spec.methods, rates):
             beams = synthesize(unit, plan, method)
-            bob = received_model(unit, plan, beams, cfg.bob, cfg.noise_power_bob_w)
-            eve = received_model(unit, plan, beams, cfg.eve, cfg.noise_power_eve_w)
-            a, b = abs(bob.cm_gain) ** 2, abs(bob.an_gain) ** 2
-            c, d = abs(eve.cm_gain) ** 2, abs(eve.an_gain) ** 2
+            bob_cm, bob_an = received_model(unit, plan, beams, cfg.bob)
+            eve_cm, eve_an = received_model(unit, plan, beams, cfg.eve)
+            a, b = abs(bob_cm) ** 2, abs(bob_an) ** 2
+            c, d = abs(eve_cm) ** 2, abs(eve_an) ** 2
             expected = np.maximum(
                 np.log2(1.0 + a * power / (b * power + cfg.noise_power_bob_w))
                 - np.log2(1.0 + c * power / (d * power + cfg.noise_power_eve_w)),
@@ -421,7 +421,7 @@ class TestRunExperiment:
 def leaky_min_rtp(h_target, h_null, gamma):
     """The Min-TP beam with a small leak toward the nulled receiver: close to Min-TP, but
     not bit-identical to it."""
-    return min_tp_beamformer(h_target, h_null) + 0.2 * h_null.values
+    return min_tp_beamformer(h_target, h_null) + 0.2 * h_null
 
 
 SMALL_GRID = {"theta_grid_deg": (60.0, 110.0, 11), "range_grid_m": (700.0, 1100.0, 9)}
@@ -520,6 +520,18 @@ class TestCli:
         rc = cli_main(["sr-vs-snr", "--beta", "2.0", "--out", str(tmp_path)])
         assert rc == 2
         assert "beta" in capsys.readouterr().err
+
+    def test_snr_flag_with_total_power_in_config_exit_code(self, tmp_path, capsys):
+        # both set the transmit power, so neither may silently win
+        cfgfile = write(tmp_path, "total_power_w = 0.1\n")
+        out = tmp_path / "o"
+        rc = cli_main(
+            ["sinr-surface", "--config", str(cfgfile), "--snr-db", "40", "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "snr_db" in err and "total_power_w" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sr-vs-snr", "sinr-surface"])
     def test_infeasible_geometry_exit_code(self, tmp_path, capsys, command):

@@ -8,7 +8,6 @@ from securebeam import (
     ConfigError,
     Method,
     PolarPosition,
-    ReceivedModel,
     ScenarioConfig,
     ber_monte_carlo,
     build_subcarrier_plan,
@@ -43,44 +42,41 @@ class TestReceivedModel:
     def test_min_tp_nulls_at_receivers(self, scenario):
         cfg, plan = scenario
         beams = synthesize(cfg, plan, Method.MIN_TP)
-        bob = received_model(cfg, plan, beams, cfg.bob, cfg.noise_power_bob_w)
-        eve = received_model(cfg, plan, beams, cfg.eve, cfg.noise_power_eve_w)
-        assert abs(bob.an_gain) <= 1e-8 * np.linalg.norm(beams.w_an)
-        assert abs(eve.cm_gain) <= 1e-8 * np.linalg.norm(beams.w_cm)
+        _, bob_an = received_model(cfg, plan, beams, cfg.bob)
+        eve_cm, _ = received_model(cfg, plan, beams, cfg.eve)
+        assert abs(bob_an) <= 1e-8 * np.linalg.norm(beams.w_an)
+        assert abs(eve_cm) <= 1e-8 * np.linalg.norm(beams.w_cm)
 
     def test_zero_jamming_weights_give_zero_gain(self, scenario):
         cfg, plan = scenario
         beams = synthesize(cfg.replace(power_alloc=1.0), plan, Method.MIN_TP)
-        model = received_model(cfg, plan, beams, cfg.eve, cfg.noise_power_eve_w)
-        assert model.an_gain == 0.0
+        _, an_gain = received_model(cfg, plan, beams, cfg.eve)
+        assert an_gain == 0.0
 
     def test_noise_power_must_be_positive(self):
         with pytest.raises(ConfigError):
-            ReceivedModel(cm_gain=1.0, an_gain=0.0, noise_power=0.0)
+            sinr(1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf])
     def test_non_finite_noise_rejected(self, noise):
         with pytest.raises(ConfigError, match="noise_power"):
-            ReceivedModel(cm_gain=1.0, an_gain=0.0, noise_power=noise)
+            sinr(1.0, 0.0, noise)
 
 
 class TestSinr:
     def test_unity_when_signal_equals_noise(self):
-        model = ReceivedModel(cm_gain=1e-3, an_gain=0.0, noise_power=1e-6)
-        assert sinr(model) == pytest.approx(1.0, rel=1e-12)
+        assert sinr(1e-3, 0.0, 1e-6) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_signal(self):
-        model = ReceivedModel(cm_gain=0.0, an_gain=0.5, noise_power=1e-6)
-        assert sinr(model) == 0.0
+        assert sinr(0.0, 0.5, 1e-6) == 0.0
 
     def test_scalar_arithmetic_oracle(self):
         # hand calculator: |cm|^2 = 1e-6 * beta * P_s with the desk parameter set
         beta_ps = 0.5 * 0.1
         cm = math.sqrt(1e-6 * beta_ps)
         an = 2e-4
-        model = ReceivedModel(cm_gain=cm, an_gain=an, noise_power=1e-9)
         expected = (1e-6 * beta_ps) / (4e-8 + 1e-9)
-        assert sinr(model) == pytest.approx(expected, rel=1e-12)
+        assert sinr(cm, an, 1e-9) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSecrecyRate:
@@ -96,7 +92,7 @@ class TestSecrecyRate:
         beams = synthesize(cfg, plan, Method.MIN_TP)
         h_b = steering_vector(plan, cfg, cfg.bob)
         h_e = steering_vector(plan, cfg, cfg.eve)
-        proj_gain = np.linalg.norm(null_projector(h_e).matrix @ h_b.values) ** 2
+        proj_gain = np.linalg.norm(null_projector(h_e) @ h_b) ** 2
         g_b = path_loss(cfg.bob.range_m)
         expected = math.log2(
             1.0
@@ -109,8 +105,8 @@ class TestSecrecyRate:
         beams = synthesize(cfg, plan, Method.EA)
         sr = secrecy_rate(cfg, plan, beams)
         # spreadsheet-style recomputation from the raw complex gains
-        h_b = steering_vector(plan, cfg, cfg.bob).values
-        h_e = steering_vector(plan, cfg, cfg.eve).values
+        h_b = steering_vector(plan, cfg, cfg.bob)
+        h_e = steering_vector(plan, cfg, cfg.eve)
         g_b, g_e = path_loss(cfg.bob.range_m), path_loss(cfg.eve.range_m)
         sinr_b = (g_b * abs(h_b.conj() @ beams.w_cm) ** 2) / (
             g_b * abs(h_b.conj() @ beams.w_an) ** 2 + cfg.noise_power_bob_w
@@ -151,8 +147,8 @@ class TestSecrecyRate:
                 rng_seed=int(rng.integers(0, 2**31)),
             )
             plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
-            h_b = steering_vector(plan, cfg, cfg.bob).values
-            h_e = steering_vector(plan, cfg, cfg.eve).values
+            h_b = steering_vector(plan, cfg, cfg.bob)
+            h_e = steering_vector(plan, cfg, cfg.eve)
             # orthonormal basis of the complement of span{h_b, h_e}; empty at N = 2
             complement = np.linalg.qr(np.column_stack([h_b, h_e]), mode="complete")[0][:, 2:]
             best = synthesize(cfg, plan, Method.MIN_TP)
@@ -192,8 +188,8 @@ class TestSecrecyRate:
                 rng_seed=int(rng.integers(0, 2**31)),
             )
             plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
-            h_b = steering_vector(plan, cfg, cfg.bob).values
-            h_e = steering_vector(plan, cfg, cfg.eve).values
+            h_b = steering_vector(plan, cfg, cfg.bob)
+            h_e = steering_vector(plan, cfg, cfg.eve)
             rho2 = abs(h_e.conj() @ h_b) ** 2
             beta = cfg.power_alloc
             s_b = cfg.total_power_w * path_loss(cfg.bob.range_m) / cfg.noise_power_bob_w
@@ -289,9 +285,9 @@ class TestSinrSurface:
             if not 0.0 < s.theta_deg < 180.0:
                 continue  # endfire rows lie outside PolarPosition's open interval
             pos = PolarPosition.from_degrees(s.theta_deg, s.range_m)
-            model = received_model(cfg, plan, beams, pos, cfg.noise_power_bob_w)
-            cm_db = 10.0 * math.log10(max(sinr(model), 1e-30))
-            an_db = 10.0 * math.log10(max(abs(model.an_gain) ** 2, 1e-30))
+            cm_gain, an_gain = received_model(cfg, plan, beams, pos)
+            cm_db = 10.0 * math.log10(max(sinr(cm_gain, an_gain, cfg.noise_power_bob_w), 1e-30))
+            an_db = 10.0 * math.log10(max(abs(an_gain) ** 2, 1e-30))
             assert s.cm_sinr_db == pytest.approx(cm_db, abs=1e-9)
             assert s.an_power_db == pytest.approx(an_db, abs=1e-9)
 
@@ -328,7 +324,7 @@ def literal_ber(cfg, plan, beams, pos, noise_power, num_symbols, seed):
     """BER by the complex decision rule written out in full: Gray-mapped QPSK x,
     unit-power jamming z and noise n drawn from `seed`, y = cm x + an z + n, and
     sign decisions on y / cm (on y itself when cm == 0), one stacked pair at a time."""
-    model = received_model(cfg, plan, beams, pos, noise_power)
+    cm_gains, an_gains = received_model(cfg, plan, beams, pos)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(num_symbols, 2))
     x = ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / math.sqrt(2.0)
@@ -336,7 +332,7 @@ def literal_ber(cfg, plan, beams, pos, noise_power, num_symbols, seed):
     n = (
         rng.standard_normal(num_symbols) + 1j * rng.standard_normal(num_symbols)
     ) * math.sqrt(noise_power / 2.0)
-    pairs = np.broadcast(model.cm_gain, model.an_gain)
+    pairs = np.broadcast(cm_gains, an_gains)
     errors = []
     for cm, an in pairs:
         y = cm * x + an * z + n
@@ -375,8 +371,8 @@ class TestBerMonteCarlo:
         cfg = cfg.replace(power_alloc=0.0)
         stacked = stack([synthesize(cfg, plan, m) for m in Method])
         num_symbols = 100_000
-        model = received_model(cfg, plan, stacked, cfg.bob, cfg.noise_power_bob_w)
-        assert np.all(model.cm_gain == 0.0)
+        cm_gains, _ = received_model(cfg, plan, stacked, cfg.bob)
+        assert np.all(cm_gains == 0.0)
         bers = ber_monte_carlo(cfg, plan, stacked, cfg.bob, num_symbols, 6)
         se = math.sqrt(0.25 / (2.0 * num_symbols))
         assert np.all(np.abs(bers - 0.5) <= 3.0 * se), bers
@@ -448,8 +444,8 @@ class TestBerMonteCarlo:
             pairs = [synthesize(cfg_p, plan, m) for m in Method]
             bers = ber_monte_carlo(cfg_p, plan, stack(pairs), cfg.bob, num_symbols, 100 + i)
             for method, ber, beams in zip(Method, bers, pairs):
-                model = received_model(cfg_p, plan, beams, cfg.bob, cfg.noise_power_bob_w)
-                expected = qfunc(math.sqrt(sinr(model)))
+                gains = received_model(cfg_p, plan, beams, cfg.bob)
+                expected = qfunc(math.sqrt(sinr(*gains, cfg.noise_power_bob_w)))
                 se = math.sqrt(expected * (1.0 - expected) / (2.0 * num_symbols))
                 assert abs(ber - expected) <= 3.0 * se, (snr_db, method, ber, expected)
 
@@ -461,9 +457,9 @@ class TestBerMonteCarlo:
             ebn0 = 10.0 ** (ebn0_db / 10.0)
             cfg1 = cfg.replace(power_alloc=1.0, total_power_w=1.0)
             beams = synthesize(cfg1, plan, Method.MIN_TP)
-            model = received_model(cfg1, plan, beams, cfg1.bob, cfg1.noise_power_bob_w)
+            cm_gain, _ = received_model(cfg1, plan, beams, cfg1.bob)
             # rescale total power so the per-symbol SNR hits 2 Eb/N0 exactly
-            es_n0 = abs(model.cm_gain) ** 2 / cfg1.noise_power_bob_w
+            es_n0 = abs(cm_gain) ** 2 / cfg1.noise_power_bob_w
             cfg2 = cfg1.replace(total_power_w=2.0 * ebn0 / es_n0)
             beams2 = synthesize(cfg2, plan, Method.MIN_TP)
             ber = ber_monte_carlo(cfg2, plan, beams2, cfg2.bob, num_symbols, 77)

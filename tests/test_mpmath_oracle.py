@@ -79,7 +79,7 @@ def test_steering_values_match_oracle():
         )
     for plan, pos in cases:
         cfg = ScenarioConfig(num_antennas=len(plan))
-        got = steering_vector(plan, cfg, pos).values
+        got = steering_vector(plan, cfg, pos)
         want = np.array(
             [complex(v) for v in mp_steering(cfg, plan, pos.angle_rad, pos.range_m)]
         )
