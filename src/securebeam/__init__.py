@@ -15,7 +15,6 @@ from .beamformers import (
     synthesize,
 )
 from .channel import (
-    SubcarrierPlan,
     build_subcarrier_plan,
     path_loss,
     steering_vector,

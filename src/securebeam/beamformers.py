@@ -100,7 +100,7 @@ def ea_beamformer(h_target: np.ndarray) -> np.ndarray:
 
 def synthesize(
     cfg: ScenarioConfig,
-    plan,
+    plan: np.ndarray,
     method: Method,
     gammas: RegularizationParams = DEFAULT_GAMMAS,
 ) -> BeamPair:

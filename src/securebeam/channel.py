@@ -2,40 +2,14 @@
 """Array geometry, random subcarrier assignment, steering vectors, and path loss."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, ConfigError, PolarPosition, ScenarioConfig
 
 
-@dataclass(frozen=True)
-class SubcarrierPlan:
-    """Per-antenna subcarrier index assignment k_n, drawn without replacement."""
-
-    indices: np.ndarray  # int array, shape (N,)
-    num_subcarriers: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ConfigError("subcarrier indices must be a nonempty 1-D vector")
-        if idx.min() < 0 or idx.max() >= self.num_subcarriers:
-            raise ConfigError(
-                f"subcarrier indices must lie in [0, {self.num_subcarriers - 1}]"
-            )
-        if np.unique(idx).size != idx.size:
-            raise ConfigError("subcarrier indices must be pairwise distinct")
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-
-def build_subcarrier_plan(seed: int, n_antennas: int, n_subcarriers: int) -> SubcarrierPlan:
-    """Draw N distinct subcarrier indices uniformly from {0, ..., N_S - 1}.
-
-    Deterministic for a fixed seed.
+def build_subcarrier_plan(seed: int, n_antennas: int, n_subcarriers: int) -> np.ndarray:
+    """Draw the plan: N distinct subcarrier indices k_n, uniformly from {0, ..., N_S - 1},
+    as an (N,) int64 array. Deterministic for a fixed seed.
     """
     if n_antennas < 1:
         raise ConfigError(f"n_antennas must be >= 1, got {n_antennas}")
@@ -44,12 +18,11 @@ def build_subcarrier_plan(seed: int, n_antennas: int, n_subcarriers: int) -> Sub
             f"cannot assign {n_antennas} distinct subcarriers out of {n_subcarriers}"
         )
     rng = np.random.default_rng(seed)
-    indices = rng.choice(n_subcarriers, size=n_antennas, replace=False)
-    return SubcarrierPlan(indices=indices, num_subcarriers=n_subcarriers)
+    return rng.choice(n_subcarriers, size=n_antennas, replace=False)
 
 
 def steering_factors(
-    plan: SubcarrierPlan, cfg: ScenarioConfig,
+    plan: np.ndarray, cfg: ScenarioConfig,
     theta_rad: np.ndarray | float, range_m: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angle factor a(theta), shape theta.shape + (N,), and range factor b(R), shape
@@ -59,18 +32,23 @@ def steering_factors(
     with phase referenced to f_c R. The f_c R terms cancel exactly, so no phase is
     formed as a difference: a = exp(-j 2 pi f_n (n-1) d cos(theta) / c) and
     b = exp(j 2 pi k_n df R / c) / sqrt(N).
+
+    Every plan passes through here, so this is where it is checked against cfg: an
+    (N,) integer array of indices k_n in [0, N_S).
     """
-    if len(plan) != cfg.num_antennas:
-        raise ConfigError(f"plan length {len(plan)} does not match num_antennas {cfg.num_antennas}")
+    plan, n_s = np.asarray(plan), cfg.num_subcarriers
+    if not (plan.shape == (cfg.num_antennas,) and np.issubdtype(plan.dtype, np.integer)
+            and plan.min() >= 0 and plan.max() < n_s):
+        raise ConfigError(f"plan must be {cfg.num_antennas} integers in [0, {n_s - 1}], got {plan!r}")
     two_pi_c = 2.0 * np.pi / SPEED_OF_LIGHT
-    f_n = cfg.carrier_freq_hz + plan.indices * cfg.subcarrier_spacing_hz
+    f_n = cfg.carrier_freq_hz + plan * cfg.subcarrier_spacing_hz
     per_cos_theta = two_pi_c * f_n * (np.arange(len(plan)) * cfg.element_spacing_m)
-    per_metre = two_pi_c * cfg.subcarrier_spacing_hz * plan.indices
+    per_metre = two_pi_c * cfg.subcarrier_spacing_hz * plan
     a = np.exp(-1j * np.multiply.outer(np.cos(theta_rad), per_cos_theta))
     return a, np.exp(1j * np.multiply.outer(range_m, per_metre)) / np.sqrt(len(plan))
 
 
-def steering_vector(plan: SubcarrierPlan, cfg: ScenarioConfig, pos: PolarPosition) -> np.ndarray:
+def steering_vector(plan: np.ndarray, cfg: ScenarioConfig, pos: PolarPosition) -> np.ndarray:
     """Unit-norm array response h(theta, R) = a(theta) * b(R) at one position, shape (N,)."""
     a, b = steering_factors(plan, cfg, pos.angle_rad, pos.range_m)
     return a * b

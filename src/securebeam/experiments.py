@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import decimal
 import enum
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .beamformers import DEFAULT_GAMMAS, BeamPair, Method, RegularizationParams, synthesize
-from .channel import SubcarrierPlan, build_subcarrier_plan, path_loss
+from .channel import build_subcarrier_plan, path_loss
 from .config import ConfigError, PolarPosition, ScenarioConfig, dbm_to_watts
 from .metrics import ber_monte_carlo, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
@@ -74,8 +75,14 @@ class ExperimentSpec:
             else:
                 self.sweep = (0.0,)  # surfaces carry their own grids
         self.sweep = tuple(float(s) for s in self.sweep)
-        if self.kind is ExperimentKind.SR_VS_N and not all(n.is_integer() for n in self.sweep):
-            raise ConfigError(f"antenna counts (n_list) must be integers, got {self.sweep}")
+        if self.kind is ExperimentKind.SR_VS_N:
+            try:  # each count must make a valid scenario, as _datasets will build it
+                for n in self.sweep:
+                    if not n.is_integer():
+                        raise ConfigError(f"antenna counts must be integers, got {self.sweep}")
+                    self.scenario.replace(num_antennas=int(n))
+            except ConfigError as exc:
+                raise ConfigError(f"n_list: {exc}") from exc
         if not self.methods or len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"methods must be nonempty and distinct, got {self.methods}")
         if self.kind is ExperimentKind.BER_VS_SNR and self.mc_symbols < 1000:
@@ -146,7 +153,7 @@ def _ber_seed(base_seed: int, sweep_index: int) -> int:
 
 
 def _power_sweep(
-    spec: ExperimentSpec, cfg: ScenarioConfig, plan: SubcarrierPlan, snrs_db: tuple[float, ...]
+    spec: ExperimentSpec, cfg: ScenarioConfig, plan: np.ndarray, snrs_db: tuple[float, ...]
 ) -> tuple[BeamPair, list[int]]:
     """The methods' distinct beams at every SNR, stacked as (pairs, SNRs, N), and each method's
     position in the stack: every weight scales with sqrt(P_s), so each is built at unit power."""
@@ -258,10 +265,15 @@ _METHOD_NAMES = {m.value.replace("_", ""): m for m in Method}
 
 
 def _int(text: str) -> int:
-    number = float(text)
-    if not number.is_integer():
-        raise ValueError(f"not an integer: {text!r}")
-    return int(number)
+    # exact, where a float would run seed 2**53 + 1 as 2**53; a Decimal keeps its exponent
+    # apart, so a float's range bounds the digits before int() expands them
+    try:
+        number = decimal.Decimal(text)
+        if number.is_finite() and number.adjusted() < 309 and number == int(number):
+            return int(number)
+    except decimal.InvalidOperation:
+        pass
+    raise ValueError(f"not an integer: {text!r}")
 
 
 def _split(text: str) -> list[str]:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .beamformers import BeamPair
-from .channel import SubcarrierPlan, path_loss, steering_factors
+from .channel import path_loss, steering_factors
 from .config import ConfigError, PolarPosition, ScenarioConfig
 
 # floor applied before converting powers to dB, avoids -inf at exact nulls
@@ -19,7 +19,7 @@ def _to_db(power: np.ndarray | float) -> np.ndarray | float:
 
 
 def _received(
-    cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair,
+    cfg: ScenarioConfig, plan: np.ndarray, beams: BeamPair,
     theta_rad: np.ndarray | float, range_m: np.ndarray | float,
 ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     """Effective gains sqrt(g(R)) h(theta, R)^H w of the message and jamming beams on
@@ -40,7 +40,7 @@ def _received(
 
 
 def received_model(
-    cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair, pos: PolarPosition
+    cfg: ScenarioConfig, plan: np.ndarray, beams: BeamPair, pos: PolarPosition
 ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     """Effective gains (cm_gain, an_gain) = sqrt(g(R)) h(pos)^H w at one probe position."""
     return _received(cfg, plan, beams, pos.angle_rad, pos.range_m)
@@ -56,7 +56,7 @@ def sinr(
 
 
 def secrecy_rate(
-    cfg: ScenarioConfig, plan: SubcarrierPlan, beams: BeamPair
+    cfg: ScenarioConfig, plan: np.ndarray, beams: BeamPair
 ) -> float | np.ndarray:
     """max{ log2(1 + SINR_Bob) - log2(1 + SINR_Eve), 0 } in bits per channel use;
     for stacked beams, one rate per stacked pair, broadcast over the leading axes."""
@@ -67,7 +67,7 @@ def secrecy_rate(
 
 def sinr_surface(
     cfg: ScenarioConfig,
-    plan: SubcarrierPlan,
+    plan: np.ndarray,
     beams: BeamPair,
     theta_deg_grid: np.ndarray,
     range_m_grid: np.ndarray,
@@ -99,7 +99,7 @@ def sinr_surface(
 
 def ber_monte_carlo(
     cfg: ScenarioConfig,
-    plan: SubcarrierPlan,
+    plan: np.ndarray,
     beams: BeamPair,
     pos: PolarPosition,
     num_symbols: int,

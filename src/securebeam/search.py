@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamformers import BeamPair, RegularizationParams, min_rtp_beamformer, power_scaled
-from .channel import SubcarrierPlan, steering_vector
+from .channel import steering_vector
 from .config import ConfigError, ScenarioConfig
 from .metrics import secrecy_rate
 
@@ -45,7 +45,7 @@ class GammaSearchResult:
 
 
 def grid_search_gamma(
-    cfg: ScenarioConfig, plan: SubcarrierPlan, grid: GammaGrid
+    cfg: ScenarioConfig, plan: np.ndarray, grid: GammaGrid
 ) -> GammaSearchResult:
     """Evaluate the regularized beamformer's secrecy rate on every grid cell and
     return the first row-major argmax (gamma_cm-major, deterministic ties).

@@ -187,8 +187,8 @@ def test_criterion_6_dual_peaks():
     for method in Method:
         beams = synthesize(cfg, plan, method)
         samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
-        cm = np.array([s.cm_sinr_db for s in samples]).reshape(181, 200)
-        an = np.array([s.an_power_db for s in samples]).reshape(181, 200)
+        cm = samples.cm_sinr_db.reshape(181, 200)
+        an = samples.an_power_db.reshape(181, 200)
         ok = ok and np.unravel_index(np.argmax(cm), cm.shape) == i_bob
         ok = ok and np.unravel_index(np.argmax(an), an.shape) == i_eve
     elapsed = time.monotonic() - start

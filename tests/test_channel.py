@@ -12,7 +12,6 @@ from securebeam import (
     path_loss,
     steering_vector,
 )
-from securebeam.channel import SubcarrierPlan
 
 # frozen regression fixture: first draw of the seeded sampler (seed=42, N=8, N_S=1024)
 PLAN_SEED42_N8_NS1024 = [87, 714, 877, 667, 442, 447, 90, 787]
@@ -26,20 +25,20 @@ def cfg():
 class TestSubcarrierPlan:
     def test_single_antenna_single_subcarrier(self):
         plan = build_subcarrier_plan(123, 1, 1)
-        assert plan.indices.tolist() == [0]
+        assert plan.tolist() == [0]
 
     def test_exhaustion_gives_permutation(self):
         plan = build_subcarrier_plan(5, 8, 8)
-        assert sorted(plan.indices.tolist()) == list(range(8))
+        assert sorted(plan.tolist()) == list(range(8))
 
     def test_frozen_reference_draw(self):
         plan = build_subcarrier_plan(42, 8, 1024)
-        assert plan.indices.tolist() == PLAN_SEED42_N8_NS1024
+        assert plan.tolist() == PLAN_SEED42_N8_NS1024
 
     def test_deterministic(self):
         a = build_subcarrier_plan(7, 16, 1024)
         b = build_subcarrier_plan(7, 16, 1024)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a, b)
 
     def test_too_many_antennas_rejected(self):
         with pytest.raises(ConfigError):
@@ -48,25 +47,21 @@ class TestSubcarrierPlan:
     def test_many_seeds_all_valid(self):
         for seed in range(1000):
             plan = build_subcarrier_plan(seed, 8, 64)
-            idx = plan.indices
-            assert np.unique(idx).size == 8
-            assert idx.min() >= 0 and idx.max() < 64
+            assert plan.shape == (8,) and plan.dtype == np.int64
+            assert np.unique(plan).size == 8
+            assert plan.min() >= 0 and plan.max() < 64
 
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(ConfigError):
-            SubcarrierPlan(indices=np.array([0, 1, 1]), num_subcarriers=8)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            SubcarrierPlan(indices=np.array([0, 9]), num_subcarriers=8)
+    def test_out_of_range_rejected(self, cfg):
+        # a plan is checked against the scenario that uses it: cfg has 1,024 subcarriers
+        for plan in ([0, 1, 2, 1024], [-1, 1, 2, 3]):
+            with pytest.raises(ConfigError, match="1023"):
+                steering_vector(np.array(plan), cfg, cfg.bob)
 
 
 class TestSteeringVector:
     def test_broadside_common_subcarrier_is_flat(self, cfg):
-        # bypass the distinct-index invariant: identical k_n is the classic ULA case
-        plan = SubcarrierPlan(indices=np.array([0, 1, 2, 3]), num_subcarriers=1024)
-        object.__setattr__(plan, "indices", np.zeros(4, dtype=np.int64))
-        h = steering_vector(plan, cfg, PolarPosition(math.pi / 2, 500.0))
+        # identical k_n, which the RSS draw never gives, is the classic ULA case
+        h = steering_vector(np.zeros(4, dtype=np.int64), cfg, PolarPosition(math.pi / 2, 500.0))
         np.testing.assert_allclose(h, np.full(4, 0.5 + 0j), atol=1e-9)
 
     def test_unit_norm(self, cfg):
@@ -92,17 +87,24 @@ class TestSteeringVector:
         assert np.array_equal(a, b)
 
     def test_common_subcarrier_is_range_independent(self, cfg):
-        plan = SubcarrierPlan(indices=np.array([1, 2, 3, 4]), num_subcarriers=1024)
-        object.__setattr__(plan, "indices", np.zeros(4, dtype=np.int64))
+        plan = np.zeros(4, dtype=np.int64)
         theta = math.radians(55.0)
         h1 = steering_vector(plan, cfg, PolarPosition(theta, 300.0))
         h2 = steering_vector(plan, cfg, PolarPosition(theta, 4000.0))
         np.testing.assert_allclose(h1, h2, atol=1e-9)
 
     def test_plan_length_mismatch_rejected(self, cfg):
-        plan = build_subcarrier_plan(0, 5, 1024)
-        with pytest.raises(ConfigError):
-            steering_vector(plan, cfg, PolarPosition.from_degrees(50.0, 100.0))
+        pos = PolarPosition.from_degrees(50.0, 100.0)
+        for plan in (build_subcarrier_plan(0, 5, 1024), np.arange(4).reshape(2, 2),
+                     np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0])):
+            with pytest.raises(ConfigError, match="4 integers in"):
+                steering_vector(plan, cfg, pos)
+
+    def test_plan_drawn_for_a_wider_band_rejected(self):
+        cfg = ScenarioConfig()
+        plan = build_subcarrier_plan(42, cfg.num_antennas, 4096)  # indices up to 3,515
+        with pytest.raises(ConfigError, match="1023"):
+            steering_vector(plan, cfg, cfg.bob)
 
 
 class TestPathLoss:

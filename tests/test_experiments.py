@@ -33,6 +33,7 @@ from securebeam.experiments import (
     _power_sweep,
     _write_csv,
     power_for_snr_db,
+    spec_from_values,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -180,6 +181,17 @@ class TestLoadConfig:
         assert spec.scenario.num_antennas == 16
         assert spec.mc_symbols == 100_000
 
+    @pytest.mark.parametrize(
+        "text, seed", [("16.0", 16), ("1e3", 1000), (" 7 ", 7), ("9007199254740993", 2**53 + 1)]
+    )
+    def test_integer_text_parsed_exactly(self, text, seed):
+        assert spec_from_values({"seed": text}).scenario.rng_seed == seed
+
+    @pytest.mark.parametrize("text", ["7.5", "nan", "inf", "", "9007199254740993.5", "1e400"])
+    def test_non_integer_text_rejected(self, text):
+        with pytest.raises(ConfigError, match="seed: not an integer"):
+            spec_from_values({"seed": text})
+
     def test_ber_symbol_floor(self, tmp_path):
         with pytest.raises(ConfigError, match="mc_symbols"):
             load_config(write(tmp_path, "experiment = ber_vs_snr\nmc_symbols = 10\n"))
@@ -206,6 +218,12 @@ class TestRunExperiment:
     def test_non_integral_antenna_sweep_rejected(self):
         with pytest.raises(ConfigError, match="n_list"):
             ExperimentSpec(kind=ExperimentKind.SR_VS_N, sweep=(8.9,))
+
+    @pytest.mark.parametrize("n, reason", [(0.0, "num_antennas"), (5000.0, "num_subcarriers")])
+    def test_antenna_count_outside_scenario_rejected(self, n, reason):
+        # caught when the spec is made, under the key that set it, not midway through the run
+        with pytest.raises(ConfigError, match=f"n_list: {reason}"):
+            ExperimentSpec(kind=ExperimentKind.SR_VS_N, sweep=(4.0, n))
 
     def test_sr_vs_snr_single_point(self, tmp_path):
         spec = ExperimentSpec(
@@ -563,6 +581,8 @@ class TestCli:
             (["gamma-surface", "--grid", "0:2"], "gamma_max"),
             (["sr-vs-snr", "--method", "ea,ea"], "methods"),
             (["gamma-surface", "--grid", "3:1"], "gamma_max"),
+            (["sr-vs-n", "--n-list", "4,0"], "n_list: num_antennas"),
+            (["sr-vs-n", "--n-list", "4,5000"], "n_list: num_subcarriers"),
         ],
     )
     def test_boundary_input_exit_code(self, tmp_path, capsys, argv, key):
@@ -581,6 +601,17 @@ class TestCli:
         assert rc == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["scenario"]["num_antennas"] == 16
+
+    def test_seeds_above_2_to_53_stay_distinct(self, tmp_path):
+        # a float parse would run seed 2**53 + 1 as 2**53
+        csvs = []
+        for seed in (2**53, 2**53 + 1):
+            out = tmp_path / str(seed)
+            argv = ["sr-vs-snr", "--method", "min_tp", "--seed", str(seed), "--out", str(out)]
+            assert cli_main(argv) == 0
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+            csvs.append((out / "sr_vs_snr_min_tp.csv").read_bytes())
+        assert csvs[0] != csvs[1]
 
     def test_gamma_surface_grid_flag(self, tmp_path):
         rc = cli_main(["gamma-surface", "--grid", "2:3", "--out", str(tmp_path)])

@@ -254,8 +254,7 @@ class TestSinrSurface:
         theta = np.linspace(0.0, 180.0, 91)
         ranges = np.linspace(500.0, 2987.5, 100)
         samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
-        cm = np.array([s.cm_sinr_db for s in samples])
-        an = np.array([s.an_power_db for s in samples])
+        cm, an = samples.cm_sinr_db, samples.an_power_db
         # exact receiver positions, appended as their own probes
         at_bob = sinr_surface(
             cfg, plan, beams, np.array([70.0]), np.array([1000.0]), cfg.noise_power_bob_w
