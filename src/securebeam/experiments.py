@@ -18,7 +18,7 @@ from . import __version__
 from .beamformers import DEFAULT_GAMMAS, BeamPair, Method, RegularizationParams, synthesize
 from .channel import build_subcarrier_plan, path_loss
 from .config import ConfigError, PolarPosition, ScenarioConfig, dbm_to_watts
-from .metrics import ber_monte_carlo, secrecy_rate, sinr_surface
+from .metrics import ber_sweep, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
 
 DEFAULT_SNR_SWEEP_DB = tuple(range(0, 31, 2))
@@ -168,6 +168,19 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
     """Compute the experiment, yielding per distinct dataset ({position in the manifest: name}
     of each file that holds it, 1-D axes, values on their grid)."""
     cfg = spec.scenario
+    if spec.kind is ExperimentKind.SR_VS_N:  # one plan per antenna count
+        rates = []  # per antenna count: (methods, SNRs); transposed, (SNRs, methods, Ns)
+        for n in spec.sweep:
+            cfg_n = cfg.replace(num_antennas=int(n))
+            plan = build_subcarrier_plan(cfg.rng_seed, int(n), cfg.num_subcarriers)
+            beams, index = _power_sweep(spec, cfg_n, plan, spec.snr_db_list)
+            rates.append(secrecy_rate(cfg_n, plan, beams)[index])
+        for s, (snr_db, by_method) in enumerate(zip(spec.snr_db_list, np.array(rates).T)):
+            for i, (method, sr) in enumerate(zip(spec.methods, by_method)):
+                name = f"sr_vs_n_{method.value}_snr{snr_db:.12g}db.csv"
+                yield {(s, i): name}, {"n": spec.sweep}, {"sr_bits": sr}
+        return
+
     plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
     if spec.kind is ExperimentKind.GAMMA_SURFACE:
         grid = GammaGrid.linear(spec.gamma_grid_max, spec.gamma_grid_points)
@@ -186,30 +199,13 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
             values = {n: surface[n] for n in surface.dtype.names[2:]}
             yield _shared(spec, index, k), axes, values
 
-    elif spec.kind is ExperimentKind.SR_VS_N:
-        rates = []  # per antenna count: (methods, SNRs); transposed, (SNRs, methods, Ns)
-        for n in spec.sweep:
-            cfg_n = cfg.replace(num_antennas=int(n))
-            plan = build_subcarrier_plan(cfg.rng_seed, int(n), cfg.num_subcarriers)
-            beams, index = _power_sweep(spec, cfg_n, plan, spec.snr_db_list)
-            rates.append(secrecy_rate(cfg_n, plan, beams)[index])
-        for s, (snr_db, by_method) in enumerate(zip(spec.snr_db_list, np.array(rates).T)):
-            for i, (method, sr) in enumerate(zip(spec.methods, by_method)):
-                name = f"sr_vs_n_{method.value}_snr{snr_db:.12g}db.csv"
-                yield {(s, i): name}, {"n": spec.sweep}, {"sr_bits": sr}
-
     else:  # SR_VS_SNR or BER_VS_SNR
         beams, index = _power_sweep(spec, cfg, plan, spec.sweep)
         if spec.kind is ExperimentKind.SR_VS_SNR:
             column, rates = "sr_bits", secrecy_rate(cfg, plan, beams)
         else:  # one draw of bits, jamming and noise per SNR point, shared by every method
-            column, rates = "ber", np.transpose([
-                ber_monte_carlo(
-                    cfg, plan, BeamPair(beams.w_cm[:, i], beams.w_an[:, i]),
-                    cfg.bob, spec.mc_symbols, _ber_seed(cfg.rng_seed, i),
-                )
-                for i in range(len(spec.sweep))
-            ])
+            seeds = [_ber_seed(cfg.rng_seed, i) for i in range(len(spec.sweep))]
+            column, rates = "ber", ber_sweep(cfg, plan, beams, cfg.bob, spec.mc_symbols, seeds)
         for k, values in enumerate(rates):
             yield _shared(spec, index, k), {"snr_db": spec.sweep}, {column: values}
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -97,6 +99,62 @@ def sinr_surface(
     )
 
 
+def _probe_noise(cfg: ScenarioConfig, pos: PolarPosition, num_symbols: int) -> float:
+    """The noise floor of the receiver a BER probe sits at, after checking the symbol count."""
+    if num_symbols < 1:
+        raise ConfigError(f"num_symbols must be >= 1, got {num_symbols}")
+    # Eve's entry comes last, so it wins when Bob and Eve share one position
+    noise_power = {cfg.bob: cfg.noise_power_bob_w, cfg.eve: cfg.noise_power_eve_w}.get(pos)
+    if noise_power is None:
+        raise ConfigError(f"BER is defined at Bob or Eve only, got a probe at {pos}")
+    return noise_power
+
+
+# symbols per decision chunk: its bits, signs and one pair's products take 128-256 KiB each
+_CHUNK = 1 << 14
+
+
+def _bit_errors(
+    cm_gains: complex | np.ndarray, an_gains: complex | np.ndarray,
+    noise_power: float, seed: int, draws: np.ndarray,
+) -> np.ndarray:
+    """Bit errors of every pair of the broadcast gains, over draws.shape[1] QPSK symbols
+    drawn from `seed`; the Gaussian rows fill the caller's (4, symbols) float64 buffer.
+
+    The stream holds the symbols' bits, then the rows Re z, Im z, Re n, Im n of the
+    jamming z and the noise n. PCG64 serves each bit from one 32-bit half of a 64-bit
+    output, so the 2 bits per symbol span the first num_symbols outputs, and the rows
+    start where PCG64(seed).advance(num_symbols) does. The bits are drawn chunk by
+    chunk from a second generator at the start: the same stream, with no array of
+    all the bits.
+    """
+    num_symbols = draws.shape[1]
+    np.random.Generator(np.random.PCG64(seed).advance(num_symbols)).standard_normal(out=draws)
+    bit_rng = np.random.Generator(np.random.PCG64(seed))
+
+    def decision(cm_gain: complex, an_gain: complex) -> tuple[np.ndarray, float]:
+        # decide on conj(cm) y = |cm|^2 x + conj(cm) (an z + n), whose parts have the signs
+        # of those of y / cm; with no message gain, decisions are coin flips on noise
+        rot = cm_gain.conjugate() if cm_gain != 0.0 else 1.0
+        u, v = rot * an_gain / math.sqrt(2.0), rot * math.sqrt(noise_power / 2.0)
+        rows = [[u.real, -u.imag, v.real, -v.imag], [u.imag, u.real, v.imag, v.real]]
+        return np.array(rows), -(abs(cm_gain) ** 2) / math.sqrt(2.0)
+
+    pairs = np.broadcast(cm_gains, an_gains)
+    decisions = [decision(*pair) for pair in pairs]
+    errors = np.zeros(len(decisions), dtype=np.int64)
+    for start in range(0, num_symbols, _CHUNK):
+        chunk = draws[:, start:start + _CHUNK]
+        # Gray-mapped QPSK with unit average power sends (1 - 2b)/sqrt(2) per bit b
+        bits = bit_rng.integers(0, 2, size=(chunk.shape[1], 2), dtype=np.int32)
+        sign = np.multiply(bits.T, 2.0)
+        np.subtract(1.0, sign, out=sign)
+        for p, (rows, threshold) in enumerate(decisions):
+            g = rows @ chunk  # one pair's products, freed before the next pair's
+            errors[p] += np.count_nonzero(np.multiply(g, sign, out=g) < threshold)
+    return errors.reshape(pairs.shape)
+
+
 def ber_monte_carlo(
     cfg: ScenarioConfig,
     plan: np.ndarray,
@@ -111,31 +169,75 @@ def ber_monte_carlo(
     The receiver knows its complex message gain; the jamming signal (unit-power
     circular Gaussian) is treated as noise. Bits, jamming and noise are drawn once
     and every stacked pair sees the same draws. Deterministic for a fixed seed.
+
+    One call runs on the calling thread and holds 32 bytes per symbol for the
+    Gaussian draws, plus about 1 MiB of chunk temporaries. It is the serial oracle
+    of `ber_sweep`, which runs a sweep's points concurrently, one draw buffer per
+    worker thread, and gives each point exactly this call's rate, so sweep CSVs do
+    not depend on the number of workers.
     """
-    if num_symbols < 1:
-        raise ConfigError(f"num_symbols must be >= 1, got {num_symbols}")
-    # Eve's entry comes last, so it wins when Bob and Eve share one position
-    noise_power = {cfg.bob: cfg.noise_power_bob_w, cfg.eve: cfg.noise_power_eve_w}.get(pos)
-    if noise_power is None:
-        raise ConfigError(f"BER is defined at Bob or Eve only, got a probe at {pos}")
+    noise_power = _probe_noise(cfg, pos, num_symbols)
     cm_gains, an_gains = received_model(cfg, plan, beams, pos)
-
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(num_symbols, 2))
-    # Gray-mapped QPSK with unit average power sends (1 - 2b)/sqrt(2) per bit b; the rows
-    # Re z, Im z, Re n, Im n of the jamming z and the noise n are one draw, in stream order
-    sign, draws = np.empty((2, num_symbols)), rng.standard_normal((4, num_symbols))
-    np.subtract(1.0, np.multiply(bits.T, 2.0, out=sign), out=sign)  # C order, as each g
-
-    def bit_errors(cm_gain: complex, an_gain: complex) -> int:
-        # decide on conj(cm) y = |cm|^2 x + conj(cm) (an z + n), whose parts have the signs
-        # of those of y / cm; with no message gain, decisions are coin flips on noise
-        rot = cm_gain.conjugate() if cm_gain != 0.0 else 1.0
-        u, v = rot * an_gain / math.sqrt(2.0), rot * math.sqrt(noise_power / 2.0)
-        rows = [[u.real, -u.imag, v.real, -v.imag], [u.imag, u.real, v.imag, v.real]]
-        g = np.array(rows) @ draws  # one pair's products, freed before the next pair's
-        return np.count_nonzero(np.multiply(g, sign, out=g) < -(abs(cm_gain) ** 2) / math.sqrt(2.0))
-
-    pairs = np.broadcast(cm_gains, an_gains)
-    ber = np.reshape([bit_errors(*pair) for pair in pairs], pairs.shape) / (2.0 * num_symbols)
+    errors = _bit_errors(cm_gains, an_gains, noise_power, seed, np.empty((4, num_symbols)))
+    ber = errors / (2.0 * num_symbols)
     return ber if ber.ndim else float(ber)
+
+
+def _ber_workers(points: int) -> int:
+    """Threads `ber_sweep` runs a sweep of `points` on: one per CPU this process may use,
+    at most one per point."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, points))
+
+
+def ber_sweep(
+    cfg: ScenarioConfig,
+    plan: np.ndarray,
+    beams: BeamPair,
+    pos: PolarPosition,
+    num_symbols: int,
+    seeds: list[int],
+) -> np.ndarray:
+    """`ber_monte_carlo` at every point of a sweep, with beams stacked as B + (points, N)
+    and one seed per point: rates of shape B + (points,), each equal to that of the
+    serial call with the point's beams and seed.
+
+    The points are independent, so they run on `_ber_workers(points)` threads; numpy
+    fills random arrays without holding the interpreter lock. Worker k takes points
+    k, k + W, ..., and the calling thread is worker 0. Each worker draws into its own
+    (4, num_symbols) float64 buffer, allocated up front by the calling thread: 32 bytes
+    per symbol per worker, plus a few chunks of 2**14 symbols. An exception in
+    any worker stops the others at their next point and is raised here.
+    """
+    noise_power = _probe_noise(cfg, pos, num_symbols)
+    cm_gains, an_gains = received_model(cfg, plan, beams, pos)
+    if np.shape(cm_gains)[-1:] != (len(seeds),):
+        raise ValueError(f"beams must stack one pair per seed ({len(seeds)}) before N")
+    errors = np.empty(np.shape(cm_gains), dtype=np.int64)
+    workers = _ber_workers(len(seeds))
+    buffers = [np.empty((4, num_symbols)) for _ in range(workers)]
+    failed: list[BaseException] = []
+
+    def work(k: int) -> None:
+        try:
+            for i in range(k, len(seeds), workers):
+                if failed:
+                    return
+                errors[..., i] = _bit_errors(
+                    cm_gains[..., i], an_gains[..., i], noise_power, seeds[i], buffers[k]
+                )
+        except BaseException as exc:  # raised again by the calling thread, below
+            failed.append(exc)
+
+    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    work(0)
+    for helper in helpers:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return errors / (2.0 * num_symbols)

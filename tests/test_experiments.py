@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from securebeam import (
     sinr_surface,
     synthesize,
 )
-from securebeam import beamformers, experiments
+from securebeam import beamformers, experiments, metrics
 from securebeam.cli import build_parser
 from securebeam.cli import main as cli_main
 from securebeam.experiments import (
@@ -248,7 +250,7 @@ class TestRunExperiment:
                 output_dir=str(out),
             )
             manifest = run_experiment(spec)
-            return open(manifest.outputs[0], "rb").read()
+            return Path(manifest.outputs[0]).read_bytes()
 
         assert run(tmp_path / "a") == run(tmp_path / "b")
 
@@ -290,6 +292,17 @@ class TestRunExperiment:
             names = surface.dtype.names
             want = per_row_csv(names, [surface[n] for n in names])
             assert_same_text((tmp_path / f"sinr_surface_{method.value}.csv").read_text(), want)
+
+    def test_sr_vs_n_draws_one_plan_per_antenna_count(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def spy(seed, num_antennas, num_subcarriers):
+            drawn.append(num_antennas)
+            return build_subcarrier_plan(seed, num_antennas, num_subcarriers)
+
+        monkeypatch.setattr(experiments, "build_subcarrier_plan", spy)
+        run_experiment(ExperimentSpec(kind=ExperimentKind.SR_VS_N, output_dir=str(tmp_path)))
+        assert drawn == list(experiments.DEFAULT_N_SWEEP)
 
     def test_sr_vs_n_files_per_snr(self, tmp_path):
         spec = ExperimentSpec(
@@ -336,6 +349,72 @@ class TestRunExperiment:
                 rows.append(f"{snr_db:.12g},{ber:.12g}")
             lines = (tmp_path / f"ber_vs_snr_{m.value}.csv").read_text().splitlines()
             assert lines[1:] == rows
+
+    @pytest.mark.parametrize("workers", [None, 2, 3], ids=lambda w: f"workers={w}")
+    def test_parallel_ber_csv_equals_serial_calls(self, tmp_path, monkeypatch, workers):
+        # 7 points, more than workers and odd; a symbol count off the decision chunk
+        if workers is not None:  # None: as many as the code picks for this machine
+            monkeypatch.setattr(metrics, "_ber_workers", lambda points: min(workers, points))
+        sweep, n = (0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0), 3 * metrics._CHUNK + 7
+        spec = ExperimentSpec(
+            kind=ExperimentKind.BER_VS_SNR, sweep=sweep, mc_symbols=n, output_dir=str(tmp_path)
+        )
+        run_experiment(spec)
+        cfg = spec.scenario
+        plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
+        for m in Method:
+            rows = []
+            for i, snr_db in enumerate(sweep):
+                cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
+                beams = synthesize(cfg_p, plan, m)
+                ber = ber_monte_carlo(cfg_p, plan, beams, cfg.bob, n, _ber_seed(cfg.rng_seed, i))
+                rows.append(f"{snr_db:.12g},{ber:.12g}")
+            lines = (tmp_path / f"ber_vs_snr_{m.value}.csv").read_text().splitlines()
+            assert lines[1:] == rows
+
+    @pytest.mark.parametrize("failing", [0, 4], ids=["calling-thread", "helper"])
+    def test_ber_worker_exception_propagates(self, tmp_path, monkeypatch, failing):
+        # with 3 workers over 7 points, point 0 is the calling thread's, point 4 a helper's
+        monkeypatch.setattr(metrics, "_ber_workers", lambda points: min(3, points))
+        out = tmp_path / "out"
+        spec = ExperimentSpec(
+            kind=ExperimentKind.BER_VS_SNR, sweep=tuple(range(0, 14, 2)), mc_symbols=2000,
+            output_dir=str(out),
+        )
+        bad_seed, core = _ber_seed(spec.scenario.rng_seed, failing), metrics._bit_errors
+
+        def failing_core(cm_gains, an_gains, noise_power, seed, draws):
+            if seed == bad_seed:
+                raise RuntimeError("point failed")
+            return core(cm_gains, an_gains, noise_power, seed, draws)
+
+        monkeypatch.setattr(metrics, "_bit_errors", failing_core)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="point failed"):
+            run_experiment(spec)
+        assert not out.exists()  # no CSV, no manifest
+        assert set(threading.enumerate()) == before
+
+    def test_ber_memory_is_one_draw_buffer_per_worker(self, tmp_path):
+        # each worker holds its (4, n) float64 buffer, 32 bytes per symbol, plus about
+        # 1 MiB of chunk temporaries; the bits are drawn chunk by chunk
+        sweep, n = (0.0, 10.0, 20.0, 30.0), 400_000
+
+        def run(out, symbols):
+            run_experiment(ExperimentSpec(
+                kind=ExperimentKind.BER_VS_SNR, sweep=sweep, mc_symbols=symbols,
+                output_dir=str(tmp_path / out),
+            ))
+
+        run("warm", 1000)  # one-time imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            run("measured", n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        workers = metrics._ber_workers(len(sweep))
+        assert peak <= workers * (32 * n + 2**20) + 2**20, (peak, workers)
 
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_sr_vs_snr_matches_closed_form_in_power(self, tmp_path, n):

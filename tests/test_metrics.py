@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from securebeam import (
     steering_vector,
     synthesize,
 )
+from securebeam import metrics
 from securebeam.experiments import (
     DEFAULT_RANGE_GRID_M,
     DEFAULT_THETA_GRID_DEG,
+    _ber_seed,
     power_for_snr_db,
 )
+from securebeam.metrics import _CHUNK, ber_sweep
 
 
 def qfunc(x):
@@ -363,6 +367,16 @@ class TestBerMonteCarlo:
                 for beams, ber in zip(pairs, want):
                     assert ber_monte_carlo(cfg, plan, beams, pos, num_symbols, seed) == ber
 
+    @pytest.mark.parametrize("num_symbols", [1, 2, 7, _CHUNK, 3 * _CHUNK + 7])
+    def test_chunked_decisions_equal_literal_ones(self, scenario, num_symbols):
+        # odd counts and counts off the chunk size draw the same stream as one draw
+        cfg, plan = scenario
+        stacked = stack([synthesize(cfg, plan, m) for m in Method])
+        for pos, noise in ((cfg.bob, cfg.noise_power_bob_w), (cfg.eve, cfg.noise_power_eve_w)):
+            want = literal_ber(cfg, plan, stacked, pos, noise, num_symbols, 3)
+            got = ber_monte_carlo(cfg, plan, stacked, pos, num_symbols, 3)
+            np.testing.assert_array_equal(got, want)
+
     def test_exact_zero_message_gain_is_coin_flipping(self, scenario):
         # beta = 0 sends no message power, so cm == 0 exactly and the decisions see
         # only jamming and noise
@@ -477,3 +491,83 @@ class TestBerMonteCarlo:
         for lo, hi in zip(bers[1:], bers[:-1]):
             se = math.sqrt(max(hi, 1e-6) * (1.0 - max(hi, 1e-6)) / n_bits)
             assert lo <= hi + 3.0 * se
+
+
+class TestBerStream:
+    # the BER core draws the bits as int32 in chunks, and the Gaussian rows from a
+    # second generator advanced past the bits; these pin the numpy behaviour that
+    # makes that the single stream of literal_ber: int64 bits, then the Gaussians
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 3 * _CHUNK + 7])
+    def test_int32_bits_are_the_int64_stream(self, n):
+        narrow, wide = np.random.default_rng(11), np.random.default_rng(11)
+        bits = narrow.integers(0, 2, size=(n, 2), dtype=np.int32)
+        np.testing.assert_array_equal(bits, wide.integers(0, 2, size=(n, 2)))
+        assert narrow.bit_generator.state == wide.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 3 * _CHUNK + 7])
+    def test_bits_span_one_64_bit_output_per_symbol(self, n):
+        rng = np.random.default_rng(11)
+        rng.integers(0, 2, size=(n, 2), dtype=np.int32)
+        advanced = np.random.PCG64(11).advance(n).state
+        state = rng.bit_generator.state  # its stale 'uinteger' is unused at has_uint32 == 0
+        assert (state["state"], state["has_uint32"]) == (advanced["state"], 0)
+
+    @pytest.mark.parametrize("n", [7, 3 * _CHUNK + 7])
+    def test_chunked_bits_equal_one_draw(self, n):
+        whole = np.random.default_rng(11).integers(0, 2, size=(n, 2), dtype=np.int32)
+        rng = np.random.default_rng(11)
+        parts = [
+            rng.integers(0, 2, size=(min(_CHUNK, n - start), 2), dtype=np.int32)
+            for start in range(0, n, _CHUNK)
+        ]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+@pytest.fixture
+def switchy():
+    """Switch threads every microsecond, so an unsafe interleaving shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestBerSweep:
+    @pytest.mark.parametrize("workers", [None, 1, 3, 8], ids=lambda w: f"workers={w}")
+    @pytest.mark.parametrize("beta", [0.0, 0.5])  # beta = 0: cm == 0 exactly, coin flips
+    def test_points_equal_serial_calls(self, scenario, monkeypatch, switchy, workers, beta):
+        # 7 points: more than workers, an odd count; symbols off the chunk size
+        if workers is not None:  # None: as many as the code picks for this machine
+            monkeypatch.setattr(metrics, "_ber_workers", lambda points: min(workers, points))
+        cfg, plan = scenario
+        cfg = cfg.replace(power_alloc=beta)
+        snrs_db, num_symbols = np.arange(0.0, 14.0, 2.0), 3 * _CHUNK + 7
+        seeds = [_ber_seed(cfg.rng_seed, i) for i in range(len(snrs_db))]
+        by_method = [
+            [synthesize(cfg.replace(total_power_w=p), plan, m) for p in power_for_snr_db(cfg, snrs_db)]
+            for m in Method
+        ]
+        swept = stack([stack(row) for row in by_method])  # (methods, points, N)
+        for pos in (cfg.bob, cfg.eve):
+            assert np.all(received_model(cfg, plan, swept, pos)[0] == 0.0) == (beta == 0.0)
+            got = ber_sweep(cfg, plan, swept, pos, num_symbols, seeds)
+            assert got.shape == (len(Method), len(snrs_db))
+            for i, seed in enumerate(seeds):
+                point = stack([row[i] for row in by_method])
+                want = ber_monte_carlo(cfg, plan, point, pos, num_symbols, seed)
+                np.testing.assert_array_equal(got[:, i], want)
+            if beta == 0.0:
+                se = math.sqrt(0.25 / (2.0 * num_symbols))
+                assert np.all(np.abs(got - 0.5) <= 4.0 * se), got
+
+    def test_seed_count_must_match_points(self, scenario):
+        cfg, plan = scenario
+        beams = synthesize(cfg, plan, Method.EA)
+        with pytest.raises(ValueError, match="one pair per seed"):
+            ber_sweep(cfg, plan, beams, cfg.bob, 1000, [1, 2])
+
+    def test_one_point_runs_on_the_calling_thread(self):
+        assert metrics._ber_workers(1) == 1
