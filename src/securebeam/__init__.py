@@ -11,7 +11,6 @@ from .beamformers import (
     ea_beamformer,
     min_rtp_beamformer,
     min_tp_beamformer,
-    null_projector,
     synthesize,
 )
 from .channel import (

@@ -1,5 +1,5 @@
 # securebeam/beamformers.py
-"""Null-space projectors and the three beamformer pairs (EA, Min-TP, Min-RTP)."""
+"""The three beamformer pairs (EA, Min-TP, Min-RTP)."""
 from __future__ import annotations
 
 import enum
@@ -38,7 +38,7 @@ def _check_gamma(gamma: float) -> None:
         raise ConfigError(f"regularization factors must be finite and >= 0, got {gamma}")
 
 
-#: plateau-region default used by the reference experiments
+#: the factors `synthesize` builds Min-RTP with; no factor changes its beam
 DEFAULT_GAMMAS = RegularizationParams(gamma_cm=2.1, gamma_an=1.8)
 
 
@@ -54,18 +54,12 @@ class BeamPair:
     w_an: np.ndarray
 
 
-def null_projector(h: np.ndarray) -> np.ndarray:
-    """Dense I_N - h h^H for a unit-norm h: Hermitian, idempotent, annihilates h, rank N-1.
-    The beamformers apply it in rank-1 form; this (N, N) matrix is their reference."""
-    return np.eye(h.size, dtype=np.complex128) - np.outer(h, h.conj())
-
-
 def min_tp_beamformer(h_target: np.ndarray, h_null: np.ndarray) -> np.ndarray:
     """Minimum-norm beam with unit gain on h_target and a null on the unit-norm
     h_null, both (N,) arrays.
 
     Uses the exact simplification P (P^H P)^+ P^H = P for the orthogonal projector
-    P = null_projector(h_null), so the direction is P h_target / ||P h_target||^2
+    P = I - h_null h_null^H, so the direction is P h_target / ||P h_target||^2
     with no numerical pseudo-inverse involved, computed in O(N) as h_t - h_n (h_n^H h_t).
     """
     p_ht = h_target - h_null * (h_null.conj() @ h_target)
@@ -80,7 +74,7 @@ def min_tp_beamformer(h_target: np.ndarray, h_null: np.ndarray) -> np.ndarray:
 
 def min_rtp_beamformer(h_target: np.ndarray, h_null: np.ndarray, gamma: float) -> np.ndarray:
     """Regularized minimum-power beam: the ridge update P (P^H P + gamma I)^-1 P^H
-    h_target for P = null_projector(h_null), rescaled to unit target gain; both
+    h_target for P = I - h_null h_null^H, rescaled to unit target gain; both
     channels are (N,) arrays.
 
     P (P^H P + gamma I)^-1 P^H = P / (1 + gamma) for an orthogonal projector P,
@@ -98,17 +92,13 @@ def ea_beamformer(h_target: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.angle(h_target)) / np.sqrt(len(h_target))
 
 
-def synthesize(
-    cfg: ScenarioConfig,
-    plan: np.ndarray,
-    method: Method,
-    gammas: RegularizationParams = DEFAULT_GAMMAS,
-) -> BeamPair:
+def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method) -> BeamPair:
     """Build the power-allocated beam pair for one method.
 
     The message beam targets Bob and (for Min-TP / Min-RTP) nulls Eve; the
     jamming beam targets Eve and nulls Bob. Each direction is unit-normalized
-    then scaled by sqrt(beta P_s) and sqrt((1 - beta) P_s).
+    then scaled by sqrt(beta P_s) and sqrt((1 - beta) P_s). Min-RTP uses
+    DEFAULT_GAMMAS: no gamma changes its beam, so only the gamma search sets one.
     """
     h_b = steering_vector(plan, cfg, cfg.bob)
     h_e = steering_vector(plan, cfg, cfg.eve)
@@ -120,8 +110,8 @@ def synthesize(
         d_cm = min_tp_beamformer(h_b, h_e)
         d_an = min_tp_beamformer(h_e, h_b)
     elif method is Method.MIN_RTP:
-        d_cm = min_rtp_beamformer(h_b, h_e, gammas.gamma_cm)
-        d_an = min_rtp_beamformer(h_e, h_b, gammas.gamma_an)
+        d_cm = min_rtp_beamformer(h_b, h_e, DEFAULT_GAMMAS.gamma_cm)
+        d_an = min_rtp_beamformer(h_e, h_b, DEFAULT_GAMMAS.gamma_an)
     else:
         raise ConfigError(f"unknown method {method!r}")
 

@@ -26,8 +26,6 @@ _FLAGS = {
     "--beta": ("beta", "power fraction for the message beam"),
     "--n-antennas": ("n_antennas", "number of transmit antennas"),
     "--snr-db": ("snr_db", "fixed SNR in dB (surfaces)"),
-    "--gamma-cm": ("gamma_cm", "message-beam regularization"),
-    "--gamma-an": ("gamma_an", "jamming-beam regularization"),
 }
 
 

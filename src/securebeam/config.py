@@ -23,24 +23,26 @@ def dbm_to_watts(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class PolarPosition:
-    """Receiver location seen from the array: direction angle (rad) and range (m)."""
+    """Receiver location seen from the array: direction angle (rad) and range (m).
+    `angle_deg` keeps the degrees given to `from_degrees` exactly, as
+    math.degrees(math.radians(x)) need not be x; equality ignores it."""
 
     angle_rad: float
     range_m: float
+    angle_deg: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.angle_rad < math.pi):
             raise ConfigError(f"angle_rad must lie strictly in (0, pi), got {self.angle_rad}")
         if not (math.isfinite(self.range_m) and self.range_m > 0.0):
             raise ConfigError(f"range_m must be finite and > 0, got {self.range_m}")
+        object.__setattr__(self, "angle_deg", math.degrees(self.angle_rad))
 
     @classmethod
     def from_degrees(cls, angle_deg: float, range_m: float) -> "PolarPosition":
-        return cls(math.radians(angle_deg), range_m)
-
-    @property
-    def angle_deg(self) -> float:
-        return math.degrees(self.angle_rad)
+        pos = cls(math.radians(angle_deg), range_m)
+        object.__setattr__(pos, "angle_deg", float(angle_deg))
+        return pos
 
 
 def _default_bob() -> PolarPosition:

@@ -8,6 +8,7 @@ import decimal
 import enum
 import json
 import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beamformers import DEFAULT_GAMMAS, BeamPair, Method, RegularizationParams, synthesize
+from .beamformers import BeamPair, Method, synthesize
 from .channel import build_subcarrier_plan, path_loss
 from .config import ConfigError, PolarPosition, ScenarioConfig, dbm_to_watts
 from .metrics import ber_sweep, secrecy_rate, sinr_surface
@@ -49,6 +50,17 @@ def power_for_snr_db(cfg: ScenarioConfig, snr_db: np.ndarray | float) -> np.ndar
     return power
 
 
+def _grid(name: str, grid: tuple) -> tuple[float, float, int]:
+    """A (start, stop, points) triple for linspace: finite ends and an integer count >= 1."""
+    try:  # math.isfinite takes only real numbers, operator.index only integers
+        start, stop, points = grid
+        if math.isfinite(start) and math.isfinite(stop) and operator.index(points) >= 1:
+            return float(start), float(stop), operator.index(points)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be (start, stop, points), finite, points >= 1: {grid!r}")
+
+
 @dataclass
 class ExperimentSpec:
     """One experiment: which dataset to produce, over which sweep, for which methods."""
@@ -59,7 +71,6 @@ class ExperimentSpec:
     methods: tuple[Method, ...] = tuple(Method)
     mc_symbols: int = 100_000
     output_dir: str = "out"
-    gammas: RegularizationParams = DEFAULT_GAMMAS
     gamma_grid_max: float = 3.0
     gamma_grid_points: int = 31
     snr_db_list: tuple[float, ...] = DEFAULT_SR_VS_N_SNRS_DB  # sr_vs_n only
@@ -93,6 +104,8 @@ class ExperimentSpec:
         # the grid linspace(0, top, points) must be finite and end at top; one point is just 0
         if not (math.isfinite(top) and top >= 0.0 and (top == 0.0) == (points == 1)):
             raise ConfigError(f"gamma_max must be 0 for 1 point, else finite and > 0, got {top}")
+        for name in ("theta_grid_deg", "range_grid_m"):
+            setattr(self, name, _grid(name, getattr(self, name)))
         snr_sweep = self.kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR)
         try:
             power_for_snr_db(self.scenario, [*self.snr_db_list, *(self.sweep if snr_sweep else ())])
@@ -158,7 +171,7 @@ def _power_sweep(
     """The methods' distinct beams at every SNR, stacked as (pairs, SNRs, N), and each method's
     position in the stack: every weight scales with sqrt(P_s), so each is built at unit power."""
     unit_cfg = cfg.replace(total_power_w=1.0)
-    units, index = _distinct([synthesize(unit_cfg, plan, m, spec.gammas) for m in spec.methods])
+    units, index = _distinct([synthesize(unit_cfg, plan, m) for m in spec.methods])
     scale = np.sqrt(power_for_snr_db(cfg, snrs_db))[:, np.newaxis]
     w_cm = np.array([scale * u.w_cm for u in units])
     return BeamPair(w_cm, np.array([scale * u.w_an for u in units])), index
@@ -192,12 +205,11 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
         theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
         # every beam is built before the first file is written, so an infeasible
         # method leaves no partial output behind
-        pairs, index = _distinct([synthesize(cfg, plan, m, spec.gammas) for m in spec.methods])
+        pairs, index = _distinct([synthesize(cfg, plan, m) for m in spec.methods])
         for k, beams in enumerate(pairs):
             surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
-            axes = dict(zip(surface.dtype.names[:2], (theta, ranges)))
-            values = {n: surface[n] for n in surface.dtype.names[2:]}
-            yield _shared(spec, index, k), axes, values
+            values = {n: surface[n] for n in surface.dtype.names}
+            yield _shared(spec, index, k), {"theta_deg": theta, "range_m": ranges}, values
 
     else:  # SR_VS_SNR or BER_VS_SNR
         beams, index = _power_sweep(spec, cfg, plan, spec.sweep)
@@ -244,8 +256,6 @@ def _spec_as_dict(spec: ExperimentSpec) -> dict:
         "methods": [m.value for m in spec.methods],
         "sweep": list(spec.sweep),
         "mc_symbols": spec.mc_symbols,
-        "gamma_cm": spec.gammas.gamma_cm,
-        "gamma_an": spec.gammas.gamma_an,
         "scenario": scenario,
         **{k: getattr(spec, k) for k in ("snr_db_list", "gamma_grid_max", "gamma_grid_points",
                                          "theta_grid_deg", "range_grid_m")},
@@ -272,6 +282,14 @@ def _int(text: str) -> int:
     raise ValueError(f"not an integer: {text!r}")
 
 
+def _count(text: str) -> int:
+    # counts size numpy arrays and draws, whose sizes are int64
+    number = _int(text)
+    if abs(number) >= 2**63:
+        raise ValueError(f"{text.strip()} does not fit in int64")
+    return number
+
+
 def _split(text: str) -> list[str]:
     parts = text.replace(",", " ").split()
     if not parts:
@@ -283,8 +301,8 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in _split(text))
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(_int(part) for part in _split(text))
+def _counts(text: str) -> tuple[int, ...]:
+    return tuple(_count(part) for part in _split(text))
 
 
 def _dbm(text: str) -> float:
@@ -312,8 +330,8 @@ KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "experiment": ("kind", _kind),
     "methods": ("methods", _methods),
     "seed": ("rng_seed", _int),
-    "n_antennas": ("num_antennas", _int),
-    "n_subcarriers": ("num_subcarriers", _int),
+    "n_antennas": ("num_antennas", _count),
+    "n_subcarriers": ("num_subcarriers", _count),
     "carrier_freq_hz": ("carrier_freq_hz", float),
     "bandwidth_hz": ("total_bandwidth_hz", float),
     "element_spacing_m": ("element_spacing_m", float),
@@ -327,12 +345,10 @@ KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "eve_theta_deg": (None, float),
     "eve_range_m": (None, float),
     "snr_list": (None, _floats),
-    "n_list": (None, _ints),
-    "mc_symbols": ("mc_symbols", _int),
-    "gamma_cm": (None, float),
-    "gamma_an": (None, float),
+    "n_list": (None, _counts),
+    "mc_symbols": ("mc_symbols", _count),
     "gamma_max": ("gamma_grid_max", float),
-    "gamma_points": ("gamma_grid_points", _int),
+    "gamma_points": ("gamma_grid_points", _count),
     "out_dir": ("output_dir", str),
 }
 
@@ -387,10 +403,6 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
             raise ConfigError(f"snr_db: {exc}") from exc
     spec_kwargs["scenario"] = cfg
 
-    spec_kwargs["gammas"] = RegularizationParams(
-        gamma_cm=get("gamma_cm", DEFAULT_GAMMAS.gamma_cm),
-        gamma_an=get("gamma_an", DEFAULT_GAMMAS.gamma_an),
-    )
     kind = spec_kwargs.get("kind", ExperimentSpec.kind)
     if kind is ExperimentKind.SR_VS_N:
         spec_kwargs["sweep"] = get("n_list", ())

@@ -76,27 +76,25 @@ def sinr_surface(
     probe_noise: float,
 ) -> np.recarray:
     """Message-beam SINR (dB) and jamming power (dB) over an angle-range grid, as a
-    record array with one record per grid point: the probe's angle and range, then
-    the two fields in dB, under the names in its `dtype.names`.
+    record array with one record per grid point and the fields `cm_sinr_db` and
+    `an_power_db`, the names in its `dtype.names`.
 
     Every grid point is probed with the same receiver noise power. Records run
-    theta-major, matching meshgrid order.
+    theta-major: record i * len(range_m_grid) + j probes (theta_deg_grid[i],
+    range_m_grid[j]).
     """
     theta_deg = np.asarray(theta_deg_grid, dtype=np.float64)
     r = np.asarray(range_m_grid, dtype=np.float64)
     if theta_deg.size == 0 or r.size == 0 or not np.all(np.isfinite(theta_deg)):
         raise ConfigError("angle and range grids must be nonempty, with finite angles")
 
-    tt, rr = np.meshgrid(theta_deg, r, indexing="ij")
     cm, an = _received(cfg, plan, beams, np.radians(theta_deg), r)
     try:
         cm_sinr = sinr(cm, an, probe_noise)
     except ConfigError as exc:
         raise ConfigError(f"probe_noise: {exc}") from exc
-    columns = (tt, rr, _to_db(cm_sinr), _to_db(np.abs(an) ** 2))
-    return np.rec.fromarrays(
-        [c.ravel() for c in columns], names=("theta_deg", "range_m", "cm_sinr_db", "an_power_db")
-    )
+    columns = (_to_db(cm_sinr).ravel(), _to_db(np.abs(an) ** 2).ravel())
+    return np.rec.fromarrays(columns, names=("cm_sinr_db", "an_power_db"))
 
 
 def _probe_noise(cfg: ScenarioConfig, pos: PolarPosition, num_symbols: int) -> float:

@@ -18,7 +18,6 @@ from securebeam import (
     grid_search_gamma,
     min_rtp_beamformer,
     min_tp_beamformer,
-    null_projector,
     received_model,
     secrecy_rate,
     sinr_surface,
@@ -32,7 +31,7 @@ from securebeam.experiments import (
     power_for_snr_db,
     run_experiment,
 )
-from tests.test_beamformers import kkt_min_norm
+from tests.test_beamformers import kkt_min_norm, null_projector
 
 
 def report(num: int, desc: str, ok: bool) -> None:

@@ -11,15 +11,21 @@ from securebeam import (
     ea_beamformer,
     min_rtp_beamformer,
     min_tp_beamformer,
-    null_projector,
     steering_vector,
     synthesize,
 )
+from securebeam.beamformers import power_scaled
 
 
 def random_unit(n, rng):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def null_projector(h):
+    """Dense reference I_N - h h^H for a unit-norm h: Hermitian, idempotent, annihilates h,
+    rank N-1. The beamformers apply it in rank-1 form, h_t - h (h^H h_t), and never build it."""
+    return np.eye(h.size, dtype=np.complex128) - np.outer(h, h.conj())
 
 
 def kkt_min_norm(h_target, h_null):
@@ -235,11 +241,15 @@ class TestSynthesize:
 
     def test_min_rtp_alignment_phase(self, setup):
         cfg, plan = setup
-        beams = synthesize(cfg, plan, Method.MIN_RTP, RegularizationParams(2.1, 1.8))
         h_b = steering_vector(plan, cfg, cfg.bob)
-        gain = h_b.conj() @ beams.w_cm
-        assert abs(np.angle(gain)) <= 1e-8
-        assert gain.real > 0.0
+        h_e = steering_vector(plan, cfg, cfg.eve)
+        for w_cm in (
+            synthesize(cfg, plan, Method.MIN_RTP).w_cm,
+            power_scaled(cfg, min_rtp_beamformer(h_b, h_e, 2.1), cfg.power_alloc),
+        ):
+            gain = h_b.conj() @ w_cm
+            assert abs(np.angle(gain)) <= 1e-8
+            assert gain.real > 0.0
 
     def test_all_power_to_message(self, setup):
         cfg, plan = setup

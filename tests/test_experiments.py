@@ -13,7 +13,6 @@ from securebeam import (
     ConfigError,
     ExperimentKind,
     Method,
-    RegularizationParams,
     ScenarioConfig,
     ber_monte_carlo,
     build_subcarrier_plan,
@@ -135,7 +134,6 @@ class TestLoadConfig:
         assert cfg.element_spacing_m == pytest.approx(cfg.wavelength_m / 2.0)
         assert spec.methods == (Method.EA, Method.MIN_TP, Method.MIN_RTP)
         assert spec.sweep == tuple(float(s) for s in range(0, 31, 2))
-        assert spec.gammas == RegularizationParams(2.1, 1.8)
 
     def test_beta_out_of_range_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="beta"):
@@ -184,7 +182,9 @@ class TestLoadConfig:
         assert spec.mc_symbols == 100_000
 
     @pytest.mark.parametrize(
-        "text, seed", [("16.0", 16), ("1e3", 1000), (" 7 ", 7), ("9007199254740993", 2**53 + 1)]
+        "text, seed",
+        [("16.0", 16), ("1e3", 1000), (" 7 ", 7), ("9007199254740993", 2**53 + 1),
+         ("18446744073709551616", 2**64)],  # a seed is not a count: no int64 bound
     )
     def test_integer_text_parsed_exactly(self, text, seed):
         assert spec_from_values({"seed": text}).scenario.rng_seed == seed
@@ -194,6 +194,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="seed: not an integer"):
             spec_from_values({"seed": text})
 
+    @pytest.mark.parametrize(
+        "key", ["n_antennas", "n_subcarriers", "mc_symbols", "gamma_points", "n_list"]
+    )
+    def test_count_beyond_int64_rejected(self, key):
+        # caught while parsing, before numpy sees it; no spec made here is run
+        for text in (str(2**63), str(-(2**63)), "1e19"):
+            with pytest.raises(ConfigError, match=f"{key}: .* does not fit in int64"):
+                spec_from_values({key: text})
+        try:
+            spec_from_values({key: str(2**63 - 1)})
+        except ConfigError as exc:  # another bound may reject it, but not this one
+            assert "int64" not in str(exc)
+
     def test_ber_symbol_floor(self, tmp_path):
         with pytest.raises(ConfigError, match="mc_symbols"):
             load_config(write(tmp_path, "experiment = ber_vs_snr\nmc_symbols = 10\n"))
@@ -202,6 +215,13 @@ class TestLoadConfig:
         text = README.read_text()
         listed = re.search(r"Recognized keys:(.*?)\.\s", text, re.S).group(1)
         assert set(re.findall(r"`(\w+)`", listed)) == set(KEYS)
+
+    def test_readme_lists_every_manifest_field(self, tmp_path):
+        text = README.read_text()
+        listed = re.search(r"The manifest's `config` records(.*?)\.\s", text, re.S).group(1)
+        run_experiment(ExperimentSpec(sweep=(10.0,), output_dir=str(tmp_path)))
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert set(re.findall(r"`(\w+)`", listed)) == set(config)
 
     def test_readme_library_example_runs(self, capsys):
         text = README.read_text().split("\n## Library\n", 1)[1]
@@ -226,6 +246,31 @@ class TestRunExperiment:
         # caught when the spec is made, under the key that set it, not midway through the run
         with pytest.raises(ConfigError, match=f"n_list: {reason}"):
             ExperimentSpec(kind=ExperimentKind.SR_VS_N, sweep=(4.0, n))
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("theta_grid_deg", (0.0, 180.0, 2.5)),
+            ("theta_grid_deg", (0.0, 180.0, -1)),
+            ("theta_grid_deg", (0.0, 180.0, 0)),
+            ("theta_grid_deg", (0.0, math.nan, 5)),
+            ("theta_grid_deg", (0.0, 180.0)),
+            ("range_grid_m", (500.0, math.inf, 3)),
+            ("range_grid_m", (500.0, 3000.0, 2.0)),
+            ("range_grid_m", ("500", 3000.0, 2)),
+            ("range_grid_m", None),
+        ],
+    )
+    def test_malformed_grid_triple_rejected(self, name, grid):
+        # linspace would raise TypeError or ValueError midway through the run
+        with pytest.raises(ConfigError, match=name):
+            ExperimentSpec(kind=ExperimentKind.SINR_SURFACE, **{name: grid})
+
+    def test_grid_triple_stored_as_floats_and_an_int(self):
+        # so the manifest can write it as [start, stop, points]
+        spec = ExperimentSpec(theta_grid_deg=(np.int64(60), 110, np.int64(11)))
+        assert spec.theta_grid_deg == (60.0, 110.0, 11)
+        assert [type(x) for x in spec.theta_grid_deg] == [float, float, int]
 
     def test_sr_vs_snr_single_point(self, tmp_path):
         spec = ExperimentSpec(
@@ -279,18 +324,20 @@ class TestRunExperiment:
         assert len(lines) == 1 + 30
 
     def test_default_sinr_surface_csv_equals_its_record_array(self, tmp_path):
-        # the writer takes theta and range as axes; its rows must be the record array's,
-        # theta-major as meshgrid 'ij' gives them, column for column
+        # the writer takes theta and range as axes; its rows must be the meshgrid 'ij'
+        # points, theta-major, beside the record array's fields, column for column
         spec = ExperimentSpec(kind=ExperimentKind.SINR_SURFACE, output_dir=str(tmp_path))
         run_experiment(spec)
         cfg = spec.scenario
         plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
         theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
+        grid = np.meshgrid(theta, ranges, indexing="ij")
         for method in Method:
-            beams = synthesize(cfg, plan, method, spec.gammas)
+            beams = synthesize(cfg, plan, method)
             surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
             names = surface.dtype.names
-            want = per_row_csv(names, [surface[n] for n in names])
+            columns = [*grid, *(surface[n] for n in names)]
+            want = per_row_csv(["theta_deg", "range_m", *names], columns)
             assert_same_text((tmp_path / f"sinr_surface_{method.value}.csv").read_text(), want)
 
     def test_sr_vs_n_draws_one_plan_per_antenna_count(self, tmp_path, monkeypatch):
@@ -662,6 +709,9 @@ class TestCli:
             (["gamma-surface", "--grid", "3:1"], "gamma_max"),
             (["sr-vs-n", "--n-list", "4,0"], "n_list: num_antennas"),
             (["sr-vs-n", "--n-list", "4,5000"], "n_list: num_subcarriers"),
+            (["ber-vs-snr", "--mc-symbols", "1e20"], "mc_symbols: 1e20 does not fit in int64"),
+            (["gamma-surface", "--grid", "3:1e19"], "gamma_points: 1e19 does not fit in int64"),
+            (["sr-vs-n", "--n-list", "4,1e19"], "n_list: 1e19 does not fit in int64"),
         ],
     )
     def test_boundary_input_exit_code(self, tmp_path, capsys, argv, key):
@@ -692,6 +742,36 @@ class TestCli:
             csvs.append((out / "sr_vs_snr_min_tp.csv").read_bytes())
         assert csvs[0] != csvs[1]
 
+    def test_config_count_beyond_int64_exit_code(self, tmp_path, capsys):
+        # numpy would raise OverflowError from the plan draw
+        cfgfile = write(tmp_path, "n_subcarriers = 1e19\n")
+        assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
+        assert "n_subcarriers: 1e19 does not fit in int64" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_gamma_is_set_only_by_the_grid(self, tmp_path, capsys):
+        # no gamma changes a Min-RTP beam, so no key or flag sets one outside the search
+        cfgfile = write(tmp_path, "gamma_cm = 1\n")
+        assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'gamma_cm'" in capsys.readouterr().err
+        for flag in ("--gamma-cm", "--gamma-an"):
+            with pytest.raises(SystemExit) as exit_:
+                cli_main(["sr-vs-snr", flag, "1", "--out", str(tmp_path / "o")])
+            assert exit_.value.code == 2
+            assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_records_angles_as_given(self, tmp_path):
+        # math.degrees(math.radians(3)) is 3.0000000000000004, and its radians are not 3 deg's
+        cfgfile = write(tmp_path, "bob_theta_deg = 3\n")
+        argv = ["sr-vs-snr", "--method", "ea", "--config", cfgfile, "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        scenario = manifest["config"]["scenario"]
+        assert scenario["bob_theta_deg"] == 3.0 and scenario["eve_theta_deg"] == 100.0
+        replayed = spec_from_values({"bob_theta_deg": repr(scenario["bob_theta_deg"])})
+        assert replayed.scenario.bob.angle_rad == math.radians(3.0)
+
     def test_gamma_surface_grid_flag(self, tmp_path):
         rc = cli_main(["gamma-surface", "--grid", "2:3", "--out", str(tmp_path)])
         assert rc == 0
@@ -713,7 +793,7 @@ class TestCli:
         config = json.loads((tmp_path / "manifest.json").read_text())["config"]
         defaults = {
             "methods": ["ea", "min_tp", "min_rtp"], "mc_symbols": 100_000,
-            "gamma_cm": 2.1, "gamma_an": 1.8, "snr_db_list": [5.0, 15.0, 25.0],
+            "snr_db_list": [5.0, 15.0, 25.0],
             "gamma_grid_max": 3.0, "gamma_grid_points": 31,
             "theta_grid_deg": [0.0, 180.0, 181], "range_grid_m": [500.0, 2987.5, 200],
         }

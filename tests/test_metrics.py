@@ -12,7 +12,6 @@ from securebeam import (
     ScenarioConfig,
     ber_monte_carlo,
     build_subcarrier_plan,
-    null_projector,
     path_loss,
     received_model,
     secrecy_rate,
@@ -29,6 +28,7 @@ from securebeam.experiments import (
     power_for_snr_db,
 )
 from securebeam.metrics import _CHUNK, ber_sweep
+from tests.test_beamformers import null_projector
 
 
 def qfunc(x):
@@ -219,7 +219,7 @@ class TestSinrSurface:
             cfg, plan, beams, np.array([70.0]), np.array([1000.0]), cfg.noise_power_bob_w
         )
         assert len(samples) == 1
-        assert samples[0].theta_deg == 70.0 and samples[0].range_m == 1000.0
+        assert samples.dtype.names == ("cm_sinr_db", "an_power_db")
 
     def test_empty_grid_rejected(self, scenario):
         cfg, plan = scenario
@@ -283,11 +283,12 @@ class TestSinrSurface:
         beams = synthesize(cfg, plan, method)
         theta, ranges = np.linspace(0.0, 180.0, 37), np.linspace(500.0, 2987.5, 40)
         samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+        tt, rr = (g.ravel() for g in np.meshgrid(theta, ranges, indexing="ij"))
         for i in np.random.default_rng(3).choice(len(samples), size=60, replace=False):
             s = samples[i]
-            if not 0.0 < s.theta_deg < 180.0:
+            if not 0.0 < tt[i] < 180.0:
                 continue  # endfire rows lie outside PolarPosition's open interval
-            pos = PolarPosition.from_degrees(s.theta_deg, s.range_m)
+            pos = PolarPosition.from_degrees(tt[i], rr[i])
             cm_gain, an_gain = received_model(cfg, plan, beams, pos)
             cm_db = 10.0 * math.log10(max(sinr(cm_gain, an_gain, cfg.noise_power_bob_w), 1e-30))
             an_db = 10.0 * math.log10(max(abs(an_gain) ** 2, 1e-30))
@@ -304,10 +305,10 @@ class TestSinrSurface:
         beams = synthesize(cfg, plan, method)
         theta, ranges = np.linspace(*DEFAULT_THETA_GRID_DEG), np.linspace(*DEFAULT_RANGE_GRID_M)
         field = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+        tt, rr = (g.ravel() for g in np.meshgrid(theta, ranges, indexing="ij"))
 
         def cell(pos):
-            hit = np.isclose(field.theta_deg, pos.angle_deg, rtol=0.0)
-            hit &= field.range_m == pos.range_m
+            hit = np.isclose(tt, pos.angle_deg, rtol=0.0) & (rr == pos.range_m)
             assert np.count_nonzero(hit) == 1  # the default grid holds Bob and Eve
             return field[hit][0]
 

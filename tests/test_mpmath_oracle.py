@@ -106,13 +106,13 @@ def test_deepest_field_cells_match_oracle(method):
     beams = synthesize(cfg, plan, method)
     theta, ranges = np.linspace(*DEFAULT_THETA_GRID_DEG), np.linspace(*DEFAULT_RANGE_GRID_M)
     field = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+    tt, rr = (g.ravel() for g in np.meshgrid(theta, ranges, indexing="ij"))
     for column in ("cm_sinr_db", "an_power_db"):
         values = field[column]
         above = np.flatnonzero(values > -300.0)
         for i in above[np.argsort(values[above])[:15]]:
-            cell = field[i]
             sinr_cm, an = mp_sinr(
-                cfg, plan, beams, np.radians(cell.theta_deg), cell.range_m, cfg.noise_power_bob_w
+                cfg, plan, beams, np.radians(tt[i]), rr[i], cfg.noise_power_bob_w
             )
             want = 10 * mp.log10(sinr_cm if column == "cm_sinr_db" else an)
-            assert abs(values[i] - want) <= 1e-10, (column, cell)
+            assert abs(values[i] - want) <= 1e-10, (column, tt[i], rr[i])

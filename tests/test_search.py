@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from securebeam import (
+    BeamPair,
     ConfigError,
     GammaGrid,
     Method,
@@ -12,9 +13,11 @@ from securebeam import (
     grid_search_gamma,
     min_tp_beamformer,
     secrecy_rate,
+    steering_vector,
     synthesize,
 )
 from securebeam import beamformers, search
+from securebeam.beamformers import power_scaled
 
 
 @pytest.fixture
@@ -84,7 +87,7 @@ class TestGridSearch:
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("blend", [False, True])
     def test_matches_per_cell_synthesis(self, n, blend, monkeypatch):
-        # oracle: one synthesize + secrecy_rate per cell, on a non-square grid.
+        # oracle: one beam pair + secrecy_rate per cell, on a non-square grid.
         # Min-RTP's surface is flat, so a gamma-dependent stand-in beam also
         # checks that each gamma lands on its own row and column.
         if blend:
@@ -101,14 +104,17 @@ class TestGridSearch:
             gamma_an_values=np.array([0.05, 0.7, 1.8, 3.0, 25.0]),
         )
         result = grid_search_gamma(cfg, plan, grid)
+        h_b, h_e = steering_vector(plan, cfg, cfg.bob), steering_vector(plan, cfg, cfg.eve)
+        beta = cfg.power_alloc
+
+        def pair(gc, ga):  # looked up on the module, so the stand-in applies
+            w_cm = power_scaled(cfg, beamformers.min_rtp_beamformer(h_b, h_e, gc), beta)
+            w_an = power_scaled(cfg, beamformers.min_rtp_beamformer(h_e, h_b, ga), 1.0 - beta)
+            return BeamPair(w_cm, w_an)
+
         expected = np.array(
             [
-                [
-                    secrecy_rate(
-                        cfg, plan, synthesize(cfg, plan, Method.MIN_RTP, RegularizationParams(gc, ga))
-                    )
-                    for ga in grid.gamma_an_values
-                ]
+                [secrecy_rate(cfg, plan, pair(gc, ga)) for ga in grid.gamma_an_values]
                 for gc in grid.gamma_cm_values
             ]
         )
