@@ -1,5 +1,5 @@
 # securebeam/cli.py
-"""Command-line entry point: one subcommand per experiment, CSV outputs."""
+"""Command-line entry point: one command per experiment, CSV outputs."""
 from __future__ import annotations
 
 import argparse
@@ -39,15 +39,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one parser: every command takes the same flags, and each add_argument call
+    # costs a help formatter, so five subparsers would add each flag five times
     parser = argparse.ArgumentParser(
         prog="securebeam",
         description="Reproduce secrecy-rate, SINR-field, and BER experiments for "
         "null-steered precise jamming and communication.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} experiment")
-        _add_common(p)
+    parser.add_argument("command", choices=_SUBCOMMANDS, help="the experiment to run")
+    _add_common(parser)
     return parser
 
 

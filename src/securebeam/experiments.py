@@ -390,9 +390,14 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
     defaults = ScenarioConfig()
     for who in ("bob", "eve"):
         pos = getattr(defaults, who)
-        scenario_kwargs[who] = PolarPosition.from_degrees(
-            get(f"{who}_theta_deg", pos.angle_deg), get(f"{who}_range_m", pos.range_m)
-        )
+        theta_key, range_key = f"{who}_theta_deg", f"{who}_range_m"
+        try:
+            scenario_kwargs[who] = PolarPosition.from_degrees(
+                get(theta_key, pos.angle_deg), get(range_key, pos.range_m)
+            )
+        except ConfigError as exc:  # the defaults are valid, so the bad key was given
+            key = theta_key if str(exc).startswith("angle_rad") else range_key
+            raise ConfigError(f"{key} = {values[key]!r}: {exc}") from exc
     cfg = ScenarioConfig(**scenario_kwargs)
     if "snr_db" in parsed and "total_power_w" in parsed:
         raise ConfigError("snr_db and total_power_w both set the transmit power; give one")

@@ -108,8 +108,10 @@ def _probe_noise(cfg: ScenarioConfig, pos: PolarPosition, num_symbols: int) -> f
     return noise_power
 
 
-# symbols per decision chunk: its bits, signs and one pair's products take 128-256 KiB each
+# symbols per decision chunk: its bit masks and each pair's products take 128-256 KiB each
 _CHUNK = 1 << 14
+# the sign bit of a float64
+_SIGN = np.uint64(1 << 63)
 
 
 def _bit_errors(
@@ -120,15 +122,16 @@ def _bit_errors(
     drawn from `seed`; the Gaussian rows fill the caller's (4, symbols) float64 buffer.
 
     The stream holds the symbols' bits, then the rows Re z, Im z, Re n, Im n of the
-    jamming z and the noise n. PCG64 serves each bit from one 32-bit half of a 64-bit
-    output, so the 2 bits per symbol span the first num_symbols outputs, and the rows
-    start where PCG64(seed).advance(num_symbols) does. The bits are drawn chunk by
+    jamming z and the noise n. The bits are those of integers(0, 2, (num_symbols, 2)),
+    which takes each from the top bit of one 32-bit half of a 64-bit output, low half
+    first: symbol s's I and Q bits are bits 31 and 63 of output s, and the rows start
+    where PCG64(seed).advance(num_symbols) does. The raw outputs are read chunk by
     chunk from a second generator at the start: the same stream, with no array of
     all the bits.
     """
     num_symbols = draws.shape[1]
     np.random.Generator(np.random.PCG64(seed).advance(num_symbols)).standard_normal(out=draws)
-    bit_rng = np.random.Generator(np.random.PCG64(seed))
+    bit_gen = np.random.PCG64(seed)
 
     def decision(cm_gain: complex, an_gain: complex) -> tuple[np.ndarray, float]:
         # decide on conj(cm) y = |cm|^2 x + conj(cm) (an z + n), whose parts have the signs
@@ -139,18 +142,29 @@ def _bit_errors(
         return np.array(rows), -(abs(cm_gain) ** 2) / math.sqrt(2.0)
 
     pairs = np.broadcast(cm_gains, an_gains)
-    decisions = [decision(*pair) for pair in pairs]
-    errors = np.zeros(len(decisions), dtype=np.int64)
+    rows, thresholds = zip(*(decision(*pair) for pair in pairs))
+    rows = np.concatenate(rows)  # (2P, 4): pair p's I row, then its Q row
+    threshold = np.repeat(thresholds, 2)[:, np.newaxis]
+    width = min(_CHUNK, num_symbols)
+    products = np.empty((pairs.size, 2, width))
+    i_masks = np.empty(width, dtype=np.uint64)
+    errors = np.zeros(2 * pairs.size, dtype=np.int64)
     for start in range(0, num_symbols, _CHUNK):
         chunk = draws[:, start:start + _CHUNK]
-        # Gray-mapped QPSK with unit average power sends (1 - 2b)/sqrt(2) per bit b
-        bits = bit_rng.integers(0, 2, size=(chunk.shape[1], 2), dtype=np.int32)
-        sign = np.multiply(bits.T, 2.0)
-        np.subtract(1.0, sign, out=sign)
-        for p, (rows, threshold) in enumerate(decisions):
-            g = rows @ chunk  # one pair's products, freed before the next pair's
-            errors[p] += np.count_nonzero(np.multiply(g, sign, out=g) < threshold)
-    return errors.reshape(pairs.shape)
+        c = chunk.shape[1]
+        g = products.reshape(-1, width)[:, :c]
+        np.matmul(rows, chunk, out=g)
+        # Gray-mapped QPSK with unit average power sends (1 - 2b)/sqrt(2) per bit b, and
+        # a product times 1 - 2b is the product with its sign bit XORed with b
+        raw = bit_gen.random_raw(c)
+        i_mask = np.left_shift(raw, np.uint64(32), out=i_masks[:c])
+        np.bitwise_and(i_mask, _SIGN, out=i_mask)
+        q_mask = np.bitwise_and(raw, _SIGN, out=raw)
+        signs = products.view(np.uint64)[..., :c]
+        np.bitwise_xor(signs[:, 0], i_mask, out=signs[:, 0])
+        np.bitwise_xor(signs[:, 1], q_mask, out=signs[:, 1])
+        errors += np.count_nonzero(g < threshold, axis=1)
+    return errors.reshape(-1, 2).sum(axis=1).reshape(pairs.shape)
 
 
 def ber_monte_carlo(

@@ -25,7 +25,7 @@ from securebeam import (
     synthesize,
 )
 from securebeam import beamformers, experiments, metrics
-from securebeam.cli import build_parser
+from securebeam.cli import _FLAGS, _SUBCOMMANDS, build_parser
 from securebeam.cli import main as cli_main
 from securebeam.experiments import (
     KEYS,
@@ -229,11 +229,22 @@ class TestLoadConfig:
         exec(compile(code, str(README), "exec"), {})
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [(f"{who}_{name}", text) for who in ("bob", "eve")
+         for name, texts in (("theta_deg", ("0", "180", "nan", "-1", "inf")),
+                             ("range_m", ("0", "nan", "-1", "inf")))
+         for text in texts],
+    )
+    def test_bad_position_names_its_key(self, key, text):
+        # the position checks its angle in radians; the message names the key as given
+        with pytest.raises(ConfigError, match=f"^{key} = '{text}': "):
+            spec_from_values({key: text})
+
     def test_every_cli_flag_sets_a_key(self):
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        for parser in sub.choices.values():
-            dests = {a.dest for a in parser._actions} - {"help", "config", "grid"}
-            assert dests <= set(KEYS)
+        dests = {a.dest for a in build_parser()._actions}
+        assert dests - {"help", "config", "grid", "command"} <= set(KEYS)
+        assert {key for key, _ in _FLAGS.values()} <= dests
 
 
 class TestRunExperiment:
@@ -771,6 +782,31 @@ class TestCli:
         assert scenario["bob_theta_deg"] == 3.0 and scenario["eve_theta_deg"] == 100.0
         replayed = spec_from_values({"bob_theta_deg": repr(scenario["bob_theta_deg"])})
         assert replayed.scenario.bob.angle_rad == math.radians(3.0)
+
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_every_command_takes_every_flag(self, command):
+        argv = [command, "--grid", "2:3"]
+        for flag, (key, _) in _FLAGS.items():
+            argv += [flag, key]
+        args = build_parser().parse_args(argv)
+        assert (args.command, args.grid) == (command, "2:3")
+        assert all(getattr(args, key) == key for key, _ in _FLAGS.values())
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["sr_vs_snr"], ["--seed", "1"]], ids=["none", "unknown", "flag-only"]
+    )
+    def test_missing_or_unknown_command_exit_code(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv + ["--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert "command" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_position_exit_code(self, tmp_path, capsys):
+        cfgfile = write(tmp_path, "bob_theta_deg = 0\n")
+        assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: bob_theta_deg = '0'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_gamma_surface_grid_flag(self, tmp_path):
         rc = cli_main(["gamma-surface", "--grid", "2:3", "--out", str(tmp_path)])

@@ -495,34 +495,55 @@ class TestBerMonteCarlo:
 
 
 class TestBerStream:
-    # the BER core draws the bits as int32 in chunks, and the Gaussian rows from a
-    # second generator advanced past the bits; these pin the numpy behaviour that
-    # makes that the single stream of literal_ber: int64 bits, then the Gaussians
+    # the BER core reads the bits as raw PCG64 words in chunks, and the Gaussian rows
+    # from a second generator advanced past the bits; these pin the numpy behaviour
+    # that makes that the single stream of literal_ber: int64 bits, then the Gaussians
+
+    @staticmethod
+    def raw_words(seed, n):
+        bit_gen = np.random.PCG64(seed)
+        return np.concatenate(
+            [bit_gen.random_raw(min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)]
+        )
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 3 * _CHUNK + 7])
-    def test_int32_bits_are_the_int64_stream(self, n):
-        narrow, wide = np.random.default_rng(11), np.random.default_rng(11)
-        bits = narrow.integers(0, 2, size=(n, 2), dtype=np.int32)
-        np.testing.assert_array_equal(bits, wide.integers(0, 2, size=(n, 2)))
-        assert narrow.bit_generator.state == wide.bit_generator.state
+    def test_raw_word_bits_are_the_int64_stream(self, n):
+        u = self.raw_words(11, n)
+        bits = np.stack([(u >> np.uint64(31)) & np.uint64(1), u >> np.uint64(63)], axis=-1)
+        np.testing.assert_array_equal(bits, np.random.default_rng(11).integers(0, 2, (n, 2)))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 3 * _CHUNK + 7])
     def test_bits_span_one_64_bit_output_per_symbol(self, n):
-        rng = np.random.default_rng(11)
-        rng.integers(0, 2, size=(n, 2), dtype=np.int32)
         advanced = np.random.PCG64(11).advance(n).state
+        bit_gen = np.random.PCG64(11)
+        bit_gen.random_raw(n)
+        assert bit_gen.state == advanced
+        rng = np.random.default_rng(11)
+        rng.integers(0, 2, size=(n, 2))
         state = rng.bit_generator.state  # its stale 'uinteger' is unused at has_uint32 == 0
         assert (state["state"], state["has_uint32"]) == (advanced["state"], 0)
 
     @pytest.mark.parametrize("n", [7, 3 * _CHUNK + 7])
     def test_chunked_bits_equal_one_draw(self, n):
-        whole = np.random.default_rng(11).integers(0, 2, size=(n, 2), dtype=np.int32)
-        rng = np.random.default_rng(11)
-        parts = [
-            rng.integers(0, 2, size=(min(_CHUNK, n - start), 2), dtype=np.int32)
-            for start in range(0, n, _CHUNK)
-        ]
-        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        np.testing.assert_array_equal(self.raw_words(11, n), np.random.PCG64(11).random_raw(n))
+
+    def test_sign_bit_flip_is_multiplication(self):
+        # the masks of _bit_errors flip exactly the products whose bit is 1, as 1 - 2b
+        # does, at signed zeros and at values equal to a threshold too
+        threshold = -(0.3**2) / math.sqrt(2.0)
+        values = np.array([0.0, -0.0, threshold, -threshold, 5e-324, -1.5, math.inf])
+        # every value with every pair of bits, and with raw words' other bits set
+        words = np.array([0, 1 << 31, 1 << 63, (1 << 63) | (1 << 31), 2**64 - 1], np.uint64)
+        g, u = (a.ravel() for a in np.meshgrid(values, np.append(words, self.raw_words(5, 4))))
+        sign = np.uint64(1 << 63)
+        for b, mask in (
+            ((u >> np.uint64(31)) & np.uint64(1), (u << np.uint64(32)) & sign),
+            (u >> np.uint64(63), u & sign),
+        ):
+            flipped = (g.view(np.uint64) ^ mask).view(np.float64)
+            want = g * (1.0 - 2.0 * b)
+            np.testing.assert_array_equal(flipped.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(flipped < threshold, want < threshold)
 
 
 @pytest.fixture
