@@ -42,7 +42,7 @@ def steering_factors(
         raise ConfigError(f"plan must be {cfg.num_antennas} integers in [0, {n_s - 1}], got {plan!r}")
     two_pi_c = 2.0 * np.pi / SPEED_OF_LIGHT
     f_n = cfg.carrier_freq_hz + plan * cfg.subcarrier_spacing_hz
-    per_cos_theta = two_pi_c * f_n * (np.arange(len(plan)) * cfg.element_spacing_m)
+    per_cos_theta = two_pi_c * f_n * (np.arange(len(plan)) * cfg.spacing_m)
     per_metre = two_pi_c * cfg.subcarrier_spacing_hz * plan
     a = np.exp(-1j * np.multiply.outer(np.cos(theta_rad), per_cos_theta))
     return a, np.exp(1j * np.multiply.outer(range_m, per_metre)) / np.sqrt(len(plan))

@@ -2,9 +2,8 @@
 """Scenario parameters: one validated record for all physical and protocol settings."""
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -23,39 +22,26 @@ def dbm_to_watts(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class PolarPosition:
-    """Receiver location seen from the array: direction angle (rad) and range (m).
-    `angle_deg` keeps the degrees given to `from_degrees` exactly, as
-    math.degrees(math.radians(x)) need not be x; equality ignores it."""
+    """Receiver location seen from the array: direction angle (rad) and range (m)."""
 
     angle_rad: float
     range_m: float
-    angle_deg: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.angle_rad < math.pi):
             raise ConfigError(f"angle_rad must lie strictly in (0, pi), got {self.angle_rad}")
         if not (math.isfinite(self.range_m) and self.range_m > 0.0):
             raise ConfigError(f"range_m must be finite and > 0, got {self.range_m}")
-        object.__setattr__(self, "angle_deg", math.degrees(self.angle_rad))
 
     @classmethod
     def from_degrees(cls, angle_deg: float, range_m: float) -> "PolarPosition":
-        pos = cls(math.radians(angle_deg), range_m)
-        object.__setattr__(pos, "angle_deg", float(angle_deg))
-        return pos
-
-
-def _default_bob() -> PolarPosition:
-    return PolarPosition.from_degrees(70.0, 1000.0)
-
-
-def _default_eve() -> PolarPosition:
-    return PolarPosition.from_degrees(100.0, 750.0)
+        return cls(math.radians(angle_deg), range_m)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """All parameters of one transmission scenario.
+    """All parameters of one transmission scenario, as given; what they imply (the
+    positions, the spacing, the wavelength) is derived by properties.
 
     Defaults reproduce the standard desk setup: 5 MHz total bandwidth split over
     1024 subcarriers at a 3 GHz carrier, half-wavelength element spacing, equal
@@ -72,8 +58,10 @@ class ScenarioConfig:
     total_power_w: float = 0.1  # 20 dBm; equals 20 dB SNR through Bob's path loss
     noise_power_bob_w: float = 1e-9  # -60 dBm
     noise_power_eve_w: float = 1e-9  # -60 dBm
-    bob: PolarPosition = field(default_factory=_default_bob)
-    eve: PolarPosition = field(default_factory=_default_eve)
+    bob_theta_deg: float = 70.0  # angles in degrees, kept exactly as given
+    bob_range_m: float = 1000.0
+    eve_theta_deg: float = 100.0
+    eve_range_m: float = 750.0
     rng_seed: int = 42
 
     def __post_init__(self):
@@ -85,7 +73,7 @@ class ScenarioConfig:
                 f"({self.num_antennas})"
             )
         for name in ("carrier_freq_hz", "total_bandwidth_hz", "total_power_w",
-                     "noise_power_bob_w", "noise_power_eve_w"):
+                     "noise_power_bob_w", "noise_power_eve_w", "bob_range_m", "eve_range_m"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
@@ -99,12 +87,26 @@ class ScenarioConfig:
             raise ConfigError(f"power_alloc (beta) must lie in [0, 1], got {self.power_alloc}")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        # replace() derives the spacing again from its carrier unless it was set
-        object.__setattr__(self, "_spacing_is_set", self.element_spacing_m is not None)
-        if self.element_spacing_m is None:
-            object.__setattr__(self, "element_spacing_m", self.wavelength_m / 2.0)
-        elif not (math.isfinite(self.element_spacing_m) and self.element_spacing_m > 0.0):
-            raise ConfigError(f"element_spacing_m must be finite and > 0, got {self.element_spacing_m}")
+        for name in ("bob_theta_deg", "eve_theta_deg"):  # PolarPosition's bound, in radians
+            value = getattr(self, name)
+            if not (0.0 < math.radians(value) < math.pi):
+                raise ConfigError(f"{name} must lie strictly between 0 and 180, got {value}")
+        spacing = self.element_spacing_m
+        if spacing is not None and not (math.isfinite(spacing) and spacing > 0.0):
+            raise ConfigError(f"element_spacing_m must be finite and > 0, got {spacing}")
+
+    @property
+    def bob(self) -> PolarPosition:
+        return PolarPosition.from_degrees(self.bob_theta_deg, self.bob_range_m)
+
+    @property
+    def eve(self) -> PolarPosition:
+        return PolarPosition.from_degrees(self.eve_theta_deg, self.eve_range_m)
+
+    @property
+    def spacing_m(self) -> float:
+        """The element spacing: element_spacing_m if set, else half the carrier's wavelength."""
+        return self.wavelength_m / 2.0 if self.element_spacing_m is None else self.element_spacing_m
 
     @property
     def wavelength_m(self) -> float:
@@ -113,8 +115,3 @@ class ScenarioConfig:
     @property
     def subcarrier_spacing_hz(self) -> float:
         return self.total_bandwidth_hz / self.num_subcarriers
-
-    def replace(self, **changes) -> "ScenarioConfig":
-        if not self._spacing_is_set:
-            changes.setdefault("element_spacing_m", None)
-        return dataclasses.replace(self, **changes)

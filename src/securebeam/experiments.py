@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .beamformers import BeamPair, Method, synthesize
 from .channel import build_subcarrier_plan, path_loss
-from .config import ConfigError, PolarPosition, ScenarioConfig, dbm_to_watts
+from .config import ConfigError, ScenarioConfig, dbm_to_watts
 from .metrics import ber_sweep, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
 
@@ -43,7 +43,7 @@ def power_for_snr_db(cfg: ScenarioConfig, snr_db: np.ndarray | float) -> np.ndar
     elementwise for an array of SNRs. Rejects an SNR whose power is not finite and > 0."""
     snr = np.asarray(snr_db, dtype=np.float64)
     with np.errstate(over="ignore"):
-        power = 10.0 ** (snr[()] / 10.0) * cfg.noise_power_bob_w / path_loss(cfg.bob.range_m)
+        power = 10.0 ** (snr[()] / 10.0) * cfg.noise_power_bob_w / path_loss(cfg.bob_range_m)
     bad = snr[~(np.isfinite(power) & (power > 0.0))]
     if bad.size:
         raise ConfigError(f"SNR {bad[0]} dB does not give a finite transmit power > 0")
@@ -91,7 +91,7 @@ class ExperimentSpec:
                 for n in self.sweep:
                     if not n.is_integer():
                         raise ConfigError(f"antenna counts must be integers, got {self.sweep}")
-                    self.scenario.replace(num_antennas=int(n))
+                    dataclasses.replace(self.scenario, num_antennas=int(n))
             except ConfigError as exc:
                 raise ConfigError(f"n_list: {exc}") from exc
         if not self.methods or len(set(self.methods)) < len(self.methods):
@@ -170,7 +170,7 @@ def _power_sweep(
 ) -> tuple[BeamPair, list[int]]:
     """The methods' distinct beams at every SNR, stacked as (pairs, SNRs, N), and each method's
     position in the stack: every weight scales with sqrt(P_s), so each is built at unit power."""
-    unit_cfg = cfg.replace(total_power_w=1.0)
+    unit_cfg = dataclasses.replace(cfg, total_power_w=1.0)
     units, index = _distinct([synthesize(unit_cfg, plan, m) for m in spec.methods])
     scale = np.sqrt(power_for_snr_db(cfg, snrs_db))[:, np.newaxis]
     w_cm = np.array([scale * u.w_cm for u in units])
@@ -184,7 +184,7 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
     if spec.kind is ExperimentKind.SR_VS_N:  # one plan per antenna count
         rates = []  # per antenna count: (methods, SNRs); transposed, (SNRs, methods, Ns)
         for n in spec.sweep:
-            cfg_n = cfg.replace(num_antennas=int(n))
+            cfg_n = dataclasses.replace(cfg, num_antennas=int(n))
             plan = build_subcarrier_plan(cfg.rng_seed, int(n), cfg.num_subcarriers)
             beams, index = _power_sweep(spec, cfg_n, plan, spec.snr_db_list)
             rates.append(secrecy_rate(cfg_n, plan, beams)[index])
@@ -243,23 +243,10 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
 
 
 def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    scenario: dict = {}
-    for f in dataclasses.fields(ScenarioConfig):
-        value = getattr(spec.scenario, f.name)
-        if isinstance(value, PolarPosition):
-            scenario[f"{f.name}_theta_deg"] = value.angle_deg
-            scenario[f"{f.name}_range_m"] = value.range_m
-        else:
-            scenario[f.name] = value
-    return {
-        "experiment": spec.kind.value,
-        "methods": [m.value for m in spec.methods],
-        "sweep": list(spec.sweep),
-        "mc_symbols": spec.mc_symbols,
-        "scenario": scenario,
-        **{k: getattr(spec, k) for k in ("snr_db_list", "gamma_grid_max", "gamma_grid_points",
-                                         "theta_grid_deg", "range_grid_m")},
-    }
+    """Every spec field but output_dir, with kind under its key name; enums are str."""
+    config = dataclasses.asdict(spec)
+    del config["output_dir"]
+    return {"experiment": config.pop("kind"), **config}
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +327,10 @@ KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "snr_db": (None, float),
     "noise_bob_dbm": ("noise_power_bob_w", _dbm),
     "noise_eve_dbm": ("noise_power_eve_w", _dbm),
-    "bob_theta_deg": (None, float),
-    "bob_range_m": (None, float),
-    "eve_theta_deg": (None, float),
-    "eve_range_m": (None, float),
+    "bob_theta_deg": ("bob_theta_deg", float),
+    "bob_range_m": ("bob_range_m", float),
+    "eve_theta_deg": ("eve_theta_deg", float),
+    "eve_range_m": ("eve_range_m", float),
     "snr_list": (None, _floats),
     "n_list": (None, _counts),
     "mc_symbols": ("mc_symbols", _count),
@@ -365,6 +352,8 @@ def _parse_kv_file(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: {key!r} given twice")
             values[key] = value
     return values
 
@@ -386,24 +375,12 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
     scenario_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
     scenario_kwargs = {n: v for n, v in fields.items() if n in scenario_names}
     spec_kwargs = {n: v for n, v in fields.items() if n not in scenario_names}
-
-    defaults = ScenarioConfig()
-    for who in ("bob", "eve"):
-        pos = getattr(defaults, who)
-        theta_key, range_key = f"{who}_theta_deg", f"{who}_range_m"
-        try:
-            scenario_kwargs[who] = PolarPosition.from_degrees(
-                get(theta_key, pos.angle_deg), get(range_key, pos.range_m)
-            )
-        except ConfigError as exc:  # the defaults are valid, so the bad key was given
-            key = theta_key if str(exc).startswith("angle_rad") else range_key
-            raise ConfigError(f"{key} = {values[key]!r}: {exc}") from exc
     cfg = ScenarioConfig(**scenario_kwargs)
     if "snr_db" in parsed and "total_power_w" in parsed:
         raise ConfigError("snr_db and total_power_w both set the transmit power; give one")
     if "snr_db" in parsed:
         try:
-            cfg = cfg.replace(total_power_w=power_for_snr_db(cfg, parsed["snr_db"]))
+            cfg = dataclasses.replace(cfg, total_power_w=power_for_snr_db(cfg, parsed["snr_db"]))
         except ConfigError as exc:
             raise ConfigError(f"snr_db: {exc}") from exc
     spec_kwargs["scenario"] = cfg

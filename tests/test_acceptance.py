@@ -4,6 +4,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion report.
 """
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ import pytest
 from securebeam import (
     GammaGrid,
     Method,
-    PolarPosition,
     ScenarioConfig,
     build_subcarrier_plan,
     ber_monte_carlo,
@@ -43,8 +44,8 @@ def random_scenario(rng) -> tuple[ScenarioConfig, int]:
     n = int(rng.integers(2, 65))
     cfg = ScenarioConfig(
         num_antennas=n,
-        bob=PolarPosition.from_degrees(float(rng.uniform(5, 175)), float(rng.uniform(100, 2000))),
-        eve=PolarPosition.from_degrees(float(rng.uniform(5, 175)), float(rng.uniform(100, 2000))),
+        bob_theta_deg=float(rng.uniform(5, 175)), bob_range_m=float(rng.uniform(100, 2000)),
+        eve_theta_deg=float(rng.uniform(5, 175)), eve_range_m=float(rng.uniform(100, 2000)),
         rng_seed=int(rng.integers(0, 2**31)),
     )
     return cfg, n
@@ -139,7 +140,7 @@ def test_criterion_4_qpsk_awgn_oracle():
         beams_ref = synthesize(cfg, plan, Method.MIN_TP)
         cm_gain, _ = received_model(cfg, plan, beams_ref, cfg.bob)
         es_n0 = abs(cm_gain) ** 2 / cfg.noise_power_bob_w
-        cfg_t = cfg.replace(total_power_w=cfg.total_power_w * 2.0 * ebn0 / es_n0)
+        cfg_t = replace(cfg, total_power_w=cfg.total_power_w * 2.0 * ebn0 / es_n0)
         beams = synthesize(cfg_t, plan, Method.MIN_TP)
         ber = ber_monte_carlo(cfg_t, plan, beams, cfg_t.bob, num_symbols, 1234)
         expected = qfunc(math.sqrt(2.0 * ebn0))
@@ -206,7 +207,7 @@ def test_criterion_7_sr_ordering_vs_snr():
     ordering_ok = True
     gaps = []
     for snr in snrs:
-        cfg = cfg0.replace(total_power_w=power_for_snr_db(cfg0, snr))
+        cfg = replace(cfg0, total_power_w=power_for_snr_db(cfg0, snr))
         sr = {m: secrecy_rate(cfg, plan, synthesize(cfg, plan, m)) for m in Method}
         ordering_ok = ordering_ok and (
             sr[Method.MIN_RTP] >= sr[Method.MIN_TP] - 1e-12
@@ -230,7 +231,7 @@ def test_criterion_8_ber_ordering_vs_snr():
     n_bits = 2 * num_symbols
     ok = True
     for i, snr in enumerate(range(6, 31, 2)):
-        cfg = cfg0.replace(total_power_w=power_for_snr_db(cfg0, snr))
+        cfg = replace(cfg0, total_power_w=power_for_snr_db(cfg0, snr))
         seed = _ber_seed(cfg0.rng_seed, i)
         ber = {
             m: ber_monte_carlo(cfg, plan, synthesize(cfg, plan, m), cfg.bob, num_symbols, seed)
@@ -256,9 +257,7 @@ def test_criterion_9_sr_gap_shrinks_at_large_arrays():
     snr_db = 15.0
 
     def gap(n: int) -> float:
-        cfg = cfg0.replace(
-            num_antennas=n, total_power_w=power_for_snr_db(cfg0, snr_db)
-        )
+        cfg = replace(cfg0, num_antennas=n, total_power_w=power_for_snr_db(cfg0, snr_db))
         plan = build_subcarrier_plan(cfg0.rng_seed, n, cfg.num_subcarriers)
         sr_tp = secrecy_rate(cfg, plan, synthesize(cfg, plan, Method.MIN_TP))
         sr_rtp = secrecy_rate(cfg, plan, synthesize(cfg, plan, Method.MIN_RTP))
@@ -292,7 +291,7 @@ def test_criterion_10_rerun_determinism(tmp_path):
                 ExperimentSpec(kind=kind, output_dir=str(out), **extra)
             )
             for path in manifest.outputs:
-                blobs[kind.value + "/" + path.rsplit("/", 1)[-1]] = open(path, "rb").read()
+                blobs[kind.value + "/" + path.rsplit("/", 1)[-1]] = Path(path).read_bytes()
         return blobs
 
     first = run_all(tmp_path / "a")

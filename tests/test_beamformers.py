@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -253,18 +255,18 @@ class TestSynthesize:
 
     def test_all_power_to_message(self, setup):
         cfg, plan = setup
-        beams = synthesize(cfg.replace(power_alloc=1.0), plan, Method.MIN_TP)
+        beams = synthesize(replace(cfg, power_alloc=1.0), plan, Method.MIN_TP)
         assert np.linalg.norm(beams.w_an) == 0.0
 
     def test_power_scale_covariance(self, setup):
         cfg, plan = setup
         base = synthesize(cfg, plan, Method.MIN_TP)
-        doubled = synthesize(cfg.replace(total_power_w=2.0 * cfg.total_power_w), plan, Method.MIN_TP)
+        doubled = synthesize(replace(cfg, total_power_w=2.0 * cfg.total_power_w), plan, Method.MIN_TP)
         np.testing.assert_allclose(doubled.w_cm, np.sqrt(2.0) * base.w_cm, rtol=1e-15)
         np.testing.assert_allclose(doubled.w_an, np.sqrt(2.0) * base.w_an, rtol=1e-15)
 
     def test_colocated_receivers_infeasible(self, setup):
         cfg, plan = setup
-        bad = cfg.replace(eve=cfg.bob)
+        bad = replace(cfg, eve_theta_deg=cfg.bob_theta_deg, eve_range_m=cfg.bob_range_m)
         with pytest.raises(InfeasibleGeometryError):
             synthesize(bad, plan, Method.MIN_TP)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestSteeringVector:
             h = steering_vector(plan, cfg, PolarPosition.from_degrees(37.0, 820.0))
             assert abs(np.linalg.norm(h) - 1.0) <= 1e-12
         for n in (2, 8, 256, 1024):  # 1024 uses every subcarrier
-            cfg_n = cfg.replace(num_antennas=n)
+            cfg_n = replace(cfg, num_antennas=n)
             for seed in range(5):
                 plan = build_subcarrier_plan(seed, n, 1024)
                 for theta in (0.5, 37.0, 90.0, 143.0, 179.5):
@@ -137,13 +138,16 @@ class TestConfigValidation:
             PolarPosition(math.pi, 100.0)
 
     def test_degrees_kept_as_given(self):
-        # 212 of these 1,799 angles change in a radians round trip, 94 of them for good
+        # 212 of these 1,799 angles change in a radians round trip, 94 of them for good;
+        # the scenario keeps the degrees given, and its positions hold their radians
         for tenths in range(1, 1800):
             deg = tenths / 10.0
-            pos = PolarPosition.from_degrees(deg, 100.0)
-            assert pos.angle_deg == deg and pos.angle_rad == math.radians(deg)
+            cfg = ScenarioConfig(bob_theta_deg=deg, eve_theta_deg=180.0 - deg)
+            assert cfg.bob_theta_deg == deg and cfg.bob.angle_rad == math.radians(deg)
+            assert cfg.eve_theta_deg == 180.0 - deg
+            assert cfg.eve.angle_rad == math.radians(180.0 - deg)
+            assert asdict(cfg)["bob_theta_deg"] == deg
         from_radians = PolarPosition(math.radians(3.0), 100.0)
-        assert from_radians.angle_deg == math.degrees(math.radians(3.0))
         assert from_radians == PolarPosition.from_degrees(3.0, 100.0)  # same radians, same place
 
     @pytest.mark.parametrize(
@@ -170,19 +174,18 @@ class TestConfigValidation:
 
     def test_default_spacing_is_half_wavelength(self):
         cfg = ScenarioConfig()
-        assert cfg.element_spacing_m == pytest.approx(
-            SPEED_OF_LIGHT / (2.0 * 3e9), rel=1e-15
-        )
+        assert cfg.element_spacing_m is None  # kept as given
+        assert cfg.spacing_m == pytest.approx(SPEED_OF_LIGHT / (2.0 * 3e9), rel=1e-15)
 
     def test_default_spacing_follows_carrier_on_replace(self):
-        cfg = ScenarioConfig().replace(carrier_freq_hz=6e9)
-        assert cfg.element_spacing_m == SPEED_OF_LIGHT / (2.0 * 6e9)
-        assert cfg.replace(carrier_freq_hz=3e9) == ScenarioConfig()
+        cfg = replace(ScenarioConfig(), carrier_freq_hz=6e9)
+        assert cfg.spacing_m == SPEED_OF_LIGHT / (2.0 * 6e9)
+        assert replace(cfg, carrier_freq_hz=3e9) == ScenarioConfig()
 
     def test_explicit_spacing_survives_replace(self):
-        cfg = ScenarioConfig(element_spacing_m=0.04).replace(carrier_freq_hz=6e9)
-        assert cfg.element_spacing_m == 0.04
-        assert cfg.replace(num_antennas=4).element_spacing_m == 0.04
+        cfg = replace(ScenarioConfig(element_spacing_m=0.04), carrier_freq_hz=6e9)
+        assert cfg.spacing_m == cfg.element_spacing_m == 0.04
+        assert replace(cfg, num_antennas=4).spacing_m == 0.04
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="rng_seed"):

@@ -4,6 +4,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +128,10 @@ class TestLoadConfig:
         assert cfg.total_bandwidth_hz == 5e6
         assert cfg.power_alloc == 0.5
         assert cfg.noise_power_bob_w == pytest.approx(1e-9)
-        assert cfg.bob.angle_deg == pytest.approx(70.0)
-        assert cfg.bob.range_m == 1000.0
-        assert cfg.eve.angle_deg == pytest.approx(100.0)
-        assert cfg.eve.range_m == 750.0
-        assert cfg.element_spacing_m == pytest.approx(cfg.wavelength_m / 2.0)
+        assert (cfg.bob_theta_deg, cfg.bob_range_m) == (70.0, 1000.0)
+        assert (cfg.eve_theta_deg, cfg.eve_range_m) == (100.0, 750.0)
+        assert cfg.element_spacing_m is None
+        assert cfg.spacing_m == pytest.approx(cfg.wavelength_m / 2.0)
         assert spec.methods == (Method.EA, Method.MIN_TP, Method.MIN_RTP)
         assert spec.sweep == tuple(float(s) for s in range(0, 31, 2))
 
@@ -237,9 +237,16 @@ class TestLoadConfig:
          for text in texts],
     )
     def test_bad_position_names_its_key(self, key, text):
-        # the position checks its angle in radians; the message names the key as given
-        with pytest.raises(ConfigError, match=f"^{key} = '{text}': "):
+        # the scenario checks an angle in radians; the message names the key, then the value
+        with pytest.raises(ConfigError, match=f"^{key} must .*, got {re.escape(str(float(text)))}$"):
             spec_from_values({key: text})
+
+    def test_key_given_twice_exit_code(self, tmp_path, capsys):
+        # the second value would silently win over the first
+        cfgfile = write(tmp_path, "seed = 1\n# comment\nseed = 2\n")
+        assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {cfgfile}:3: 'seed' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_every_cli_flag_sets_a_key(self):
         dests = {a.dest for a in build_parser()._actions}
@@ -292,7 +299,7 @@ class TestRunExperiment:
         )
         manifest = run_experiment(spec)
         assert len(manifest.outputs) == 1
-        lines = open(manifest.outputs[0]).read().splitlines()
+        lines = Path(manifest.outputs[0]).read_text().splitlines()
         assert lines[0] == "snr_db,sr_bits"
         assert len(lines) == 2
 
@@ -317,7 +324,7 @@ class TestRunExperiment:
             output_dir=str(tmp_path),
         )
         manifest = run_experiment(spec)
-        lines = open(manifest.outputs[0]).read().splitlines()
+        lines = Path(manifest.outputs[0]).read_text().splitlines()
         assert lines[0] == "gamma_cm,gamma_an,sr"
         assert len(lines) == 1 + 9
 
@@ -330,7 +337,7 @@ class TestRunExperiment:
             output_dir=str(tmp_path),
         )
         manifest = run_experiment(spec)
-        lines = open(manifest.outputs[0]).read().splitlines()
+        lines = Path(manifest.outputs[0]).read_text().splitlines()
         assert lines[0] == "theta_deg,range_m,cm_sinr_db,an_power_db"
         assert len(lines) == 1 + 30
 
@@ -372,7 +379,7 @@ class TestRunExperiment:
         )
         manifest = run_experiment(spec)
         assert len(manifest.outputs) == 2
-        lines = open(manifest.outputs[0]).read().splitlines()
+        lines = Path(manifest.outputs[0]).read_text().splitlines()
         assert lines[0] == "n,sr_bits"
 
     def test_manifest_written_with_outputs(self, tmp_path):
@@ -401,7 +408,7 @@ class TestRunExperiment:
         for m in Method:
             rows = []
             for i, snr_db in enumerate(sweep):
-                cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
+                cfg_p = replace(cfg, total_power_w=power_for_snr_db(cfg, snr_db))
                 beams = synthesize(cfg_p, plan, m)
                 ber = ber_monte_carlo(cfg_p, plan, beams, cfg.bob, n, _ber_seed(cfg.rng_seed, i))
                 rows.append(f"{snr_db:.12g},{ber:.12g}")
@@ -423,7 +430,7 @@ class TestRunExperiment:
         for m in Method:
             rows = []
             for i, snr_db in enumerate(sweep):
-                cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
+                cfg_p = replace(cfg, total_power_w=power_for_snr_db(cfg, snr_db))
                 beams = synthesize(cfg_p, plan, m)
                 ber = ber_monte_carlo(cfg_p, plan, beams, cfg.bob, n, _ber_seed(cfg.rng_seed, i))
                 rows.append(f"{snr_db:.12g},{ber:.12g}")
@@ -489,7 +496,7 @@ class TestRunExperiment:
         beams, index = _power_sweep(spec, cfg, plan, spec.sweep)
         rates = secrecy_rate(cfg, plan, beams)[index]
         power = power_for_snr_db(cfg, spec.sweep)
-        unit = cfg.replace(total_power_w=1.0)
+        unit = replace(cfg, total_power_w=1.0)
         for method, sr in zip(spec.methods, rates):
             beams = synthesize(unit, plan, method)
             bob_cm, bob_an = received_model(unit, plan, beams, cfg.bob)
@@ -784,6 +791,17 @@ class TestCli:
         assert replayed.scenario.bob.angle_rad == math.radians(3.0)
 
     @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    @pytest.mark.parametrize(
+        "text", ["", "bob_theta_deg = 3\ncarrier_freq_hz = 6e9\n"], ids=["default", "bob-3deg-6ghz"]
+    )
+    def test_manifest_scenario_builds_the_scenario_back(self, tmp_path, command, text):
+        # the manifest's scenario is the record's own fields, the spacing None when not given
+        cfgfile = write(tmp_path, text)
+        assert cli_main([command, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 0
+        scenario = json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["scenario"]
+        assert ScenarioConfig(**scenario) == load_config(cfgfile).scenario
+
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
     def test_every_command_takes_every_flag(self, command):
         argv = [command, "--grid", "2:3"]
         for flag, (key, _) in _FLAGS.items():
@@ -805,7 +823,9 @@ class TestCli:
     def test_bad_position_exit_code(self, tmp_path, capsys):
         cfgfile = write(tmp_path, "bob_theta_deg = 0\n")
         assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
-        assert "config error: bob_theta_deg = '0'" in capsys.readouterr().err
+        assert "config error: bob_theta_deg must lie strictly between 0 and 180, got 0.0" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "o").exists()
 
     def test_gamma_surface_grid_flag(self, tmp_path):

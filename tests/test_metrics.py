@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestReceivedModel:
 
     def test_zero_jamming_weights_give_zero_gain(self, scenario):
         cfg, plan = scenario
-        beams = synthesize(cfg.replace(power_alloc=1.0), plan, Method.MIN_TP)
+        beams = synthesize(replace(cfg, power_alloc=1.0), plan, Method.MIN_TP)
         _, an_gain = received_model(cfg, plan, beams, cfg.eve)
         assert an_gain == 0.0
 
@@ -86,7 +87,7 @@ class TestSinr:
 class TestSecrecyRate:
     def test_identical_positions_clamp_to_zero(self, scenario):
         cfg, plan = scenario
-        cfg = cfg.replace(eve=cfg.bob)
+        cfg = replace(cfg, eve_theta_deg=cfg.bob_theta_deg, eve_range_m=cfg.bob_range_m)
         beams = synthesize(cfg, plan, Method.EA)
         assert secrecy_rate(cfg, plan, beams) == 0.0
 
@@ -124,7 +125,8 @@ class TestSecrecyRate:
     def test_invariant_under_common_power_scaling(self, scenario):
         cfg, plan = scenario
         scale = 37.0
-        scaled = cfg.replace(
+        scaled = replace(
+            cfg,
             total_power_w=scale * cfg.total_power_w,
             noise_power_bob_w=scale * cfg.noise_power_bob_w,
             noise_power_eve_w=scale * cfg.noise_power_eve_w,
@@ -144,8 +146,8 @@ class TestSecrecyRate:
             n = int(rng.integers(2, 65))
             cfg = ScenarioConfig(
                 num_antennas=n,
-                bob=PolarPosition.from_degrees(rng.uniform(5, 175), rng.uniform(100, 2000)),
-                eve=PolarPosition.from_degrees(rng.uniform(5, 175), rng.uniform(100, 2000)),
+                bob_theta_deg=rng.uniform(5, 175), bob_range_m=rng.uniform(100, 2000),
+                eve_theta_deg=rng.uniform(5, 175), eve_range_m=rng.uniform(100, 2000),
                 total_power_w=10.0 ** rng.uniform(-4, 1),
                 power_alloc=rng.uniform(0.05, 0.95),
                 rng_seed=int(rng.integers(0, 2**31)),
@@ -186,8 +188,8 @@ class TestSecrecyRate:
             n = int(rng.integers(2, 65))
             cfg = ScenarioConfig(
                 num_antennas=n,
-                bob=PolarPosition.from_degrees(rng.uniform(5, 175), rng.uniform(100, 2000)),
-                eve=PolarPosition.from_degrees(rng.uniform(5, 175), rng.uniform(100, 2000)),
+                bob_theta_deg=rng.uniform(5, 175), bob_range_m=rng.uniform(100, 2000),
+                eve_theta_deg=rng.uniform(5, 175), eve_range_m=rng.uniform(100, 2000),
                 power_alloc=rng.uniform(0.05, 0.95),
                 rng_seed=int(rng.integers(0, 2**31)),
             )
@@ -307,13 +309,13 @@ class TestSinrSurface:
         field = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
         tt, rr = (g.ravel() for g in np.meshgrid(theta, ranges, indexing="ij"))
 
-        def cell(pos):
-            hit = np.isclose(tt, pos.angle_deg, rtol=0.0) & (rr == pos.range_m)
+        def cell(theta_deg, range_m):
+            hit = np.isclose(tt, theta_deg, rtol=0.0) & (rr == range_m)
             assert np.count_nonzero(hit) == 1  # the default grid holds Bob and Eve
             return field[hit][0]
 
-        assert cell(cfg.eve).cm_sinr_db == -300.0
-        assert cell(cfg.bob).an_power_db == -300.0
+        assert cell(cfg.eve_theta_deg, cfg.eve_range_m).cm_sinr_db == -300.0
+        assert cell(cfg.bob_theta_deg, cfg.bob_range_m).an_power_db == -300.0
 
     def test_deterministic(self, scenario):
         cfg, plan = scenario
@@ -356,7 +358,7 @@ class TestBerMonteCarlo:
     def test_error_counts_equal_literal_complex_decisions(self, n, beta):
         # at 6 dB every probe errs often, so many decisions sit near their threshold
         cfg = ScenarioConfig(num_antennas=n)
-        cfg = cfg.replace(power_alloc=beta, total_power_w=power_for_snr_db(cfg, 6.0))
+        cfg = replace(cfg, power_alloc=beta, total_power_w=power_for_snr_db(cfg, 6.0))
         plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
         pairs = [synthesize(cfg, plan, m) for m in Method]
         stacked, num_symbols = stack(pairs), 20_000
@@ -382,7 +384,7 @@ class TestBerMonteCarlo:
         # beta = 0 sends no message power, so cm == 0 exactly and the decisions see
         # only jamming and noise
         cfg, plan = scenario
-        cfg = cfg.replace(power_alloc=0.0)
+        cfg = replace(cfg, power_alloc=0.0)
         stacked = stack([synthesize(cfg, plan, m) for m in Method])
         num_symbols = 100_000
         cm_gains, _ = received_model(cfg, plan, stacked, cfg.bob)
@@ -395,15 +397,13 @@ class TestBerMonteCarlo:
 
     def test_noiseless_jamming_free_is_error_free(self, scenario):
         cfg, plan = scenario
-        quiet = cfg.replace(
-            power_alloc=1.0, noise_power_bob_w=1e-30, noise_power_eve_w=1e-30
-        )
+        quiet = replace(cfg, power_alloc=1.0, noise_power_bob_w=1e-30, noise_power_eve_w=1e-30)
         beams = synthesize(quiet, plan, Method.MIN_TP)
         assert ber_monte_carlo(quiet, plan, beams, quiet.bob, 10_000, 0) == 0.0
 
     def test_no_signal_is_coin_flipping(self, scenario):
         cfg, plan = scenario
-        beams = synthesize(cfg.replace(power_alloc=1.0), plan, Method.MIN_TP)
+        beams = synthesize(replace(cfg, power_alloc=1.0), plan, Method.MIN_TP)
         # probe Eve with the message beam exactly nulled there
         ber = ber_monte_carlo(cfg, plan, beams, cfg.eve, 100_000, 1)
         assert ber == pytest.approx(0.5, abs=0.01)
@@ -431,10 +431,10 @@ class TestBerMonteCarlo:
 
     def test_colocated_receivers_use_eve_noise(self, scenario):
         cfg, plan = scenario
-        cfg = cfg.replace(eve=cfg.bob, noise_power_eve_w=1e-6)
+        cfg = replace(cfg, eve_theta_deg=cfg.bob_theta_deg, eve_range_m=cfg.bob_range_m, noise_power_eve_w=1e-6)
         beams = synthesize(cfg, plan, Method.EA)
         ber = ber_monte_carlo(cfg, plan, beams, cfg.bob, 20_000, 3)
-        eve_floor = cfg.replace(noise_power_bob_w=1e-6)
+        eve_floor = replace(cfg, noise_power_bob_w=1e-6)
         assert ber == ber_monte_carlo(eve_floor, plan, beams, cfg.bob, 20_000, 3)
 
     def test_stacked_beams_equal_unstacked_calls(self, scenario):
@@ -454,7 +454,7 @@ class TestBerMonteCarlo:
         cfg, plan = scenario
         num_symbols = 1_000_000
         for i, snr_db in enumerate((0.0, 6.0, 12.0)):
-            cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
+            cfg_p = replace(cfg, total_power_w=power_for_snr_db(cfg, snr_db))
             pairs = [synthesize(cfg_p, plan, m) for m in Method]
             bers = ber_monte_carlo(cfg_p, plan, stack(pairs), cfg.bob, num_symbols, 100 + i)
             for method, ber, beams in zip(Method, bers, pairs):
@@ -469,12 +469,12 @@ class TestBerMonteCarlo:
         num_symbols = 200_000
         for ebn0_db in (0.0, 4.0):
             ebn0 = 10.0 ** (ebn0_db / 10.0)
-            cfg1 = cfg.replace(power_alloc=1.0, total_power_w=1.0)
+            cfg1 = replace(cfg, power_alloc=1.0, total_power_w=1.0)
             beams = synthesize(cfg1, plan, Method.MIN_TP)
             cm_gain, _ = received_model(cfg1, plan, beams, cfg1.bob)
             # rescale total power so the per-symbol SNR hits 2 Eb/N0 exactly
             es_n0 = abs(cm_gain) ** 2 / cfg1.noise_power_bob_w
-            cfg2 = cfg1.replace(total_power_w=2.0 * ebn0 / es_n0)
+            cfg2 = replace(cfg1, total_power_w=2.0 * ebn0 / es_n0)
             beams2 = synthesize(cfg2, plan, Method.MIN_TP)
             ber = ber_monte_carlo(cfg2, plan, beams2, cfg2.bob, num_symbols, 77)
             expected = qfunc(math.sqrt(2.0 * ebn0))
@@ -485,7 +485,7 @@ class TestBerMonteCarlo:
         cfg, plan = scenario
         bers = []
         for i, snr_db in enumerate(range(0, 13, 4)):
-            cfg_p = cfg.replace(total_power_w=power_for_snr_db(cfg, snr_db))
+            cfg_p = replace(cfg, total_power_w=power_for_snr_db(cfg, snr_db))
             beams = synthesize(cfg_p, plan, Method.MIN_TP)
             bers.append(ber_monte_carlo(cfg_p, plan, beams, cfg.bob, 100_000, 5 + i))
         n_bits = 2 * 100_000
@@ -565,11 +565,11 @@ class TestBerSweep:
         if workers is not None:  # None: as many as the code picks for this machine
             monkeypatch.setattr(metrics, "_ber_workers", lambda points: min(workers, points))
         cfg, plan = scenario
-        cfg = cfg.replace(power_alloc=beta)
+        cfg = replace(cfg, power_alloc=beta)
         snrs_db, num_symbols = np.arange(0.0, 14.0, 2.0), 3 * _CHUNK + 7
         seeds = [_ber_seed(cfg.rng_seed, i) for i in range(len(snrs_db))]
         by_method = [
-            [synthesize(cfg.replace(total_power_w=p), plan, m) for p in power_for_snr_db(cfg, snrs_db)]
+            [synthesize(replace(cfg, total_power_w=p), plan, m) for p in power_for_snr_db(cfg, snrs_db)]
             for m in Method
         ]
         swept = stack([stack(row) for row in by_method])  # (methods, points, N)

@@ -34,7 +34,7 @@ def fifty_digits():
 
 def mp_steering(cfg, plan, theta_rad, range_m):
     c, fc = mp.mpf(SPEED_OF_LIGHT), mp.mpf(cfg.carrier_freq_hz)
-    df, d = mp.mpf(cfg.subcarrier_spacing_hz), mp.mpf(cfg.element_spacing_m)
+    df, d = mp.mpf(cfg.subcarrier_spacing_hz), mp.mpf(cfg.spacing_m)
     r, cos_t = mp.mpf(range_m), mp.cos(mp.mpf(theta_rad))
     scale = 1 / mp.sqrt(len(plan))
     h = []
