@@ -7,13 +7,15 @@ import sys
 
 from .config import ConfigError, InfeasibleGeometryError
 from .experiments import (
+    KEYS,
+    READ_KEYS,
     ExperimentKind,
     _parse_kv_file,
     run_experiment,
     spec_from_values,
 )
 
-_SUBCOMMANDS = [kind.value.replace("_", "-") for kind in ExperimentKind]
+_SUBCOMMANDS = [kind.command for kind in ExperimentKind]
 
 # flag -> (config key, help); flag text goes through the config-file parsers
 _FLAGS = {
@@ -25,29 +27,29 @@ _FLAGS = {
     "--mc-symbols": ("mc_symbols", "QPSK symbols per BER point"),
     "--beta": ("beta", "power fraction for the message beam"),
     "--n-antennas": ("n_antennas", "number of transmit antennas"),
-    "--snr-db": ("snr_db", "fixed SNR in dB (surfaces)"),
+    "--snr-db": ("snr_db", "fixed SNR in dB"),
+}
+# the commands that read each key, for its flag's help
+_READERS = {
+    key: ", ".join(kind.command for kind in ExperimentKind if key in READ_KEYS[kind]) for key in KEYS
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument(
-        "--grid", help="gamma grid as MAX:POINTS, e.g. 3:31 (gamma-surface only)"
-    )
-    for flag, (key, help_text) in _FLAGS.items():
-        parser.add_argument(flag, dest=key, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    # one parser: every command takes the same flags, and each add_argument call
-    # costs a help formatter, so five subparsers would add each flag five times
+    # one parser: it parses every flag, and spec_from_values refuses a key the command does
+    # not read; each add_argument call costs a help formatter, so five subparsers would
+    # add each flag five times
     parser = argparse.ArgumentParser(
         prog="securebeam",
         description="Reproduce secrecy-rate, SINR-field, and BER experiments for "
         "null-steered precise jamming and communication.",
     )
     parser.add_argument("command", choices=_SUBCOMMANDS, help="the experiment to run")
-    _add_common(parser)
+    parser.add_argument("--config", help="flat key = value config file")
+    grid_help = f"gamma grid as MAX:POINTS, e.g. 3:31 (read by {_READERS['gamma_max']})"
+    parser.add_argument("--grid", help=grid_help)
+    for flag, (key, help_text) in _FLAGS.items():
+        parser.add_argument(flag, dest=key, help=f"{help_text} (read by {_READERS[key]})")
     return parser
 
 

@@ -9,6 +9,7 @@ import enum
 import json
 import math
 import operator
+import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,10 @@ class ExperimentKind(str, enum.Enum):
     SR_VS_SNR = "sr_vs_snr"
     SR_VS_N = "sr_vs_n"
     BER_VS_SNR = "ber_vs_snr"
+
+    @property
+    def command(self) -> str:
+        return self.value.replace("_", "-")
 
 
 def power_for_snr_db(cfg: ScenarioConfig, snr_db: np.ndarray | float) -> np.ndarray | float:
@@ -67,37 +72,39 @@ class ExperimentSpec:
 
     kind: ExperimentKind = ExperimentKind.SR_VS_SNR
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    sweep: tuple[float, ...] = ()  # SNR (dB) or antenna-count axis, kind-dependent
+    sweep: tuple[float, ...] = ()  # SNRs (dB) or antenna counts; () -> its list key's default
     methods: tuple[Method, ...] = tuple(Method)
     mc_symbols: int = 100_000
     output_dir: str = "out"
     gamma_grid_max: float = 3.0
     gamma_grid_points: int = 31
-    snr_db_list: tuple[float, ...] = DEFAULT_SR_VS_N_SNRS_DB  # sr_vs_n only
+    snr_db_list: tuple[float, ...] = DEFAULT_SR_VS_N_SNRS_DB
     theta_grid_deg: tuple[float, float, int] = DEFAULT_THETA_GRID_DEG
     range_grid_m: tuple[float, float, int] = DEFAULT_RANGE_GRID_M
 
     def __post_init__(self):
-        if not self.sweep:
-            if self.kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR):
-                self.sweep = DEFAULT_SNR_SWEEP_DB
-            elif self.kind is ExperimentKind.SR_VS_N:
-                self.sweep = DEFAULT_N_SWEEP
-            else:
-                self.sweep = (0.0,)  # surfaces carry their own grids
-        self.sweep = tuple(float(s) for s in self.sweep)
-        if self.kind is ExperimentKind.SR_VS_N:
-            try:  # each count must make a valid scenario, as _datasets will build it
-                for n in self.sweep:
-                    if not n.is_integer():
-                        raise ConfigError(f"antenna counts must be integers, got {self.sweep}")
-                    dataclasses.replace(self.scenario, num_antennas=int(n))
+        for name, key in READS[self.kind].items():  # the SNR and antenna-count lists it reads
+            if key not in LISTS:
+                continue
+            if name == "sweep":
+                self.sweep = tuple(float(s) for s in self.sweep or LISTS[key][0])
+            values = getattr(self, name)
+            try:  # '%.12g' names the files and prints the rows, so alike entries would clash
+                if len({"%.12g" % v for v in values}) < len(values):
+                    raise ConfigError(f"entries print alike under '%.12g': {values}")
+                if key == "snr_list":
+                    power_for_snr_db(self.scenario, values)
+                else:  # each count must make a valid scenario, as _datasets will build it
+                    for n in values:
+                        if not n.is_integer():
+                            raise ConfigError(f"antenna counts must be integers, got {values}")
+                        dataclasses.replace(self.scenario, num_antennas=int(n))
             except ConfigError as exc:
-                raise ConfigError(f"n_list: {exc}") from exc
+                raise ConfigError(f"{key}: {exc}") from exc
         if not self.methods or len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"methods must be nonempty and distinct, got {self.methods}")
-        if self.kind is ExperimentKind.BER_VS_SNR and self.mc_symbols < 1000:
-            raise ConfigError(f"mc_symbols must be >= 1000 for BER runs, got {self.mc_symbols}")
+        if self.mc_symbols < 1000:
+            raise ConfigError(f"mc_symbols must be >= 1000, got {self.mc_symbols}")
         top, points = self.gamma_grid_max, self.gamma_grid_points
         if points < 1:
             raise ConfigError(f"gamma_grid_points (gamma_points) must be >= 1, got {points}")
@@ -106,11 +113,6 @@ class ExperimentSpec:
             raise ConfigError(f"gamma_max must be 0 for 1 point, else finite and > 0, got {top}")
         for name in ("theta_grid_deg", "range_grid_m"):
             setattr(self, name, _grid(name, getattr(self, name)))
-        snr_sweep = self.kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR)
-        try:
-            power_for_snr_db(self.scenario, [*self.snr_db_list, *(self.sweep if snr_sweep else ())])
-        except ConfigError as exc:
-            raise ConfigError(f"snr_list: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -243,10 +245,9 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
 
 
 def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    """Every spec field but output_dir, with kind under its key name; enums are str."""
-    config = dataclasses.asdict(spec)
-    del config["output_dir"]
-    return {"experiment": config.pop("kind"), **config}
+    """The experiment, its scenario and the fields READS says it reads; enums are str."""
+    fields = {name: getattr(spec, name) for name in READS[spec.kind]}
+    return {"experiment": spec.kind, "scenario": dataclasses.asdict(spec.scenario), **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +311,12 @@ def _methods(text: str) -> tuple[Method, ...]:
     return tuple(methods)
 
 
-# Every flat config key: the ScenarioConfig or ExperimentSpec field it sets
-# (None for the keys spec_from_values combines itself) and the parser of its
-# text. Parsers raise ValueError; CLI flags go through the same parsers.
+# Every flat config key: the field it sets wherever it is read (None: READS names the field,
+# or, for snr_db, spec_from_values derives total_power_w) and the parser of its text.
+# Parsers raise ValueError; CLI flags go through the same parsers.
 KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "experiment": ("kind", _kind),
-    "methods": ("methods", _methods),
+    "methods": (None, _methods),
     "seed": ("rng_seed", _int),
     "n_antennas": ("num_antennas", _count),
     "n_subcarriers": ("num_subcarriers", _count),
@@ -333,10 +334,38 @@ KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "eve_range_m": ("eve_range_m", float),
     "snr_list": (None, _floats),
     "n_list": (None, _counts),
-    "mc_symbols": ("mc_symbols", _count),
-    "gamma_max": ("gamma_grid_max", float),
-    "gamma_points": ("gamma_grid_points", _count),
+    "mc_symbols": (None, _count),
+    "gamma_max": (None, float),
+    "gamma_points": (None, _count),
     "out_dir": ("output_dir", str),
+}
+
+# Which settings each experiment reads, decided here alone: {ExperimentSpec field it reads:
+# the key that sets it, or None}, beside kind, scenario and output_dir, which all of them
+# read. The manifest records exactly these fields; READ_KEYS below derives the keys.
+READS: dict[ExperimentKind, dict[str, str | None]] = {
+    ExperimentKind.GAMMA_SURFACE:
+        {"gamma_grid_max": "gamma_max", "gamma_grid_points": "gamma_points"},
+    ExperimentKind.SINR_SURFACE:
+        {"methods": "methods", "theta_grid_deg": None, "range_grid_m": None},
+    ExperimentKind.SR_VS_SNR: {"sweep": "snr_list", "methods": "methods"},
+    ExperimentKind.SR_VS_N: {"sweep": "n_list", "methods": "methods", "snr_db_list": "snr_list"},
+    ExperimentKind.BER_VS_SNR:
+        {"sweep": "snr_list", "methods": "methods", "mc_symbols": "mc_symbols"},
+}
+# each list key: the sweep it gives where it sets one but is not given, and the scenario
+# keys it overrides (the SNRs set the transmit power, the counts N)
+LISTS = {
+    "snr_list": (DEFAULT_SNR_SWEEP_DB, {"snr_db", "total_power_w"}),
+    "n_list": (DEFAULT_N_SWEEP, {"n_antennas"}),
+}
+_OWN = {key for reads in READS.values() for key in reads.values()}
+# the keys each experiment reads, in KEYS order: its own, and every key that is no
+# experiment's own and that none of its lists overrides; spec_from_values refuses the others
+READ_KEYS = {
+    kind: tuple(key for key in KEYS if key in reads.values() or key not in _OWN.union(
+        *(LISTS[own][1] for own in reads.values() if own in LISTS)))
+    for kind, reads in READS.items()
 }
 
 
@@ -344,7 +373,7 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # '#' after a space
             if not line:
                 continue
             if "=" not in line:
@@ -369,9 +398,13 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
             parsed[key] = KEYS[key][1](text)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    get = parsed.get
+    kind = parsed.get("experiment", ExperimentSpec.kind)
+    refused = [key for key in parsed if key not in READ_KEYS[kind]]
+    if refused:
+        raise ConfigError(f"{kind.command} does not read {', '.join(refused)}")
 
     fields = {KEYS[key][0]: value for key, value in parsed.items() if KEYS[key][0]}
+    fields.update({name: parsed[key] for name, key in READS[kind].items() if key in parsed})
     scenario_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
     scenario_kwargs = {n: v for n, v in fields.items() if n in scenario_names}
     spec_kwargs = {n: v for n, v in fields.items() if n not in scenario_names}
@@ -383,15 +416,7 @@ def spec_from_values(values: dict[str, str]) -> ExperimentSpec:
             cfg = dataclasses.replace(cfg, total_power_w=power_for_snr_db(cfg, parsed["snr_db"]))
         except ConfigError as exc:
             raise ConfigError(f"snr_db: {exc}") from exc
-    spec_kwargs["scenario"] = cfg
-
-    kind = spec_kwargs.get("kind", ExperimentSpec.kind)
-    if kind is ExperimentKind.SR_VS_N:
-        spec_kwargs["sweep"] = get("n_list", ())
-        spec_kwargs["snr_db_list"] = get("snr_list", DEFAULT_SR_VS_N_SNRS_DB)
-    elif kind in (ExperimentKind.SR_VS_SNR, ExperimentKind.BER_VS_SNR):
-        spec_kwargs["sweep"] = get("snr_list", ())
-    return ExperimentSpec(**spec_kwargs)
+    return ExperimentSpec(**spec_kwargs, scenario=cfg)
 
 
 def load_config(path: str) -> ExperimentSpec:

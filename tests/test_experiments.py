@@ -4,7 +4,7 @@ import re
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,11 @@ from securebeam.cli import _FLAGS, _SUBCOMMANDS, build_parser
 from securebeam.cli import main as cli_main
 from securebeam.experiments import (
     KEYS,
+    READ_KEYS,
     ExperimentSpec,
     _ber_seed,
     _power_sweep,
+    _spec_as_dict,
     _write_csv,
     power_for_snr_db,
     spec_from_values,
@@ -53,6 +55,31 @@ GOLDEN_SPECS = {
     ExperimentKind.GAMMA_SURFACE: {"gamma_grid_points": 4},
     ExperimentKind.SR_VS_N: {"sweep": (4.0, 8.0), "snr_db_list": (15.0,)},
 }
+
+
+# the (command, key) pairs that are refused: keys a command never uses, and the scenario
+# keys its lists set (the sweeps' SNRs set the transmit power, sr-vs-n's counts set N)
+REFUSED = {
+    "sr-vs-snr": ("total_power_w", "snr_db", "n_list", "mc_symbols", "gamma_max", "gamma_points"),
+    "ber-vs-snr": ("total_power_w", "snr_db", "n_list", "gamma_max", "gamma_points"),
+    "sr-vs-n": ("n_antennas", "total_power_w", "snr_db", "mc_symbols", "gamma_max", "gamma_points"),
+    "gamma-surface": ("methods", "snr_list", "n_list", "mc_symbols"),
+    "sinr-surface": ("snr_list", "n_list", "mc_symbols", "gamma_max", "gamma_points"),
+}
+# a valid text for every key, none of them its default
+SAMPLE = {
+    "experiment": "sr_vs_snr", "methods": "ea", "seed": "7", "n_antennas": "4",
+    "n_subcarriers": "512", "carrier_freq_hz": "2e9", "bandwidth_hz": "1e6",
+    "element_spacing_m": "0.04", "beta": "0.4", "total_power_w": "0.2", "snr_db": "10",
+    "noise_bob_dbm": "-70", "noise_eve_dbm": "-70", "bob_theta_deg": "60", "bob_range_m": "900",
+    "eve_theta_deg": "110", "eve_range_m": "800", "snr_list": "10", "n_list": "4",
+    "mc_symbols": "2000", "gamma_max": "2", "gamma_points": "3", "out_dir": "elsewhere",
+}
+
+
+def reader(key):
+    """An experiment that reads key, for a test of the key itself."""
+    return next(kind.value for kind in ExperimentKind if key in READ_KEYS[kind])
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -152,7 +179,7 @@ class TestLoadConfig:
             load_config(write(tmp_path, "bogus = 1\n"))
 
     def test_snr_sets_total_power(self, tmp_path):
-        spec = load_config(write(tmp_path, "snr_db = 20\n"))
+        spec = load_config(write(tmp_path, "experiment = sinr_surface\nsnr_db = 20\n"))
         assert spec.scenario.total_power_w == pytest.approx(0.1)
 
     def test_overrides_and_lists(self, tmp_path):
@@ -174,10 +201,12 @@ class TestLoadConfig:
     )
     def test_non_integral_count_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match=key):
-            load_config(write(tmp_path, f"{key} = 8.9\n"))
+            load_config(write(tmp_path, f"experiment = {reader(key)}\n{key} = 8.9\n"))
 
     def test_integral_count_in_float_notation_accepted(self, tmp_path):
-        spec = load_config(write(tmp_path, "n_antennas = 16.0\nmc_symbols = 1e5\n"))
+        spec = load_config(
+            write(tmp_path, "experiment = ber_vs_snr\nn_antennas = 16.0\nmc_symbols = 1e5\n")
+        )
         assert spec.scenario.num_antennas == 16
         assert spec.mc_symbols == 100_000
 
@@ -201,9 +230,9 @@ class TestLoadConfig:
         # caught while parsing, before numpy sees it; no spec made here is run
         for text in (str(2**63), str(-(2**63)), "1e19"):
             with pytest.raises(ConfigError, match=f"{key}: .* does not fit in int64"):
-                spec_from_values({key: text})
+                spec_from_values({"experiment": reader(key), key: text})
         try:
-            spec_from_values({key: str(2**63 - 1)})
+            spec_from_values({"experiment": reader(key), key: str(2**63 - 1)})
         except ConfigError as exc:  # another bound may reject it, but not this one
             assert "int64" not in str(exc)
 
@@ -217,11 +246,25 @@ class TestLoadConfig:
         assert set(re.findall(r"`(\w+)`", listed)) == set(KEYS)
 
     def test_readme_lists_every_manifest_field(self, tmp_path):
+        # the fields every manifest records, then each command's own: "`sr-vs-snr` records ..."
         text = README.read_text()
         listed = re.search(r"The manifest's `config` records(.*?)\.\s", text, re.S).group(1)
-        run_experiment(ExperimentSpec(sweep=(10.0,), output_dir=str(tmp_path)))
-        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
-        assert set(re.findall(r"`(\w+)`", listed)) == set(config)
+        every, own = listed.split(":", 1)
+        for kind, fields in GOLDEN_SPECS.items():
+            out = tmp_path / kind.value
+            run_experiment(ExperimentSpec(kind=kind, output_dir=str(out), **fields))
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            line = re.search(rf"`{kind.command}` records\s([^;]*)", own).group(1)
+            assert set(re.findall(r"`(\w+)`", every + line)) == set(config), kind
+
+    def test_readme_lists_the_keys_each_command_reads(self):
+        # the keys every command reads, then each command's own: "- `sr-vs-snr` reads ..."
+        text = README.read_text()
+        listed = re.search(r"Recognized keys:(.*?)\.\s", text, re.S).group(1)
+        every, own = listed.split("besides these", 1)
+        for kind in ExperimentKind:
+            line = re.search(rf"`{kind.command}` reads ([^;.]*)", own).group(1)
+            assert set(re.findall(r"`(\w+)`", every + line)) == set(READ_KEYS[kind]), kind
 
     def test_readme_library_example_runs(self, capsys):
         text = README.read_text().split("\n## Library\n", 1)[1]
@@ -240,6 +283,13 @@ class TestLoadConfig:
         # the scenario checks an angle in radians; the message names the key, then the value
         with pytest.raises(ConfigError, match=f"^{key} must .*, got {re.escape(str(float(text)))}$"):
             spec_from_values({key: text})
+
+    def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
+        # a '#' inside a value is part of it, where it used to cut the value short silently
+        spec = load_config(write(tmp_path, "# runs\nout_dir = runs#2\nseed = 1  # note\n"))
+        assert (spec.output_dir, spec.scenario.rng_seed) == ("runs#2", 1)
+        with pytest.raises(ConfigError, match="seed: not an integer: '1#x'"):
+            load_config(write(tmp_path, "seed = 1#x\n"))
 
     def test_key_given_twice_exit_code(self, tmp_path, capsys):
         # the second value would silently win over the first
@@ -700,8 +750,9 @@ class TestCli:
         # EA is feasible with Bob at Eve's position; Min-TP is not, and the run
         # must fail before writing EA's file, or even making the output directory
         cfgfile = tmp_path / "bad.cfg"
+        snr_list = "snr_list = 20\n" if command == "sr-vs-snr" else ""  # no surface reads it
         cfgfile.write_text(
-            "eve_theta_deg = 70\neve_range_m = 1000\nmethods = ea, min_tp\nsnr_list = 20\n"
+            "eve_theta_deg = 70\neve_range_m = 1000\nmethods = ea, min_tp\n" + snr_list
         )
         rc = cli_main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -730,6 +781,15 @@ class TestCli:
             (["ber-vs-snr", "--mc-symbols", "1e20"], "mc_symbols: 1e20 does not fit in int64"),
             (["gamma-surface", "--grid", "3:1e19"], "gamma_points: 1e19 does not fit in int64"),
             (["sr-vs-n", "--n-list", "4,1e19"], "n_list: 1e19 does not fit in int64"),
+            # '%.12g' names sr-vs-n's files and prints every row: two entries alike under it
+            # would write one file twice, losing a curve, or give rows that cannot be told apart
+            (["sr-vs-snr", "--snr-list", "5,5"], "snr_list: entries print alike"),
+            (["sr-vs-snr", "--snr-list", "5,5.000000000001"], "snr_list: entries print alike"),
+            (["ber-vs-snr", "--snr-list", "0,5,5.0"], "snr_list: entries print alike"),
+            (["sr-vs-n", "--method", "min_tp", "--snr-list", "5,5.000000000001,5"],
+             "snr_list: entries print alike"),
+            (["sr-vs-n", "--n-list", "4,4"], "n_list: entries print alike"),
+            (["sr-vs-n", "--n-list", "4,8,4.0"], "n_list: entries print alike"),
         ],
     )
     def test_boundary_input_exit_code(self, tmp_path, capsys, argv, key):
@@ -838,20 +898,71 @@ class TestCli:
         "argv, recorded",
         [
             (["sr-vs-n", "--snr-list", "5,15"],
-             {"experiment": "sr_vs_n", "sweep": [4.0, 8.0, 16.0, 32.0, 64.0],
-              "snr_db_list": [5.0, 15.0]}),
+             {"experiment": "sr_vs_n", "methods": ["ea", "min_tp", "min_rtp"],
+              "sweep": [4.0, 8.0, 16.0, 32.0, 64.0], "snr_db_list": [5.0, 15.0]}),
             (["gamma-surface", "--grid", "2:3"],
              {"experiment": "gamma_surface", "gamma_grid_max": 2.0, "gamma_grid_points": 3}),
+            (["sr-vs-snr", "--snr-list", "10,20"],
+             {"experiment": "sr_vs_snr", "methods": ["ea", "min_tp", "min_rtp"],
+              "sweep": [10.0, 20.0]}),
+            (["ber-vs-snr", "--method", "ea", "--snr-list", "10", "--mc-symbols", "2000"],
+             {"experiment": "ber_vs_snr", "methods": ["ea"], "sweep": [10.0], "mc_symbols": 2000}),
+            (["sinr-surface", "--method", "min_tp"],
+             {"experiment": "sinr_surface", "methods": ["min_tp"],
+              "theta_grid_deg": [0.0, 180.0, 181], "range_grid_m": [500.0, 2987.5, 200]}),
         ],
     )
     def test_manifest_records_every_spec_field(self, tmp_path, argv, recorded):
+        # exactly the fields the command read: the experiment, its scenario and its own
         assert cli_main(argv + ["--out", str(tmp_path)]) == 0
         config = json.loads((tmp_path / "manifest.json").read_text())["config"]
-        defaults = {
-            "methods": ["ea", "min_tp", "min_rtp"], "mc_symbols": 100_000,
-            "snr_db_list": [5.0, 15.0, 25.0],
-            "gamma_grid_max": 3.0, "gamma_grid_points": 31,
-            "theta_grid_deg": [0.0, 180.0, 181], "range_grid_m": [500.0, 2987.5, 200],
-        }
-        assert config == {**defaults, "sweep": [0.0], "scenario": config["scenario"], **recorded}
+        assert config == {**recorded, "scenario": config["scenario"]}
+        assert config["scenario"] == asdict(ScenarioConfig())
         assert config["scenario"]["num_antennas"] == 8
+
+    @pytest.mark.parametrize(
+        "command, key", [(command, key) for command, keys in REFUSED.items() for key in keys]
+    )
+    def test_refused_key_exit_code(self, tmp_path, capsys, command, key):
+        # a key the command does not read would be ignored, or recorded for a run that
+        # never used it; from a flag or a file alike, it is refused before anything is written
+        cfgfile = write(tmp_path, f"{key} = {SAMPLE[key]}\n")
+        assert cli_main([command, "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {command} does not read {key}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda k: k.command)
+    def test_every_key_not_refused_builds_a_spec(self, kind):
+        # and every key read but out_dir, which only places the files, shows in the manifest
+        accepted = [key for key in KEYS if key not in REFUSED[kind.command]]
+        assert READ_KEYS[kind] == tuple(accepted)
+        default = _spec_as_dict(spec_from_values({"experiment": kind.value}))
+        for key in accepted:
+            spec = spec_from_values({key: SAMPLE[key], "experiment": kind.value})
+            assert spec.kind is kind
+            if key not in ("experiment", "out_dir"):
+                assert _spec_as_dict(spec) != default, key
+        assert spec_from_values({"experiment": kind.value, "out_dir": "x"}).output_dir == "x"
+
+    def test_ignored_flags_are_refused(self, tmp_path, capsys):
+        # each of these used to exit 0 and ignore what it was given
+        for argv, keys in [
+            (["sr-vs-snr", "--grid", "2:3", "--n-list", "4,8", "--mc-symbols", "5000"],
+             "gamma_max, gamma_points, n_list, mc_symbols"),
+            (["gamma-surface", "--method", "ea"], "methods"),
+            (["gamma-surface", "--snr-list", "1,2"], "snr_list"),
+            (["sr-vs-n", "--n-antennas", "16"], "n_antennas"),
+            (["sr-vs-snr", "--snr-db", "3"], "snr_db"),
+        ]:
+            assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
+            assert f"config error: {argv[0]} does not read {keys}\n" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    def test_flag_help_names_the_commands_that_read_it(self):
+        helps = {action.dest: action.help for action in build_parser()._actions}
+        assert helps["grid"].endswith(" (read by gamma-surface)")
+        assert helps["snr_db"].endswith(" (read by gamma-surface, sinr-surface)")
+        assert helps["seed"].endswith(f" (read by {', '.join(_SUBCOMMANDS)})")
+        for key, _ in _FLAGS.values():
+            named = re.search(r" \(read by (.*)\)$", helps[key]).group(1).split(", ")
+            assert named == [k.command for k in ExperimentKind if key in READ_KEYS[k]], key
