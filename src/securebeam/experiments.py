@@ -83,31 +83,44 @@ class ExperimentSpec:
     range_grid_m: tuple[float, float, int] = DEFAULT_RANGE_GRID_M
 
     def __post_init__(self):
-        for name, key in READS[self.kind].items():  # the SNR and antenna-count lists it reads
-            if key not in LISTS:
+        unread = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) is not f.default
+                  and f.name not in READS[self.kind] and any(f.name in r for r in READS.values())
+                  and not np.array_equal(getattr(self, f.name), f.default)]
+        if unread:  # fields that only other experiments read: unused, and left out of the manifest
+            raise ConfigError(f"{self.kind.command} does not read {', '.join(unread)}")
+        for name, key in READS[self.kind].items():  # its lists, as the CLI parsers give them
+            if key not in LISTS and key != "methods":
                 continue
-            if name == "sweep":
-                self.sweep = tuple(float(s) for s in self.sweep or LISTS[key][0])
-            values = getattr(self, name)
+            try:  # Method members or floats; an empty sweep is its list key's default
+                values = tuple(map(Method if key == "methods" else float, getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+            values = values or (tuple(map(float, LISTS[key][0])) if name == "sweep" else ())
+            setattr(self, name, values)
             try:  # '%.12g' names the files and prints the rows, so alike entries would clash
-                if len({"%.12g" % v for v in values}) < len(values):
+                if not values:
+                    raise ConfigError("empty list")
+                if key in LISTS and len({"%.12g" % v for v in values}) < len(values):
                     raise ConfigError(f"entries print alike under '%.12g': {values}")
                 if key == "snr_list":
                     power_for_snr_db(self.scenario, values)
-                else:  # each count must make a valid scenario, as _datasets will build it
+                elif key == "n_list":  # each count must make a valid scenario for _datasets
                     for n in values:
                         if not n.is_integer():
                             raise ConfigError(f"antenna counts must be integers, got {values}")
                         dataclasses.replace(self.scenario, num_antennas=int(n))
             except ConfigError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-        if not self.methods or len(set(self.methods)) < len(self.methods):
+        if len(set(self.methods)) < len(self.methods):  # the list loop refuses an empty one
             raise ConfigError(f"methods must be nonempty and distinct, got {self.methods}")
-        if self.mc_symbols < 1000:
-            raise ConfigError(f"mc_symbols must be >= 1000, got {self.mc_symbols}")
+        for name, label, low in (("mc_symbols", "mc_symbols", 1000),
+                                 ("gamma_grid_points", "gamma_grid_points (gamma_points)", 1)):
+            try:  # it sizes draws or a grid, so only an integer will do
+                if operator.index(getattr(self, name)) < low:
+                    raise ConfigError(f"{label} must be >= {low}, got {getattr(self, name)}")
+            except TypeError:
+                raise ConfigError(f"{label} is not an integer: {getattr(self, name)!r}") from None
         top, points = self.gamma_grid_max, self.gamma_grid_points
-        if points < 1:
-            raise ConfigError(f"gamma_grid_points (gamma_points) must be >= 1, got {points}")
         # the grid linspace(0, top, points) must be finite and end at top; one point is just 0
         if not (math.isfinite(top) and top >= 0.0 and (top == 0.0) == (points == 1)):
             raise ConfigError(f"gamma_max must be 0 for 1 point, else finite and > 0, got {top}")
@@ -227,6 +240,8 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
 def run_experiment(spec: ExperimentSpec) -> RunManifest:
     """Run one experiment, write one CSV per method plus a manifest, return the manifest."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    # encoded before the first write, so no CSV is left beside an earlier run's manifest
+    config = json.loads(json.dumps(_spec_as_dict(spec), default=np.generic.item))
     out_dir = Path(spec.output_dir)
     outputs = {}  # position in the manifest -> path
     for names, axes, values in _datasets(spec):
@@ -235,7 +250,7 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
         outputs.update(paths)
 
     manifest = RunManifest(
-        config=_spec_as_dict(spec), seed=spec.scenario.rng_seed, version=__version__,
+        config=config, seed=config["scenario"]["rng_seed"], version=__version__,
         started_at=started, finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         outputs=tuple(str(outputs[rank]) for rank in sorted(outputs)),
     )

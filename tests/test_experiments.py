@@ -4,7 +4,7 @@ import re
 import threading
 import tracemalloc
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from securebeam.cli import main as cli_main
 from securebeam.experiments import (
     KEYS,
     READ_KEYS,
+    READS,
     ExperimentSpec,
     _ber_seed,
     _power_sweep,
@@ -336,7 +337,9 @@ class TestRunExperiment:
 
     def test_grid_triple_stored_as_floats_and_an_int(self):
         # so the manifest can write it as [start, stop, points]
-        spec = ExperimentSpec(theta_grid_deg=(np.int64(60), 110, np.int64(11)))
+        spec = ExperimentSpec(
+            kind=ExperimentKind.SINR_SURFACE, theta_grid_deg=(np.int64(60), 110, np.int64(11))
+        )
         assert spec.theta_grid_deg == (60.0, 110.0, 11)
         assert [type(x) for x in spec.theta_grid_deg] == [float, float, int]
 
@@ -444,6 +447,28 @@ class TestRunExperiment:
         assert on_disk["seed"] == 42
         assert on_disk["outputs"] == list(manifest.outputs)
         assert on_disk["config"]["scenario"]["num_antennas"] == 8
+
+    def test_numpy_scalar_in_scenario_recorded_as_its_number(self, tmp_path):
+        # a loop over np.arange gives np.int64; json.dumps used to fail on it after the CSVs
+        # were written, beside whatever manifest an earlier run had left there
+        cfg = ScenarioConfig(num_antennas=np.int64(8))
+        spec = ExperimentSpec(scenario=cfg, sweep=(10.0,), output_dir=str(tmp_path))
+        manifest = run_experiment(spec)
+        scenario = json.loads((tmp_path / "manifest.json").read_text())["config"]["scenario"]
+        assert type(scenario["num_antennas"]) is int and scenario["num_antennas"] == 8
+        assert manifest.config["scenario"] == scenario
+        assert ScenarioConfig(**scenario) == spec.scenario
+
+    def test_config_that_cannot_be_encoded_writes_nothing(self, tmp_path, monkeypatch):
+        run_experiment(ExperimentSpec(
+            kind=ExperimentKind.GAMMA_SURFACE, gamma_grid_points=3, output_dir=str(tmp_path)
+        ))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(experiments, "_spec_as_dict", lambda spec: {"experiment": object()})
+        with pytest.raises(TypeError, match="object"):
+            run_experiment(ExperimentSpec(sweep=(10.0,), output_dir=str(tmp_path)))
+        # no sr_vs_snr CSV beside the gamma run's manifest, which is left as it was
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_ber_csv_equals_per_method_calls(self, tmp_path):
         # the runner stacks the methods' beams and shares one draw per SNR point;
@@ -628,6 +653,124 @@ class TestRunExperiment:
         manifest = run_experiment(spec)
         assert manifest.outputs and all(p.startswith(out) for p in manifest.outputs)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+# the ExperimentSpec fields some experiments read and others do not, each with a valid
+# value that is not its default
+PER_EXPERIMENT = {
+    "sweep": (8.0,), "methods": (Method.EA,), "mc_symbols": 2000, "gamma_grid_max": 2.0,
+    "gamma_grid_points": 3, "snr_db_list": (15.0,), "theta_grid_deg": (60.0, 110.0, 11),
+    "range_grid_m": (700.0, 1100.0, 9),
+}
+FIELD_PAIRS = [(kind, name) for kind in ExperimentKind for name in PER_EXPERIMENT]
+
+
+class TestSpecReadsRule:
+    # ExperimentSpec takes a field only where READS says its experiment reads it, as
+    # spec_from_values takes a key only where READ_KEYS lists it
+
+    def test_every_per_experiment_field_is_in_reads(self):
+        # a field that no READS entry names would pass the rule unchecked
+        named = {name for reads in READS.values() for name in reads}
+        rest = [f.name for f in fields(ExperimentSpec) if f.name not in named]
+        assert rest == ["kind", "scenario", "output_dir"]
+        assert set(PER_EXPERIMENT) == named
+        assert (len(FIELD_PAIRS), sum(name in READS[k] for k, name in FIELD_PAIRS)) == (40, 13)
+
+    @pytest.mark.parametrize(
+        "kind, name", FIELD_PAIRS, ids=[f"{k.command}-{name}" for k, name in FIELD_PAIRS]
+    )
+    def test_spec_takes_only_the_fields_its_experiment_reads(self, tmp_path, kind, name):
+        out, value = tmp_path / "out", PER_EXPERIMENT[name]
+        if name in READS[kind]:  # accepted, and recorded as given
+            fields_ = {**GOLDEN_SPECS[kind], name: value}
+            run_experiment(ExperimentSpec(kind=kind, output_dir=str(out), **fields_))
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config[name] == json.loads(json.dumps(value))
+        else:  # refused before anything is written
+            with pytest.raises(ConfigError, match=f"^{kind.command} does not read {name}$"):
+                run_experiment(ExperimentSpec(kind=kind, output_dir=str(out), **{name: value}))
+            assert not out.exists()
+
+    def test_unread_fields_are_refused_together(self, tmp_path, monkeypatch):
+        # this call used to write gamma_surface_min_rtp.csv and leave methods and sweep out
+        # of the manifest without a word
+        monkeypatch.chdir(tmp_path)  # the spec's output_dir is "out" here
+        with pytest.raises(ConfigError, match="^gamma-surface does not read sweep, methods$"):
+            run_experiment(ExperimentSpec(kind=ExperimentKind.GAMMA_SURFACE, methods=(Method.EA,), sweep=(1.0, 2.0), gamma_grid_points=3))
+        assert not list(tmp_path.iterdir())
+
+    def test_unread_field_at_its_default_is_accepted(self):
+        kind = ExperimentKind.GAMMA_SURFACE
+        spec = ExperimentSpec(kind=kind, methods=list(Method), sweep=[], mc_symbols=100_000)
+        assert _spec_as_dict(spec) == _spec_as_dict(ExperimentSpec(kind=kind))
+
+    @pytest.mark.parametrize(
+        "kind, name, given, same",
+        [
+            (ExperimentKind.SR_VS_SNR, "sweep", np.linspace(0, 30, 4), (0.0, 10.0, 20.0, 30.0)),
+            (ExperimentKind.BER_VS_SNR, "sweep", np.array([8, 12]), (8.0, 12.0)),
+            (ExperimentKind.SR_VS_N, "sweep", np.arange(4, 12, 4), (4.0, 8.0)),
+            (ExperimentKind.SR_VS_N, "snr_db_list", np.array([5.0, 15.0]), (5.0, 15.0)),
+            (ExperimentKind.SR_VS_SNR, "methods",
+             np.array([Method.MIN_TP, Method.EA], dtype=object), (Method.MIN_TP, Method.EA)),
+            (ExperimentKind.SINR_SURFACE, "methods", np.array(["ea", "min_rtp"]),
+             (Method.EA, Method.MIN_RTP)),
+            (ExperimentKind.BER_VS_SNR, "mc_symbols", np.int64(2500), 2500),
+            (ExperimentKind.GAMMA_SURFACE, "gamma_grid_points", np.int64(3), 3),
+        ],
+        ids=lambda v: getattr(v, "command", None),
+    )
+    def test_numpy_values_build_the_spec_of_their_tuple(self, tmp_path, kind, name, given, same):
+        # lists become the tuples the CLI parsers give; the two runs write the same bytes
+        def run(value):
+            fields_ = {**GOLDEN_SPECS[kind], name: value}
+            spec = ExperimentSpec(kind=kind, output_dir=str(tmp_path), **fields_)
+            manifest = run_experiment(spec)
+            files = {Path(p).name: Path(p).read_bytes() for p in manifest.outputs}
+            return spec, manifest.config, files
+
+        spec, config, files = run(given)
+        assert (spec, config, files) == run(same)
+        if isinstance(same, tuple):
+            assert type(getattr(spec, name)) is tuple
+            assert [type(v) for v in getattr(spec, name)] == [type(v) for v in same]
+
+    @pytest.mark.parametrize(
+        "kind, fields_, message",
+        [
+            (ExperimentKind.SR_VS_N, {"snr_db_list": ()}, "^snr_list: empty list$"),
+            (ExperimentKind.SR_VS_SNR, {"methods": ()}, "^methods: empty list$"),
+            (ExperimentKind.SR_VS_SNR, {"methods": ("ea", "bogus")}, "^methods: 'bogus' is not"),
+            (ExperimentKind.SR_VS_SNR, {"sweep": ("ten",)}, "^sweep: could not convert"),
+            (ExperimentKind.SR_VS_SNR, {"sweep": 10.0}, "^sweep: 'float' object is not iterable"),
+            (ExperimentKind.SR_VS_N, {"snr_db_list": (5.0, None)},
+             r"^snr_db_list: float\(\) argument"),
+            (ExperimentKind.GAMMA_SURFACE, {"gamma_grid_points": 3.0},
+             r"^gamma_grid_points \(gamma_points\) is not an integer: 3.0$"),
+            (ExperimentKind.BER_VS_SNR, {"mc_symbols": 2500.0, "sweep": (5.0,)},
+             "^mc_symbols is not an integer: 2500.0$"),
+        ],
+        ids=["empty-snr-list", "empty-methods", "unknown-method", "text-sweep", "scalar-sweep",
+             "none-snr", "float-gamma-points", "float-mc-symbols"],
+    )
+    def test_malformed_field_refused_before_the_run(self, tmp_path, kind, fields_, message):
+        # each of these used to pass the spec and fail midway through the run, or run
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(ExperimentSpec(kind=kind, output_dir=str(out), **fields_))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", list(GOLDEN_SPECS), ids=lambda k: k.command)
+    def test_manifest_config_builds_the_spec_back(self, tmp_path, kind):
+        spec = ExperimentSpec(kind=kind, output_dir=str(tmp_path), **GOLDEN_SPECS[kind])
+        run_experiment(spec)
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        kind_, scenario = ExperimentKind(config.pop("experiment")), config.pop("scenario")
+        rebuilt = ExperimentSpec(
+            kind=kind_, scenario=ScenarioConfig(**scenario), output_dir=str(tmp_path), **config
+        )
+        assert rebuilt == spec
 
 
 def leaky_min_rtp(h_target, h_null, gamma):
