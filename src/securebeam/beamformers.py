@@ -20,6 +20,14 @@ class Method(str, enum.Enum):
     MIN_TP = "min_tp"
     MIN_RTP = "min_rtp"
 
+    def __str__(self) -> str:  # the value, so NumPy and text see "ea", not "Method.EA"
+        return self.value
+
+    @classmethod
+    def _missing_(cls, value):  # any case, '-', '_' or neither, spaces around: " Min-TP "
+        name = str(value).strip().lower().replace("-", "").replace("_", "")
+        return next((m for m in cls if m.value.replace("_", "") == name), None)
+
 
 @dataclass(frozen=True)
 class RegularizationParams:

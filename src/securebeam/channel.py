@@ -4,19 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ConfigError, PolarPosition, ScenarioConfig
+from .config import SPEED_OF_LIGHT, ConfigError, PolarPosition, ScenarioConfig, check_count
 
 
 def build_subcarrier_plan(seed: int, n_antennas: int, n_subcarriers: int) -> np.ndarray:
     """Draw the plan: N distinct subcarrier indices k_n, uniformly from {0, ..., N_S - 1},
     as an (N,) int64 array. Deterministic for a fixed seed.
     """
-    if n_antennas < 1:
-        raise ConfigError(f"n_antennas must be >= 1, got {n_antennas}")
-    if n_antennas > n_subcarriers:
-        raise ConfigError(
-            f"cannot assign {n_antennas} distinct subcarriers out of {n_subcarriers}"
-        )
+    check_count("n_antennas", n_antennas, 1)
+    check_count("n_subcarriers", n_subcarriers, n_antennas)  # N distinct indices
     rng = np.random.default_rng(seed)
     return rng.choice(n_subcarriers, size=n_antennas, replace=False)
 

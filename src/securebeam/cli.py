@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .beamformers import Method
 from .config import ConfigError, InfeasibleGeometryError
 from .experiments import (
     KEYS,
@@ -19,7 +20,7 @@ _SUBCOMMANDS = [kind.command for kind in ExperimentKind]
 
 # flag -> (config key, help); flag text goes through the config-file parsers
 _FLAGS = {
-    "--method": ("methods", "comma-separated subset of ea,min_tp,min_rtp"),
+    "--method": ("methods", f"comma-separated subset of {','.join(Method)}"),
     "--seed": ("seed", "RNG seed (subcarrier draw and BER noise)"),
     "--out": ("out_dir", "output directory (default 'out')"),
     "--snr-list": ("snr_list", "comma-separated SNR values in dB"),

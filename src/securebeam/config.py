@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
@@ -18,6 +19,20 @@ class InfeasibleGeometryError(RuntimeError):
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
+
+
+def check_count(name: str, value, low: int, high: float = 2**63) -> int:
+    """value as an int in [low, high), if operator.index takes it (8.0 it does not); numpy
+    sizes arrays and draws with int64, so a count that sizes one stays below 2**63."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} is not an integer: {value!r}") from None
+    if count < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if count >= high:
+        raise ConfigError(f"{name} must be < {high}, got {value}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -65,13 +80,9 @@ class ScenarioConfig:
     rng_seed: int = 42
 
     def __post_init__(self):
-        if self.num_antennas < 2:
-            raise ConfigError(f"num_antennas must be >= 2, got {self.num_antennas}")
-        if self.num_subcarriers < self.num_antennas:
-            raise ConfigError(
-                f"num_subcarriers ({self.num_subcarriers}) must be >= num_antennas "
-                f"({self.num_antennas})"
-            )
+        check_count("num_antennas", self.num_antennas, 2)
+        check_count("num_subcarriers", self.num_subcarriers, self.num_antennas)
+        check_count("rng_seed", self.rng_seed, 0, math.inf)  # a seed sizes nothing
         for name in ("carrier_freq_hz", "total_bandwidth_hz", "total_power_w",
                      "noise_power_bob_w", "noise_power_eve_w", "bob_range_m", "eve_range_m"):
             value = getattr(self, name)
@@ -85,8 +96,6 @@ class ScenarioConfig:
             )
         if not (0.0 <= self.power_alloc <= 1.0):
             raise ConfigError(f"power_alloc (beta) must lie in [0, 1], got {self.power_alloc}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("bob_theta_deg", "eve_theta_deg"):  # PolarPosition's bound, in radians
             value = getattr(self, name)
             if not (0.0 < math.radians(value) < math.pi):

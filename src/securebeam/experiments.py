@@ -8,7 +8,6 @@ import decimal
 import enum
 import json
 import math
-import operator
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ import numpy as np
 from . import __version__
 from .beamformers import BeamPair, Method, synthesize
 from .channel import build_subcarrier_plan, path_loss
-from .config import ConfigError, ScenarioConfig, dbm_to_watts
+from .config import ConfigError, ScenarioConfig, check_count, dbm_to_watts
 from .metrics import ber_sweep, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
 
@@ -57,10 +56,10 @@ def power_for_snr_db(cfg: ScenarioConfig, snr_db: np.ndarray | float) -> np.ndar
 
 def _grid(name: str, grid: tuple) -> tuple[float, float, int]:
     """A (start, stop, points) triple for linspace: finite ends and an integer count >= 1."""
-    try:  # math.isfinite takes only real numbers, operator.index only integers
+    try:  # math.isfinite takes only real numbers; check_count's ConfigError is a ValueError
         start, stop, points = grid
-        if math.isfinite(start) and math.isfinite(stop) and operator.index(points) >= 1:
-            return float(start), float(stop), operator.index(points)
+        if math.isfinite(start) and math.isfinite(stop):
+            return float(start), float(stop), check_count(name, points, 1)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name} must be (start, stop, points), finite, points >= 1: {grid!r}")
@@ -86,7 +85,12 @@ class ExperimentSpec:
         unread = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) is not f.default
                   and f.name not in READS[self.kind] and any(f.name in r for r in READS.values())
                   and not np.array_equal(getattr(self, f.name), f.default)]
-        if unread:  # fields that only other experiments read: unused, and left out of the manifest
+        # and, by key, the scenario fields its lists set (the SNRs the power, the counts N)
+        # unless at their defaults, which a dataclass keeps as class attributes
+        overridden = [k for own in READS[self.kind].values() if own in LISTS for k in LISTS[own][1]]
+        unread += [k for k in overridden if KEYS[k][0]
+                   and getattr(self.scenario, KEYS[k][0]) != getattr(ScenarioConfig, KEYS[k][0])]
+        if unread:  # settings this experiment never uses, and would record in the manifest
             raise ConfigError(f"{self.kind.command} does not read {', '.join(unread)}")
         for name, key in READS[self.kind].items():  # its lists, as the CLI parsers give them
             if key not in LISTS and key != "methods":
@@ -105,21 +109,15 @@ class ExperimentSpec:
                 if key == "snr_list":
                     power_for_snr_db(self.scenario, values)
                 elif key == "n_list":  # each count must make a valid scenario for _datasets
-                    for n in values:
-                        if not n.is_integer():
-                            raise ConfigError(f"antenna counts must be integers, got {values}")
-                        dataclasses.replace(self.scenario, num_antennas=int(n))
+                    for n in values:  # floats, as the SNRs are; the scenario refuses 8.5
+                        n = int(n) if n.is_integer() else n
+                        dataclasses.replace(self.scenario, num_antennas=n)
             except ConfigError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
         if len(set(self.methods)) < len(self.methods):  # the list loop refuses an empty one
             raise ConfigError(f"methods must be nonempty and distinct, got {self.methods}")
-        for name, label, low in (("mc_symbols", "mc_symbols", 1000),
-                                 ("gamma_grid_points", "gamma_grid_points (gamma_points)", 1)):
-            try:  # it sizes draws or a grid, so only an integer will do
-                if operator.index(getattr(self, name)) < low:
-                    raise ConfigError(f"{label} must be >= {low}, got {getattr(self, name)}")
-            except TypeError:
-                raise ConfigError(f"{label} is not an integer: {getattr(self, name)!r}") from None
+        check_count("mc_symbols", self.mc_symbols, 1000)
+        check_count("gamma_grid_points (gamma_points)", self.gamma_grid_points, 1)
         top, points = self.gamma_grid_max, self.gamma_grid_points
         # the grid linspace(0, top, points) must be finite and end at top; one point is just 0
         if not (math.isfinite(top) and top >= 0.0 and (top == 0.0) == (points == 1)):
@@ -269,10 +267,6 @@ def _spec_as_dict(spec: ExperimentSpec) -> dict:
 # flat key = value config files
 # ---------------------------------------------------------------------------
 
-# "min_tp", "min-tp" and "mintp" all name Method.MIN_TP
-_METHOD_NAMES = {m.value.replace("_", ""): m for m in Method}
-
-
 def _int(text: str) -> int:
     # exact, where a float would run seed 2**53 + 1 as 2**53; a Decimal keeps its exponent
     # apart, so a float's range bounds the digits before int() expands them
@@ -316,22 +310,12 @@ def _kind(text: str) -> ExperimentKind:
     return ExperimentKind(text.strip().lower().replace("-", "_"))
 
 
-def _methods(text: str) -> tuple[Method, ...]:
-    methods = []
-    for part in _split(text):
-        name = part.lower().replace("-", "").replace("_", "")
-        if name not in _METHOD_NAMES:
-            raise ValueError(f"unknown method {part!r}")
-        methods.append(_METHOD_NAMES[name])
-    return tuple(methods)
-
-
 # Every flat config key: the field it sets wherever it is read (None: READS names the field,
 # or, for snr_db, spec_from_values derives total_power_w) and the parser of its text.
 # Parsers raise ValueError; CLI flags go through the same parsers.
 KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "experiment": ("kind", _kind),
-    "methods": (None, _methods),
+    "methods": (None, _split),  # names; Method takes every spelling
     "seed": ("rng_seed", _int),
     "n_antennas": ("num_antennas", _count),
     "n_subcarriers": ("num_subcarriers", _count),

@@ -10,7 +10,7 @@ import numpy as np
 
 from .beamformers import BeamPair
 from .channel import path_loss, steering_factors
-from .config import ConfigError, PolarPosition, ScenarioConfig
+from .config import ConfigError, PolarPosition, ScenarioConfig, check_count
 
 # floor applied before converting powers to dB, avoids -inf at exact nulls
 _DB_FLOOR = 1e-30
@@ -99,8 +99,7 @@ def sinr_surface(
 
 def _probe_noise(cfg: ScenarioConfig, pos: PolarPosition, num_symbols: int) -> float:
     """The noise floor of the receiver a BER probe sits at, after checking the symbol count."""
-    if num_symbols < 1:
-        raise ConfigError(f"num_symbols must be >= 1, got {num_symbols}")
+    check_count("num_symbols", num_symbols, 1)
     # Eve's entry comes last, so it wins when Bob and Eve share one position
     noise_power = {cfg.bob: cfg.noise_power_bob_w, cfg.eve: cfg.noise_power_eve_w}.get(pos)
     if noise_power is None:

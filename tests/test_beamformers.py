@@ -270,3 +270,30 @@ class TestSynthesize:
         bad = replace(cfg, eve_theta_deg=cfg.bob_theta_deg, eve_range_m=cfg.bob_range_m)
         with pytest.raises(InfeasibleGeometryError):
             synthesize(bad, plan, Method.MIN_TP)
+
+    def test_unknown_method_rejected(self, setup):
+        cfg, plan = setup
+        with pytest.raises(ConfigError, match="unknown method 'bogus'"):
+            synthesize(cfg, plan, "bogus")
+
+
+class TestMethod:
+    @pytest.mark.parametrize(
+        "text, method",
+        [("min_tp", Method.MIN_TP), ("min-tp", Method.MIN_TP), ("mintp", Method.MIN_TP),
+         ("MIN-TP", Method.MIN_TP), (" MinTP ", Method.MIN_TP), ("Min_RTP", Method.MIN_RTP),
+         ("EA", Method.EA), (np.str_("min_rtp"), Method.MIN_RTP)],
+    )
+    def test_every_spelling_names_its_member(self, text, method):
+        # the CLI and the library take the same spellings, because Method alone reads them
+        assert Method(text) is method
+
+    @pytest.mark.parametrize("value", ["foo", "min tp", "", 3, None])
+    def test_other_values_rejected(self, value):
+        with pytest.raises(ValueError, match="is not a valid Method"):
+            Method(value)
+
+    def test_str_is_the_value(self):
+        assert [str(m) for m in Method] == ["ea", "min_tp", "min_rtp"]
+        # NumPy turns members into their text, which used to be 'Method' for every member
+        assert np.array([Method.EA, Method.MIN_TP]).tolist() == ["ea", "min_tp"]

@@ -45,6 +45,15 @@ class TestSubcarrierPlan:
         with pytest.raises(ConfigError):
             build_subcarrier_plan(0, 9, 8)
 
+    @pytest.mark.parametrize(
+        "n_antennas, n_subcarriers, name",
+        [(0, 8, "n_antennas"), (2.0, 8, "n_antennas"), (2, 8.0, "n_subcarriers"),
+         (2, 2**70, "n_subcarriers")],
+    )
+    def test_bad_count_rejected(self, n_antennas, n_subcarriers, name):
+        with pytest.raises(ConfigError, match=f"^{name} "):
+            build_subcarrier_plan(42, n_antennas, n_subcarriers)
+
     def test_many_seeds_all_valid(self):
         for seed in range(1000):
             plan = build_subcarrier_plan(seed, 8, 64)
@@ -190,3 +199,19 @@ class TestConfigValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="rng_seed"):
             ScenarioConfig(rng_seed=-1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("num_antennas", 8.5), ("num_antennas", 8.0), ("num_subcarriers", 1024.5),
+         ("num_subcarriers", 2**70), ("rng_seed", 1.5), ("rng_seed", math.nan)],
+    )
+    def test_count_that_is_not_an_int64_integer_rejected(self, name, value):
+        # each used to construct, then fail at run time with a raw TypeError or OverflowError
+        with pytest.raises(ConfigError, match=f"^{name} "):
+            ScenarioConfig(**{name: value})
+
+    def test_integer_counts_accepted(self):
+        # any integer operator.index takes; a seed sizes no array, so it has no int64 bound
+        assert ScenarioConfig(num_antennas=np.int64(8)).num_antennas == 8
+        assert ScenarioConfig(num_subcarriers=np.uint16(1024)).num_subcarriers == 1024
+        assert ScenarioConfig(rng_seed=2**64).rng_seed == 2**64

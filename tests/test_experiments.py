@@ -179,6 +179,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=":1:"):
             load_config(write(tmp_path, "bogus = 1\n"))
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown key 'bogus'$"):
+            spec_from_values({"bogus": "1"})
+
     def test_snr_sets_total_power(self, tmp_path):
         spec = load_config(write(tmp_path, "experiment = sinr_surface\nsnr_db = 20\n"))
         assert spec.scenario.total_power_w == pytest.approx(0.1)
@@ -196,6 +200,8 @@ class TestLoadConfig:
         assert spec.sweep == (6.0, 8.0, 10.0)
         assert spec.mc_symbols == 2000
         assert spec.scenario.rng_seed == 7
+        spec = spec_from_values({"methods": "MIN-TP, min-rtp, Ea"})  # spelt as Method takes
+        assert spec.methods == (Method.MIN_TP, Method.MIN_RTP, Method.EA)
 
     @pytest.mark.parametrize(
         "key", ["n_antennas", "n_subcarriers", "seed", "mc_symbols", "gamma_points", "n_list"]
@@ -663,6 +669,9 @@ PER_EXPERIMENT = {
     "range_grid_m": (700.0, 1100.0, 9),
 }
 FIELD_PAIRS = [(kind, name) for kind in ExperimentKind for name in PER_EXPERIMENT]
+# the keys that set a ScenarioConfig field
+SCENARIO_KEYS = [key for key, (name, _) in KEYS.items()
+                 if name in {f.name for f in fields(ScenarioConfig)}]
 
 
 class TestSpecReadsRule:
@@ -700,6 +709,33 @@ class TestSpecReadsRule:
             run_experiment(ExperimentSpec(kind=ExperimentKind.GAMMA_SURFACE, methods=(Method.EA,), sweep=(1.0, 2.0), gamma_grid_points=3))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda k: k.command)
+    def test_scenario_keys_refused_at_both_doors_alike(self, tmp_path, kind):
+        # the scenario fields a list overrides (the SNRs set total_power_w, the counts
+        # num_antennas) were taken by ExperimentSpec, unused, and recorded in the manifest
+        out = tmp_path / "out"
+        for key in SCENARIO_KEYS:
+            name, parse = KEYS[key]
+            scenario = ScenarioConfig(**{name: parse(SAMPLE[key])})
+            if key in REFUSED[kind.command]:
+                message = f"^{kind.command} does not read {key}$"
+                with pytest.raises(ConfigError, match=message):
+                    run_experiment(
+                        ExperimentSpec(kind=kind, scenario=scenario, output_dir=str(out))
+                    )
+                with pytest.raises(ConfigError, match=message):
+                    spec_from_values({"experiment": kind.value, key: SAMPLE[key]})
+            else:
+                spec = ExperimentSpec(kind=kind, scenario=scenario, output_dir=str(out))
+                assert spec_from_values({"experiment": kind.value, key: SAMPLE[key]}) == replace(
+                    spec, output_dir="out")
+        assert not out.exists()
+
+    def test_scenario_key_at_its_default_is_accepted(self):
+        kind = ExperimentKind.SR_VS_N
+        spec = ExperimentSpec(kind=kind, scenario=ScenarioConfig(num_antennas=8, total_power_w=0.1))
+        assert spec == ExperimentSpec(kind=kind)
+
     def test_unread_field_at_its_default_is_accepted(self):
         kind = ExperimentKind.GAMMA_SURFACE
         spec = ExperimentSpec(kind=kind, methods=list(Method), sweep=[], mc_symbols=100_000)
@@ -714,6 +750,8 @@ class TestSpecReadsRule:
             (ExperimentKind.SR_VS_N, "snr_db_list", np.array([5.0, 15.0]), (5.0, 15.0)),
             (ExperimentKind.SR_VS_SNR, "methods",
              np.array([Method.MIN_TP, Method.EA], dtype=object), (Method.MIN_TP, Method.EA)),
+            (ExperimentKind.SR_VS_SNR, "methods", np.array([Method.EA, Method.MIN_TP]),
+             (Method.EA, Method.MIN_TP)),
             (ExperimentKind.SINR_SURFACE, "methods", np.array(["ea", "min_rtp"]),
              (Method.EA, Method.MIN_RTP)),
             (ExperimentKind.BER_VS_SNR, "mc_symbols", np.int64(2500), 2500),
@@ -918,6 +956,8 @@ class TestCli:
             (["gamma-surface", "--grid=-1:3"], "gamma_max"),
             (["gamma-surface", "--grid", "0:2"], "gamma_max"),
             (["sr-vs-snr", "--method", "ea,ea"], "methods"),
+            (["sr-vs-snr", "--method", "foo"], "methods: 'foo' is not a valid Method"),
+            (["gamma-surface", "--grid", "3"], "config error: --grid expects MAX:POINTS"),
             (["gamma-surface", "--grid", "3:1"], "gamma_max"),
             (["sr-vs-n", "--n-list", "4,0"], "n_list: num_antennas"),
             (["sr-vs-n", "--n-list", "4,5000"], "n_list: num_subcarriers"),
@@ -1100,6 +1140,18 @@ class TestCli:
             assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 2
             assert f"config error: {argv[0]} does not read {keys}\n" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    def test_output_beneath_a_file_exit_code(self, tmp_path, capsys):
+        # the output directory cannot be made inside a regular file
+        (tmp_path / "file").write_text("")
+        argv = ["sr-vs-snr", "--method", "ea", "--snr-list", "10"]
+        assert cli_main(argv + ["--out", str(tmp_path / "file" / "o")]) == 4
+        assert capsys.readouterr().err.startswith("securebeam: i/o error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_method_help_lists_every_method(self):
+        helps = {action.dest: action.help for action in build_parser()._actions}
+        assert helps["methods"].startswith("comma-separated subset of ea,min_tp,min_rtp (")
 
     def test_flag_help_names_the_commands_that_read_it(self):
         helps = {action.dest: action.help for action in build_parser()._actions}
