@@ -100,14 +100,18 @@ def ea_beamformer(h_target: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.angle(h_target)) / np.sqrt(len(h_target))
 
 
-def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method) -> BeamPair:
-    """Build the power-allocated beam pair for one method.
+def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method | str) -> BeamPair:
+    """Build the power-allocated beam pair for one method: a member or any name Method takes.
 
     The message beam targets Bob and (for Min-TP / Min-RTP) nulls Eve; the
     jamming beam targets Eve and nulls Bob. Each direction is unit-normalized
     then scaled by sqrt(beta P_s) and sqrt((1 - beta) P_s). Min-RTP uses
     DEFAULT_GAMMAS: no gamma changes its beam, so only the gamma search sets one.
     """
+    try:
+        method = Method(method)
+    except ValueError:
+        raise ConfigError(f"unknown method {method!r}") from None
     h_b = steering_vector(plan, cfg, cfg.bob)
     h_e = steering_vector(plan, cfg, cfg.eve)
 
@@ -117,11 +121,9 @@ def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method) -> BeamPai
     elif method is Method.MIN_TP:
         d_cm = min_tp_beamformer(h_b, h_e)
         d_an = min_tp_beamformer(h_e, h_b)
-    elif method is Method.MIN_RTP:
+    else:  # Method.MIN_RTP
         d_cm = min_rtp_beamformer(h_b, h_e, DEFAULT_GAMMAS.gamma_cm)
         d_an = min_rtp_beamformer(h_e, h_b, DEFAULT_GAMMAS.gamma_an)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
 
     beta = cfg.power_alloc
     return BeamPair(power_scaled(cfg, d_cm, beta), power_scaled(cfg, d_an, 1.0 - beta))

@@ -146,13 +146,17 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
     """Write values on the axes' grid (first axis slowest) as '%.12g' CSV rows to every path."""
-    prefixes = [""]  # axis values are formatted once; a '%.12g' number needs no '%' escape
-    for axis in axes.values():
-        cells = ["%.12g," % a for a in np.ravel(axis).tolist()]
+    # axis values are formatted once; a '%.12g' number needs no '%' escape
+    *outer, last = (["%.12g," % a for a in np.ravel(axis).tolist()] for axis in axes.values())
+    prefixes = [""]  # one per point of the outer axes; a lone axis has the one empty prefix
+    for cells in outer:
         prefixes = [p + c for p in prefixes for c in cells]
-    if any(np.size(v) != len(prefixes) for v in values.values()):
-        raise ValueError(f"values must have one entry per grid point ({len(prefixes)})")
-    template = (",".join(["%.12g"] * len(values)) + "\n").join([*prefixes, ""])
+    size = len(prefixes) * len(last)
+    if any(np.size(v) != size for v in values.values()):
+        raise ValueError(f"values must have one entry per grid point ({size})")
+    fill = ",".join(["%.12g"] * len(values)) + "\n"
+    rows = ["", *(c + fill for c in last)]  # p.join(rows) puts p before every row, in C
+    template = "".join([p.join(rows) for p in prefixes])
     flat = np.column_stack([np.ravel(v) for v in values.values()]).ravel().tolist()
     text = ",".join([*axes, *values]) + "\n" + template % tuple(flat)
     for path in paths:

@@ -276,6 +276,16 @@ class TestSynthesize:
         with pytest.raises(ConfigError, match="unknown method 'bogus'"):
             synthesize(cfg, plan, "bogus")
 
+    @pytest.mark.parametrize(
+        "name, method", [("ea", Method.EA), ("Min-TP", Method.MIN_TP), ("min_rtp", Method.MIN_RTP)]
+    )
+    def test_method_names_give_the_members_beams(self, setup, name, method):
+        # synthesize takes every spelling the CLI and ExperimentSpec take
+        cfg, plan = setup
+        got, want = synthesize(cfg, plan, name), synthesize(cfg, plan, method)
+        assert got.w_cm.tobytes() == want.w_cm.tobytes()
+        assert got.w_an.tobytes() == want.w_an.tobytes()
+
 
 class TestMethod:
     @pytest.mark.parametrize(

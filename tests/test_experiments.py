@@ -115,8 +115,10 @@ AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 8.0,
 class TestWriteCsv:
     @pytest.mark.parametrize(
         "shape, n_values",
-        [((17,), 1), ((4, 5), 1), ((3, 7), 2), ((1, 1), 2)],
-        ids=["1-axis-1-value", "2-axes-1-value", "2-axes-2-values", "1x1-grid"],
+        [((17,), 1), ((4, 5), 1), ((3, 7), 2), ((1, 1), 2), ((2, 3, 4), 2), ((5, 1), 1),
+         ((1, 6), 2)],
+        ids=["1-axis-1-value", "2-axes-1-value", "2-axes-2-values", "1x1-grid", "3-axes",
+             "1-point-last-axis", "1-point-first-axis"],
     )
     def test_bytes_equal_per_row_writer(self, tmp_path, shape, n_values):
         rng = np.random.default_rng(len(shape) * 10 + n_values)
@@ -137,12 +139,16 @@ class TestWriteCsv:
         want = per_row_csv([*axes, *values], [*grid, *values.values()])
         assert_same_text((tmp_path / "out.csv").read_text(), want)
 
-    @pytest.mark.parametrize("size", [11, 13, 1])
-    def test_value_size_must_match_grid(self, tmp_path, size):
-        axes = {"a": np.arange(3.0), "b": np.arange(4.0)}
-        with pytest.raises(ValueError, match="one entry per grid point"):
-            _write_csv([tmp_path / "out.csv"], axes, {"v": np.zeros(12), "w": np.zeros(size)})
-        assert not (tmp_path / "out.csv").exists()
+    @pytest.mark.parametrize(
+        "shape, size", [((3, 4), 11), ((3, 4), 13), ((3, 4), 1), ((2, 3, 4), 23)],
+        ids=["11", "13", "1", "3-axes-23"],
+    )
+    def test_value_size_must_match_grid(self, tmp_path, shape, size):
+        axes = {f"a{i}": np.arange(float(n)) for i, n in enumerate(shape)}
+        values = {"v": np.zeros(shape), "w": np.zeros(size)}
+        with pytest.raises(ValueError, match=rf"one entry per grid point \({math.prod(shape)}\)"):
+            _write_csv([tmp_path / "out.csv"], axes, values)
+        assert list(tmp_path.iterdir()) == []  # not even out.csv.tmp
 
 
 class TestLoadConfig:
@@ -402,12 +408,14 @@ class TestRunExperiment:
 
     def test_default_sinr_surface_csv_equals_its_record_array(self, tmp_path):
         # the writer takes theta and range as axes; its rows must be the meshgrid 'ij'
-        # points, theta-major, beside the record array's fields, column for column
+        # points, theta-major, beside the record array's fields, column for column. The
+        # three files hold the two distinct datasets (EA; Min-TP = Min-RTP), 181 x 200 rows
         spec = ExperimentSpec(kind=ExperimentKind.SINR_SURFACE, output_dir=str(tmp_path))
         run_experiment(spec)
         cfg = spec.scenario
         plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
         theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
+        assert (theta.size, ranges.size) == (181, 200)
         grid = np.meshgrid(theta, ranges, indexing="ij")
         for method in Method:
             beams = synthesize(cfg, plan, method)
