@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .beamformers import (
     BeamPair,
-    DEFAULT_GAMMAS,
     Method,
     RegularizationParams,
     ea_beamformer,

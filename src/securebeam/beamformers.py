@@ -2,31 +2,22 @@
 """The three beamformer pairs (EA, Min-TP, Min-RTP)."""
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import steering_vector
-from .config import ConfigError, InfeasibleGeometryError, ScenarioConfig
+from .config import ConfigError, InfeasibleGeometryError, NameEnum, ScenarioConfig
 
 # minimum projected-target norm for the geometry to be feasible
 FEASIBILITY_TOL = 1e-9
 
 
-class Method(str, enum.Enum):
+class Method(NameEnum):
     EA = "ea"
     MIN_TP = "min_tp"
     MIN_RTP = "min_rtp"
-
-    def __str__(self) -> str:  # the value, so NumPy and text see "ea", not "Method.EA"
-        return self.value
-
-    @classmethod
-    def _missing_(cls, value):  # any case, '-', '_' or neither, spaces around: " Min-TP "
-        name = str(value).strip().lower().replace("-", "").replace("_", "")
-        return next((m for m in cls if m.value.replace("_", "") == name), None)
 
 
 @dataclass(frozen=True)
@@ -44,10 +35,6 @@ class RegularizationParams:
 def _check_gamma(gamma: float) -> None:
     if not math.isfinite(gamma) or gamma < 0.0:
         raise ConfigError(f"regularization factors must be finite and >= 0, got {gamma}")
-
-
-#: the factors `synthesize` builds Min-RTP with; no factor changes its beam
-DEFAULT_GAMMAS = RegularizationParams(gamma_cm=2.1, gamma_an=1.8)
 
 
 @dataclass(frozen=True)
@@ -105,13 +92,10 @@ def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method | str) -> B
 
     The message beam targets Bob and (for Min-TP / Min-RTP) nulls Eve; the
     jamming beam targets Eve and nulls Bob. Each direction is unit-normalized
-    then scaled by sqrt(beta P_s) and sqrt((1 - beta) P_s). Min-RTP uses
-    DEFAULT_GAMMAS: no gamma changes its beam, so only the gamma search sets one.
+    then scaled by sqrt(beta P_s) and sqrt((1 - beta) P_s). Min-RTP is built at gamma = 0:
+    no gamma changes its beam, so only the gamma search sets one.
     """
-    try:
-        method = Method(method)
-    except ValueError:
-        raise ConfigError(f"unknown method {method!r}") from None
+    method = Method(method)
     h_b = steering_vector(plan, cfg, cfg.bob)
     h_e = steering_vector(plan, cfg, cfg.eve)
 
@@ -122,8 +106,8 @@ def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method | str) -> B
         d_cm = min_tp_beamformer(h_b, h_e)
         d_an = min_tp_beamformer(h_e, h_b)
     else:  # Method.MIN_RTP
-        d_cm = min_rtp_beamformer(h_b, h_e, DEFAULT_GAMMAS.gamma_cm)
-        d_an = min_rtp_beamformer(h_e, h_b, DEFAULT_GAMMAS.gamma_an)
+        d_cm = min_rtp_beamformer(h_b, h_e, 0.0)
+        d_an = min_rtp_beamformer(h_e, h_b, 0.0)
 
     beta = cfg.power_alloc
     return BeamPair(power_scaled(cfg, d_cm, beta), power_scaled(cfg, d_an, 1.0 - beta))

@@ -51,10 +51,13 @@ def steering_vector(plan: np.ndarray, cfg: ScenarioConfig, pos: PolarPosition) -
 
 
 def path_loss(range_m: np.ndarray | float) -> np.ndarray | float:
-    """Free-space square-law gain g = (R / 1 m)^-2, unit reference distance; elementwise."""
+    """Free-space square-law gain g = (R / 1 m)^-2, unit reference distance; elementwise.
+    Refuses a range that is not finite and > 0 or whose gain overflows (R < 7.46e-155 m)."""
     r = np.asarray(range_m, dtype=np.float64)
-    bad = r[~(np.isfinite(r) & (r > 0.0))]
-    if bad.size:
-        raise ConfigError(f"range_m must be finite and > 0, got {bad[0]}")
     # r[()] unwraps a scalar range, whose pow matches a float's; the array loop may differ by 1 ulp
-    return r[()] ** -2.0
+    with np.errstate(over="ignore", divide="ignore"):  # the check below names the range
+        gain = r[()] ** -2.0
+    bad = r[~(np.isfinite(r) & (r > 0.0) & np.isfinite(gain))]
+    if bad.size:
+        raise ConfigError(f"range_m must be finite and > 0 with a finite path loss, got {bad[0]}")
+    return gain

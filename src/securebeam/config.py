@@ -2,6 +2,7 @@
 """Scenario parameters: one validated record for all physical and protocol settings."""
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from dataclasses import dataclass
@@ -11,6 +12,21 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
 class ConfigError(ValueError):
     """A scenario or experiment parameter violates its constraints."""
+
+
+class NameEnum(str, enum.Enum):
+    """A str enum that reads its values in any case, with '-', '_' or neither, and spaces
+    around: " Min-TP " is min_tp; str() gives the value, so NumPy and text see "ea"."""
+
+    def __str__(self) -> str:
+        return self.value
+
+    @classmethod
+    def _missing_(cls, value):
+        name = str(value).strip().lower().replace("-", "").replace("_", "")
+        for member in (m for m in cls if m.value.replace("_", "") == name):
+            return member
+        raise ConfigError(f"{value!r} is not a valid {cls.__qualname__}")
 
 
 class InfeasibleGeometryError(RuntimeError):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import decimal
-import enum
 import json
 import math
 import re
@@ -18,7 +17,7 @@ import numpy as np
 from . import __version__
 from .beamformers import BeamPair, Method, synthesize
 from .channel import build_subcarrier_plan, path_loss
-from .config import ConfigError, ScenarioConfig, check_count, dbm_to_watts
+from .config import ConfigError, NameEnum, ScenarioConfig, check_count, dbm_to_watts
 from .metrics import ber_sweep, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
 
@@ -30,7 +29,7 @@ DEFAULT_THETA_GRID_DEG = (0.0, 180.0, 181)
 DEFAULT_RANGE_GRID_M = (500.0, 2987.5, 200)
 
 
-class ExperimentKind(str, enum.Enum):
+class ExperimentKind(NameEnum):
     GAMMA_SURFACE = "gamma_surface"
     SINR_SURFACE = "sinr_surface"
     SR_VS_SNR = "sr_vs_snr"
@@ -46,7 +45,7 @@ def power_for_snr_db(cfg: ScenarioConfig, snr_db: np.ndarray | float) -> np.ndar
     """Total transmit power giving the requested SNR through Bob's path loss;
     elementwise for an array of SNRs. Rejects an SNR whose power is not finite and > 0."""
     snr = np.asarray(snr_db, dtype=np.float64)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         power = 10.0 ** (snr[()] / 10.0) * cfg.noise_power_bob_w / path_loss(cfg.bob_range_m)
     bad = snr[~(np.isfinite(power) & (power > 0.0))]
     if bad.size:
@@ -82,6 +81,7 @@ class ExperimentSpec:
     range_grid_m: tuple[float, float, int] = DEFAULT_RANGE_GRID_M
 
     def __post_init__(self):
+        self.kind = ExperimentKind(self.kind)  # a member or any name ExperimentKind takes
         unread = [f.name for f in dataclasses.fields(self) if getattr(self, f.name) is not f.default
                   and f.name not in READS[self.kind] and any(f.name in r for r in READS.values())
                   and not np.array_equal(getattr(self, f.name), f.default)]
@@ -310,15 +310,11 @@ def _dbm(text: str) -> float:
     return dbm_to_watts(float(text))
 
 
-def _kind(text: str) -> ExperimentKind:
-    return ExperimentKind(text.strip().lower().replace("-", "_"))
-
-
 # Every flat config key: the field it sets wherever it is read (None: READS names the field,
 # or, for snr_db, spec_from_values derives total_power_w) and the parser of its text.
 # Parsers raise ValueError; CLI flags go through the same parsers.
 KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
-    "experiment": ("kind", _kind),
+    "experiment": ("kind", ExperimentKind),
     "methods": (None, _split),  # names; Method takes every spelling
     "seed": ("rng_seed", _int),
     "n_antennas": ("num_antennas", _count),

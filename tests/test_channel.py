@@ -130,6 +130,17 @@ class TestPathLoss:
         with pytest.raises(ConfigError):
             path_loss(r)
 
+    @pytest.mark.parametrize(
+        "r, named", [(1e-160, "1e-160"), (5e-324, "5e-324"), ([1000.0, 1e-300], "1e-300")]
+    )
+    def test_range_whose_gain_overflows_rejected(self, r, named):
+        # (R / 1 m)^-2 is inf below 7.46e-155 m, and would reach the CSVs as NaN
+        with pytest.raises(ConfigError, match=f"^range_m .* finite path loss, got {named}$"):
+            path_loss(r)
+
+    def test_small_range_with_a_finite_gain_accepted(self):
+        assert path_loss(1e-154) == pytest.approx(1e308, rel=1e-15)
+
 
 class TestConfigValidation:
     def test_beta_out_of_range(self):

@@ -796,9 +796,13 @@ class TestSpecReadsRule:
              r"^gamma_grid_points \(gamma_points\) is not an integer: 3.0$"),
             (ExperimentKind.BER_VS_SNR, {"mc_symbols": 2500.0, "sweep": (5.0,)},
              "^mc_symbols is not an integer: 2500.0$"),
+            ("bogus", {}, "^'bogus' is not a valid ExperimentKind$"),
+            (ExperimentKind.SINR_SURFACE, {"range_grid_m": (1e-300, 1000.0, 3)},
+             "^range_m .* finite path loss, got 1e-300$"),
         ],
         ids=["empty-snr-list", "empty-methods", "unknown-method", "text-sweep", "scalar-sweep",
-             "none-snr", "float-gamma-points", "float-mc-symbols"],
+             "none-snr", "float-gamma-points", "float-mc-symbols", "unknown-kind",
+             "overflowing-range"],
     )
     def test_malformed_field_refused_before_the_run(self, tmp_path, kind, fields_, message):
         # each of these used to pass the spec and fail midway through the run, or run
@@ -817,6 +821,33 @@ class TestSpecReadsRule:
             kind=kind_, scenario=ScenarioConfig(**scenario), output_dir=str(tmp_path), **config
         )
         assert rebuilt == spec
+
+    @pytest.mark.parametrize("kind", list(GOLDEN_SPECS), ids=lambda k: k.command)
+    def test_manifest_experiment_names_its_kind(self, tmp_path, kind):
+        # the recorded experiment is a name, and ExperimentSpec takes it as it stands
+        spec = ExperimentSpec(kind=kind, output_dir=str(tmp_path), **GOLDEN_SPECS[kind])
+        run_experiment(spec)
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        scenario = ScenarioConfig(**config.pop("scenario"))
+        rebuilt = ExperimentSpec(kind=config.pop("experiment"), scenario=scenario,
+                                 output_dir=str(tmp_path), **config)
+        assert rebuilt == spec and rebuilt.kind is kind
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [(name, ExperimentKind.SR_VS_SNR)
+         for name in ["sr_vs_snr", "SR-vs-SNR", " sr-vs-snr ", np.str_("sr_vs_snr")]]
+        + [("Sr-Vs-N", ExperimentKind.SR_VS_N)],
+    )
+    def test_kind_names_build_the_members_spec(self, tmp_path, name, kind):
+        # ExperimentKind reads the spellings Method reads; a name used to run the whole
+        # experiment and then fail, or to sweep the antenna counts as SNRs
+        def run(kind_):
+            spec = ExperimentSpec(kind=kind_, output_dir=str(tmp_path), **GOLDEN_SPECS[kind])
+            manifest = run_experiment(spec)
+            return spec, {Path(p).name: Path(p).read_bytes() for p in manifest.outputs}
+
+        assert run(name) == run(kind)
 
 
 def leaky_min_rtp(h_target, h_null, gamma):
@@ -990,6 +1021,26 @@ class TestCli:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [(command, "eve_range_m = 1e-160", "finite path loss, got 1e-160\n")
+         for command in ("sr-vs-snr", "sr-vs-n", "gamma-surface")]
+        + [("gamma-surface", "bob_range_m = 1e-300", "finite path loss, got 1e-300\n"),
+           ("sr-vs-snr", "bob_range_m = 1e300", "does not give a finite transmit power > 0\n")],
+    )
+    def test_range_whose_path_loss_overflows_exit_code(
+        self, tmp_path, capsys, command, line, message
+    ):
+        # below 7.46e-155 m the path loss (R / 1 m)^-2 is inf, and these runs used to exit 0
+        # with every row NaN; at 1e300 m it underflows to 0, and the power is inf
+        cfgfile, out = write(tmp_path, line + "\n"), tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main([command, "--config", cfgfile, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(message)
+        assert not out.exists()
 
     def test_flags_parsed_like_config_file(self, tmp_path):
         rc = cli_main(
