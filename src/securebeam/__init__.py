@@ -6,23 +6,19 @@ __version__ = "0.1.0"
 from .beamformers import (
     BeamPair,
     Method,
-    RegularizationParams,
     ea_beamformer,
     min_rtp_beamformer,
     min_tp_beamformer,
     synthesize,
 )
-from .channel import (
-    build_subcarrier_plan,
-    path_loss,
-    steering_vector,
-)
+from .channel import build_subcarrier_plan, steering_vector
 from .config import (
     ConfigError,
     InfeasibleGeometryError,
     PolarPosition,
     ScenarioConfig,
     SPEED_OF_LIGHT,
+    path_loss,
 )
 from .metrics import (
     ber_monte_carlo,

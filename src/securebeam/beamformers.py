@@ -21,23 +21,6 @@ class Method(NameEnum):
 
 
 @dataclass(frozen=True)
-class RegularizationParams:
-    """Ridge weights for the message (cm) and jamming (an) beams."""
-
-    gamma_cm: float
-    gamma_an: float
-
-    def __post_init__(self):
-        for gamma in (self.gamma_cm, self.gamma_an):
-            _check_gamma(gamma)
-
-
-def _check_gamma(gamma: float) -> None:
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ConfigError(f"regularization factors must be finite and >= 0, got {gamma}")
-
-
-@dataclass(frozen=True)
 class BeamPair:
     """Power-allocated message and jamming weight vectors.
 
@@ -76,7 +59,8 @@ def min_rtp_beamformer(h_target: np.ndarray, h_null: np.ndarray, gamma: float) -
     and the unit-gain rescale cancels 1 / (1 + gamma) exactly: Min-RTP equals
     Min-TP for every gamma >= 0, so this returns the Min-TP beam.
     """
-    _check_gamma(gamma)
+    if not math.isfinite(gamma) or gamma < 0.0:
+        raise ConfigError(f"regularization factors must be finite and >= 0, got {gamma}")
     return min_tp_beamformer(h_target, h_null)
 
 

@@ -1,5 +1,5 @@
 # securebeam/channel.py
-"""Array geometry, random subcarrier assignment, steering vectors, and path loss."""
+"""Array geometry, random subcarrier assignment, and steering vectors."""
 from __future__ import annotations
 
 import numpy as np
@@ -49,15 +49,3 @@ def steering_vector(plan: np.ndarray, cfg: ScenarioConfig, pos: PolarPosition) -
     a, b = steering_factors(plan, cfg, pos.angle_rad, pos.range_m)
     return a * b
 
-
-def path_loss(range_m: np.ndarray | float) -> np.ndarray | float:
-    """Free-space square-law gain g = (R / 1 m)^-2, unit reference distance; elementwise.
-    Refuses a range that is not finite and > 0 or whose gain overflows (R < 7.46e-155 m)."""
-    r = np.asarray(range_m, dtype=np.float64)
-    # r[()] unwraps a scalar range, whose pow matches a float's; the array loop may differ by 1 ulp
-    with np.errstate(over="ignore", divide="ignore"):  # the check below names the range
-        gain = r[()] ** -2.0
-    bad = r[~(np.isfinite(r) & (r > 0.0) & np.isfinite(gain))]
-    if bad.size:
-        raise ConfigError(f"range_m must be finite and > 0 with a finite path loss, got {bad[0]}")
-    return gain

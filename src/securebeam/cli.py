@@ -56,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _values_from_args(args: argparse.Namespace) -> dict[str, str]:
     values = _parse_kv_file(args.config) if args.config else {}
-    values["experiment"] = args.command
+    given = values.setdefault("experiment", args.command)  # the file's, in any spelling
+    if ExperimentKind(given) is not ExperimentKind(args.command):
+        raise ConfigError(f"{args.config}: experiment = {given}, but the command is {args.command}")
     if args.grid is not None:
         try:
             values["gamma_max"], values["gamma_points"] = args.grid.split(":", 1)

@@ -1,11 +1,14 @@
 # securebeam/config.py
-"""Scenario parameters: one validated record for all physical and protocol settings."""
+"""Scenario parameters: one validated record for all physical and protocol settings,
+and the path loss that decides which ranges it takes."""
 from __future__ import annotations
 
 import enum
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -37,10 +40,28 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
+def path_loss(range_m: np.ndarray | float) -> np.ndarray | float:
+    """Free-space square-law gain g = (R / 1 m)^-2, unit reference distance; elementwise.
+    Refuses a range that is not > 0 or whose gain is not a normal float: below 7.46e-155 m
+    the gain overflows, and above 6.7e153 m it is subnormal (fewer digits) or 0."""
+    r = np.asarray(range_m, dtype=np.float64)
+    # r[()] unwraps a scalar range, whose pow matches a float's; the array loop may differ by 1 ulp
+    with np.errstate(over="ignore", divide="ignore"):  # the check below names the range
+        gain = r[()] ** -2.0
+    bad = r[~((r > 0.0) & (gain >= np.finfo(np.float64).tiny) & (gain < np.inf))]  # NaN: False
+    if bad.size:
+        raise ConfigError(
+            f"range_m must be finite and > 0 with a normal, finite path loss, got {bad[0]}")
+    return gain
+
+
 def check_count(name: str, value, low: int, high: float = 2**63) -> int:
-    """value as an int in [low, high), if operator.index takes it (8.0 it does not); numpy
-    sizes arrays and draws with int64, so a count that sizes one stays below 2**63."""
+    """value as an int in [low, high), if operator.index takes it (8.0 it does not) and it is
+    no bool; numpy sizes arrays and draws with int64, so a count that sizes one stays below
+    2**63."""
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} is not an integer: {value!r}") from None
@@ -104,6 +125,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        for name in ("bob_range_m", "eve_range_m"):
+            try:
+                path_loss(getattr(self, name))
+            except ConfigError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         # narrowband-per-subcarrier model: total spread must stay far below carrier
         if self.total_bandwidth_hz > self.carrier_freq_hz / 10.0:
             raise ConfigError(

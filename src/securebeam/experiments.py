@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .beamformers import BeamPair, Method, synthesize
-from .channel import build_subcarrier_plan, path_loss
-from .config import ConfigError, NameEnum, ScenarioConfig, check_count, dbm_to_watts
+from .channel import build_subcarrier_plan
+from .config import ConfigError, NameEnum, ScenarioConfig, check_count, dbm_to_watts, path_loss
 from .metrics import ber_sweep, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
 
@@ -45,7 +45,7 @@ def power_for_snr_db(cfg: ScenarioConfig, snr_db: np.ndarray | float) -> np.ndar
     """Total transmit power giving the requested SNR through Bob's path loss;
     elementwise for an array of SNRs. Rejects an SNR whose power is not finite and > 0."""
     snr = np.asarray(snr_db, dtype=np.float64)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore"):
         power = 10.0 ** (snr[()] / 10.0) * cfg.noise_power_bob_w / path_loss(cfg.bob_range_m)
     bad = snr[~(np.isfinite(power) & (power > 0.0))]
     if bad.size:
@@ -224,7 +224,7 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
         # method leaves no partial output behind
         pairs, index = _distinct([synthesize(cfg, plan, m) for m in spec.methods])
         for k, beams in enumerate(pairs):
-            surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+            surface = sinr_surface(cfg, plan, beams, theta, ranges)
             values = {n: surface[n] for n in surface.dtype.names}
             yield _shared(spec, index, k), {"theta_deg": theta, "range_m": ranges}, values
 
@@ -369,20 +369,23 @@ READ_KEYS = {
 
 
 def _parse_kv_file(path: str) -> dict[str, str]:
+    try:  # read_text's universal newlines split lines as iterating the file would
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # '#' after a space
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: {key!r} given twice")
-            values[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # '#' after a space
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: {key!r} given twice")
+        values[key] = value
     return values
 
 

@@ -9,8 +9,8 @@ import threading
 import numpy as np
 
 from .beamformers import BeamPair
-from .channel import path_loss, steering_factors
-from .config import ConfigError, PolarPosition, ScenarioConfig, check_count
+from .channel import steering_factors
+from .config import ConfigError, PolarPosition, ScenarioConfig, check_count, path_loss
 
 # floor applied before converting powers to dB, avoids -inf at exact nulls
 _DB_FLOOR = 1e-30
@@ -73,15 +73,14 @@ def sinr_surface(
     beams: BeamPair,
     theta_deg_grid: np.ndarray,
     range_m_grid: np.ndarray,
-    probe_noise: float,
 ) -> np.recarray:
     """Message-beam SINR (dB) and jamming power (dB) over an angle-range grid, as a
     record array with one record per grid point and the fields `cm_sinr_db` and
     `an_power_db`, the names in its `dtype.names`.
 
-    Every grid point is probed with the same receiver noise power. Records run
-    theta-major: record i * len(range_m_grid) + j probes (theta_deg_grid[i],
-    range_m_grid[j]).
+    The SINR is Bob's, at his own noise floor, wherever he stands: every grid point
+    is probed with cfg.noise_power_bob_w. Records run theta-major: record
+    i * len(range_m_grid) + j probes (theta_deg_grid[i], range_m_grid[j]).
     """
     theta_deg = np.asarray(theta_deg_grid, dtype=np.float64)
     r = np.asarray(range_m_grid, dtype=np.float64)
@@ -89,15 +88,12 @@ def sinr_surface(
         raise ConfigError("angle and range grids must be nonempty, with finite angles")
 
     cm, an = _received(cfg, plan, beams, np.radians(theta_deg), r)
-    try:
-        cm_sinr = sinr(cm, an, probe_noise)
-    except ConfigError as exc:
-        raise ConfigError(f"probe_noise: {exc}") from exc
+    cm_sinr = sinr(cm, an, cfg.noise_power_bob_w)
     columns = (_to_db(cm_sinr).ravel(), _to_db(np.abs(an) ** 2).ravel())
     return np.rec.fromarrays(columns, names=("cm_sinr_db", "an_power_db"))
 
 
-def _probe_noise(cfg: ScenarioConfig, pos: PolarPosition, num_symbols: int) -> float:
+def _receiver_noise(cfg: ScenarioConfig, pos: PolarPosition, num_symbols: int) -> float:
     """The noise floor of the receiver a BER probe sits at, after checking the symbol count."""
     check_count("num_symbols", num_symbols, 1)
     # Eve's entry comes last, so it wins when Bob and Eve share one position
@@ -187,7 +183,7 @@ def ber_monte_carlo(
     worker thread, and gives each point exactly this call's rate, so sweep CSVs do
     not depend on the number of workers.
     """
-    noise_power = _probe_noise(cfg, pos, num_symbols)
+    noise_power = _receiver_noise(cfg, pos, num_symbols)
     cm_gains, an_gains = received_model(cfg, plan, beams, pos)
     errors = _bit_errors(cm_gains, an_gains, noise_power, seed, np.empty((4, num_symbols)))
     ber = errors / (2.0 * num_symbols)
@@ -223,7 +219,7 @@ def ber_sweep(
     per symbol per worker, plus a few chunks of 2**14 symbols. An exception in
     any worker stops the others at their next point and is raised here.
     """
-    noise_power = _probe_noise(cfg, pos, num_symbols)
+    noise_power = _receiver_noise(cfg, pos, num_symbols)
     cm_gains, an_gains = received_model(cfg, plan, beams, pos)
     if np.shape(cm_gains)[-1:] != (len(seeds),):
         raise ValueError(f"beams must stack one pair per seed ({len(seeds)}) before N")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import BeamPair, RegularizationParams, min_rtp_beamformer, power_scaled
+from .beamformers import BeamPair, min_rtp_beamformer, power_scaled
 from .channel import steering_vector
 from .config import ConfigError, ScenarioConfig
 from .metrics import secrecy_rate
@@ -31,14 +31,14 @@ class GammaGrid:
                 raise ConfigError(f"{name} must be strictly ascending")
 
     @classmethod
-    def linear(cls, maximum: float = 3.0, points: int = 31) -> "GammaGrid":
+    def linear(cls, maximum: float, points: int) -> "GammaGrid":
         vals = np.linspace(0.0, maximum, points)
         return cls(gamma_cm_values=vals, gamma_an_values=vals.copy())
 
 
 @dataclass(frozen=True)
 class GammaSearchResult:
-    best: RegularizationParams
+    best: tuple[float, float]  # (gamma_cm, gamma_an)
     best_sr: float
     surface: np.ndarray  # (len(gamma_cm_values), len(gamma_an_values))
     grid: GammaGrid
@@ -65,7 +65,7 @@ def grid_search_gamma(
     surface = secrecy_rate(cfg, plan, beams)
     flat_best = int(np.argmax(surface))  # first maximum in row-major order
     bi, bj = np.unravel_index(flat_best, surface.shape)
-    best = RegularizationParams(float(g_cm[bi]), float(g_an[bj]))
     return GammaSearchResult(
-        best=best, best_sr=float(surface[bi, bj]), surface=surface, grid=grid
+        best=(float(g_cm[bi]), float(g_an[bj])), best_sr=float(surface[bi, bj]),
+        surface=surface, grid=grid,
     )

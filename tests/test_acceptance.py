@@ -186,7 +186,7 @@ def test_criterion_6_dual_peaks():
     ok = True
     for method in Method:
         beams = synthesize(cfg, plan, method)
-        samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+        samples = sinr_surface(cfg, plan, beams, theta, ranges)
         cm = samples.cm_sinr_db.reshape(181, 200)
         an = samples.an_power_db.reshape(181, 200)
         ok = ok and np.unravel_index(np.argmax(cm), cm.shape) == i_bob

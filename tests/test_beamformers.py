@@ -7,7 +7,6 @@ from securebeam import (
     ConfigError,
     InfeasibleGeometryError,
     Method,
-    RegularizationParams,
     ScenarioConfig,
     build_subcarrier_plan,
     ea_beamformer,
@@ -178,10 +177,6 @@ class TestMinRtp:
         h_t, h_n = random_unit(4, rng), random_unit(4, rng)
         with pytest.raises(ConfigError):
             min_rtp_beamformer(h_t, h_n, gamma)
-        with pytest.raises(ConfigError):
-            RegularizationParams(gamma_cm=gamma, gamma_an=1.0)
-        with pytest.raises(ConfigError):
-            RegularizationParams(gamma_cm=1.0, gamma_an=gamma)
 
     def test_negative_gamma_rejected(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -141,6 +142,18 @@ class TestPathLoss:
     def test_small_range_with_a_finite_gain_accepted(self):
         assert path_loss(1e-154) == pytest.approx(1e308, rel=1e-15)
 
+    @pytest.mark.parametrize("r, named", [(1e300, 1e300), (6.71e153, 6.71e153),
+                                          ([1000.0, 1e160], 1e160)])
+    def test_range_whose_gain_is_not_normal_rejected(self, r, named):
+        # above 6.7e153 m the gain is subnormal, with fewer digits, and above 6.4e161 m it is 0
+        message = f"^range_m .* normal, finite path loss, got {re.escape(str(named))}$"
+        with pytest.raises(ConfigError, match=message):
+            path_loss(r)
+
+    def test_large_range_with_a_normal_gain_accepted(self):
+        assert path_loss(1e153) == pytest.approx(1e-306, rel=1e-15)
+        assert path_loss(6.7e153) >= np.finfo(np.float64).tiny
+
 
 class TestConfigValidation:
     def test_beta_out_of_range(self):
@@ -206,6 +219,14 @@ class TestConfigValidation:
         cfg = replace(ScenarioConfig(element_spacing_m=0.04), carrier_freq_hz=6e9)
         assert cfg.spacing_m == cfg.element_spacing_m == 0.04
         assert replace(cfg, num_antennas=4).spacing_m == 0.04
+
+    @pytest.mark.parametrize("name", ["bob_range_m", "eve_range_m"])
+    @pytest.mark.parametrize("value", [1e-160, 1e300])
+    def test_range_whose_path_loss_is_not_normal_rejected(self, name, value):
+        # path_loss's rule, applied when the record is made and naming the field
+        message = f"^{name}: range_m .* normal, finite path loss, got {re.escape(str(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**{name: value})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="rng_seed"):

@@ -311,6 +311,14 @@ class TestLoadConfig:
         assert f"config error: {cfgfile}:3: 'seed' given twice" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        # the decode error used to escape as a UnicodeDecodeError
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = 1\n\xff\n")
+        message = f"^{re.escape(str(path))}: not UTF-8 text: invalid start byte at byte 9$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
     def test_every_cli_flag_sets_a_key(self):
         dests = {a.dest for a in build_parser()._actions}
         assert dests - {"help", "config", "grid", "command"} <= set(KEYS)
@@ -419,7 +427,7 @@ class TestRunExperiment:
         grid = np.meshgrid(theta, ranges, indexing="ij")
         for method in Method:
             beams = synthesize(cfg, plan, method)
-            surface = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+            surface = sinr_surface(cfg, plan, beams, theta, ranges)
             names = surface.dtype.names
             columns = [*grid, *(surface[n] for n in names)]
             want = per_row_csv(["theta_deg", "range_m", *names], columns)
@@ -1026,20 +1034,68 @@ class TestCli:
         "command, line, message",
         [(command, "eve_range_m = 1e-160", "finite path loss, got 1e-160\n")
          for command in ("sr-vs-snr", "sr-vs-n", "gamma-surface")]
-        + [("gamma-surface", "bob_range_m = 1e-300", "finite path loss, got 1e-300\n"),
-           ("sr-vs-snr", "bob_range_m = 1e300", "does not give a finite transmit power > 0\n")],
+        + [("gamma-surface", "bob_range_m = 1e-300", "finite path loss, got 1e-300\n")],
     )
     def test_range_whose_path_loss_overflows_exit_code(
         self, tmp_path, capsys, command, line, message
     ):
         # below 7.46e-155 m the path loss (R / 1 m)^-2 is inf, and these runs used to exit 0
-        # with every row NaN; at 1e300 m it underflows to 0, and the power is inf
+        # with every row NaN
         cfgfile, out = write(tmp_path, line + "\n"), tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli_main([command, "--config", cfgfile, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.endswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    @pytest.mark.parametrize("key", ["bob_range_m", "eve_range_m"])
+    def test_range_whose_path_loss_underflows_exit_code(self, tmp_path, capsys, command, key):
+        # at 1e300 m the path loss is 0: gamma-surface used to write rows of 0, sinr-surface a
+        # meaningless field and sr-vs-snr rates with Eve's gain at 0, each exiting 0
+        cfgfile, out = write(tmp_path, f"{key} = 1e300\n"), tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main([command, "--config", cfgfile, "--out", str(out)])
+        assert rc == 2
+        message = f"{key}: range_m must be finite and > 0 with a normal, finite path loss"
+        assert capsys.readouterr().err.endswith(f"config error: {message}, got 1e+300\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, given",
+        [("sr-vs-snr", "gamma_surface"), ("gamma-surface", "sr-vs-snr"), ("sr-vs-n", "sr_vs_snr"),
+         ("ber-vs-snr", "bogus")],
+    )
+    def test_config_for_another_experiment_exit_code(self, tmp_path, capsys, command, given):
+        # the command used to override the file's experiment key silently
+        cfgfile, out = write(tmp_path, f"experiment = {given}\n"), tmp_path / "o"
+        assert cli_main([command, "--config", cfgfile, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if given == "bogus":
+            assert err.endswith("config error: 'bogus' is not a valid ExperimentKind\n")
+        else:
+            assert err.endswith(
+                f"config error: {cfgfile}: experiment = {given}, but the command is {command}\n"
+            )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["sr_vs_snr", "sr-vs-snr", "SR-vs-SNR", "srvssnr"])
+    def test_config_naming_its_command_in_any_spelling_runs(self, tmp_path, given):
+        cfgfile, out = write(tmp_path, f"experiment = {given}\nsnr_list = 20\n"), tmp_path / "o"
+        assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["experiment"] == "sr_vs_snr"
+        assert len(manifest["outputs"]) == 3
+
+    def test_config_that_is_not_utf8_exit_code(self, tmp_path, capsys):
+        # the decode error used to escape main as a traceback and exit status 1
+        path, out = tmp_path / "run.cfg", tmp_path / "o"
+        path.write_bytes(b"\xff = 1\n")
+        assert cli_main(["sr-vs-snr", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"config error: {path}: not UTF-8 text: invalid start byte at byte 0\n")
         assert not out.exists()
 
     def test_flags_parsed_like_config_file(self, tmp_path):
@@ -1220,3 +1276,35 @@ class TestCli:
         for key, _ in _FLAGS.values():
             named = re.search(r" \(read by (.*)\)$", helps[key]).group(1).split(", ")
             assert named == [k.command for k in ExperimentKind if key in READ_KEYS[k]], key
+
+
+def _ber_door(ber, num_symbols, seed):
+    cfg = ScenarioConfig()
+    plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
+    return ber(cfg, plan, synthesize(cfg, plan, Method.EA), cfg.bob, num_symbols, seed)
+
+
+# every door that takes a count through config.check_count: (name in the message, call)
+COUNT_DOORS = {
+    "num_antennas": lambda v: ScenarioConfig(num_antennas=v),
+    "num_subcarriers": lambda v: ScenarioConfig(num_subcarriers=v),
+    "rng_seed": lambda v: ScenarioConfig(rng_seed=v),
+    "mc_symbols": lambda v: ExperimentSpec(
+        kind=ExperimentKind.BER_VS_SNR, sweep=(5.0,), mc_symbols=v),
+    "gamma_grid_points (gamma_points)": lambda v: ExperimentSpec(
+        kind=ExperimentKind.GAMMA_SURFACE, gamma_grid_max=0.0, gamma_grid_points=v),
+    "n_antennas": lambda v: build_subcarrier_plan(42, v, 1024),
+    "n_subcarriers": lambda v: build_subcarrier_plan(42, 8, v),
+    "num_symbols": lambda v: _ber_door(ber_monte_carlo, v, 1),
+    "num_symbols (ber_sweep)": lambda v: _ber_door(metrics.ber_sweep, v, [1]),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("door", COUNT_DOORS)
+def test_every_count_door_refuses_a_bool(door, value):
+    # operator.index takes True as 1: ScenarioConfig(rng_seed=True) ran seed 1 and recorded
+    # "seed": true, and a gamma grid of True points recorded "gamma_grid_points": true
+    name = door.removesuffix(" (ber_sweep)")
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} is not an integer: {value}$"):
+        COUNT_DOORS[door](value)

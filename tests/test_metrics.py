@@ -217,9 +217,7 @@ class TestSinrSurface:
     def test_single_point_grid(self, scenario):
         cfg, plan = scenario
         beams = synthesize(cfg, plan, Method.MIN_TP)
-        samples = sinr_surface(
-            cfg, plan, beams, np.array([70.0]), np.array([1000.0]), cfg.noise_power_bob_w
-        )
+        samples = sinr_surface(cfg, plan, beams, np.array([70.0]), np.array([1000.0]))
         assert len(samples) == 1
         assert samples.dtype.names == ("cm_sinr_db", "an_power_db")
 
@@ -227,7 +225,7 @@ class TestSinrSurface:
         cfg, plan = scenario
         beams = synthesize(cfg, plan, Method.MIN_TP)
         with pytest.raises(ConfigError):
-            sinr_surface(cfg, plan, beams, np.array([]), np.array([1.0]), 1e-9)
+            sinr_surface(cfg, plan, beams, np.array([]), np.array([1.0]))
 
     @pytest.mark.parametrize(
         "theta, r",
@@ -245,29 +243,32 @@ class TestSinrSurface:
         beams = synthesize(cfg, plan, Method.MIN_TP)
         grid = (np.array([10.0, theta]), np.array([1000.0, r]))
         with pytest.raises(ConfigError):
-            sinr_surface(cfg, plan, beams, *grid, 1e-9)
+            sinr_surface(cfg, plan, beams, *grid)
 
-    @pytest.mark.parametrize("noise", [math.nan, math.inf])
-    def test_non_finite_probe_noise_rejected(self, scenario, noise):
+    @pytest.mark.parametrize("noise_bob", [1e-12, 1e-9, 1e-5])
+    def test_probed_at_bobs_noise_floor(self, scenario, noise_bob):
+        # every grid point, Eve's included, sees Bob's noise floor and not Eve's
         cfg, plan = scenario
-        beams = synthesize(cfg, plan, Method.MIN_TP)
-        with pytest.raises(ConfigError, match="probe_noise"):
-            sinr_surface(cfg, plan, beams, np.array([70.0]), np.array([1000.0]), noise)
+        cfg = replace(cfg, noise_power_bob_w=noise_bob, noise_power_eve_w=1.0)
+        beams = synthesize(cfg, plan, Method.EA)
+        theta, ranges = np.array([70.0, 100.0]), np.array([750.0, 1000.0])
+        field = sinr_surface(cfg, plan, beams, theta, ranges)
+        cells = [(t, r) for t in theta for r in ranges]  # theta-major
+        for s, (t, r) in zip(field, cells, strict=True):
+            gains = received_model(cfg, plan, beams, PolarPosition.from_degrees(t, r))
+            want = 10.0 * math.log10(sinr(*gains, noise_bob))
+            assert s.cm_sinr_db == pytest.approx(want, abs=1e-9)
 
     def test_peaks_and_leakage(self, scenario):
         cfg, plan = scenario
         beams = synthesize(cfg, plan, Method.MIN_TP)
         theta = np.linspace(0.0, 180.0, 91)
         ranges = np.linspace(500.0, 2987.5, 100)
-        samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+        samples = sinr_surface(cfg, plan, beams, theta, ranges)
         cm, an = samples.cm_sinr_db, samples.an_power_db
         # exact receiver positions, appended as their own probes
-        at_bob = sinr_surface(
-            cfg, plan, beams, np.array([70.0]), np.array([1000.0]), cfg.noise_power_bob_w
-        )[0]
-        at_eve = sinr_surface(
-            cfg, plan, beams, np.array([100.0]), np.array([750.0]), cfg.noise_power_bob_w
-        )[0]
+        at_bob = sinr_surface(cfg, plan, beams, np.array([70.0]), np.array([1000.0]))[0]
+        at_eve = sinr_surface(cfg, plan, beams, np.array([100.0]), np.array([750.0]))[0]
         assert at_bob.cm_sinr_db >= cm.max() - 1e-9
         assert at_eve.an_power_db >= an.max() - 1e-9
         # nulled fields at the opposite receiver sit at least 80 dB down
@@ -284,7 +285,7 @@ class TestSinrSurface:
         plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
         beams = synthesize(cfg, plan, method)
         theta, ranges = np.linspace(0.0, 180.0, 37), np.linspace(500.0, 2987.5, 40)
-        samples = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+        samples = sinr_surface(cfg, plan, beams, theta, ranges)
         tt, rr = (g.ravel() for g in np.meshgrid(theta, ranges, indexing="ij"))
         for i in np.random.default_rng(3).choice(len(samples), size=60, replace=False):
             s = samples[i]
@@ -306,7 +307,7 @@ class TestSinrSurface:
         plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
         beams = synthesize(cfg, plan, method)
         theta, ranges = np.linspace(*DEFAULT_THETA_GRID_DEG), np.linspace(*DEFAULT_RANGE_GRID_M)
-        field = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+        field = sinr_surface(cfg, plan, beams, theta, ranges)
         tt, rr = (g.ravel() for g in np.meshgrid(theta, ranges, indexing="ij"))
 
         def cell(theta_deg, range_m):
@@ -321,8 +322,8 @@ class TestSinrSurface:
         cfg, plan = scenario
         beams = synthesize(cfg, plan, Method.MIN_RTP)
         theta, ranges = np.linspace(10, 170, 9), np.linspace(600, 1400, 9)
-        a = sinr_surface(cfg, plan, beams, theta, ranges, 1e-9)
-        b = sinr_surface(cfg, plan, beams, theta, ranges, 1e-9)
+        a = sinr_surface(cfg, plan, beams, theta, ranges)
+        b = sinr_surface(cfg, plan, beams, theta, ranges)
         assert np.array_equal(a, b)
 
 

@@ -105,7 +105,7 @@ def test_deepest_field_cells_match_oracle(method):
     cfg, plan = default_scenario(8)
     beams = synthesize(cfg, plan, method)
     theta, ranges = np.linspace(*DEFAULT_THETA_GRID_DEG), np.linspace(*DEFAULT_RANGE_GRID_M)
-    field = sinr_surface(cfg, plan, beams, theta, ranges, cfg.noise_power_bob_w)
+    field = sinr_surface(cfg, plan, beams, theta, ranges)
     tt, rr = (g.ravel() for g in np.meshgrid(theta, ranges, indexing="ij"))
     for column in ("cm_sinr_db", "an_power_db"):
         values = field[column]

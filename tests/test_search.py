@@ -6,7 +6,6 @@ from securebeam import (
     ConfigError,
     GammaGrid,
     Method,
-    RegularizationParams,
     ScenarioConfig,
     build_subcarrier_plan,
     ea_beamformer,
@@ -59,7 +58,7 @@ class TestGridSearch:
         cfg, plan = scenario
         grid = GammaGrid(gamma_cm_values=np.array([2.1]), gamma_an_values=np.array([1.8]))
         result = grid_search_gamma(cfg, plan, grid)
-        assert result.best == RegularizationParams(2.1, 1.8)
+        assert result.best == (2.1, 1.8)
         assert result.surface.shape == (1, 1)
         assert result.best_sr == result.surface[0, 0]
 
@@ -81,8 +80,8 @@ class TestGridSearch:
         # first row-major maximum wins ties
         flat = int(np.argmax(result.surface))
         bi, bj = np.unravel_index(flat, result.surface.shape)
-        assert result.best.gamma_cm == grid.gamma_cm_values[bi]
-        assert result.best.gamma_an == grid.gamma_an_values[bj]
+        assert result.best[0] == grid.gamma_cm_values[bi]
+        assert result.best[1] == grid.gamma_an_values[bj]
 
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("blend", [False, True])
