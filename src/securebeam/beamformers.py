@@ -2,7 +2,6 @@
 """The three beamformer pairs (EA, Min-TP, Min-RTP)."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ class BeamPair:
     """Power-allocated message and jamming weight vectors.
 
     ||w_cm||^2 = beta * P_s and ||w_an||^2 = (1 - beta) * P_s. The weights may
-    be stacked along leading axes, shape (..., N), to evaluate many beams at once.
+    be stacked along leading axes, shape (..., N), to evaluate many beams at once,
+    as the gamma search's (cm, 1, N) and (1, an, N) stacks are.
     """
 
     w_cm: np.ndarray
@@ -50,18 +50,26 @@ def min_tp_beamformer(h_target: np.ndarray, h_null: np.ndarray) -> np.ndarray:
     return p_ht / gain
 
 
-def min_rtp_beamformer(h_target: np.ndarray, h_null: np.ndarray, gamma: float) -> np.ndarray:
+def min_rtp_beamformer(
+    h_target: np.ndarray, h_null: np.ndarray, gamma: float | np.ndarray
+) -> np.ndarray:
     """Regularized minimum-power beam: the ridge update P (P^H P + gamma I)^-1 P^H
     h_target for P = I - h_null h_null^H, rescaled to unit target gain; both
     channels are (N,) arrays.
 
     P (P^H P + gamma I)^-1 P^H = P / (1 + gamma) for an orthogonal projector P,
     and the unit-gain rescale cancels 1 / (1 + gamma) exactly: Min-RTP equals
-    Min-TP for every gamma >= 0, so this returns the Min-TP beam.
+    Min-TP for every gamma >= 0, so this returns the Min-TP beam, built once and
+    broadcast over an array gamma: a (G, 1) column gives a read-only (G, N) view.
     """
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ConfigError(f"regularization factors must be finite and >= 0, got {gamma}")
-    return min_tp_beamformer(h_target, h_null)
+    gammas = np.asarray(gamma)
+    bad = ~(np.isfinite(gammas) & (gammas >= 0.0))
+    if bad.any():
+        first = gammas[bad][0].item()
+        raise ConfigError(f"regularization factors must be finite and >= 0, got {first}")
+    beam = min_tp_beamformer(h_target, h_null)
+    shape = np.broadcast_shapes(gammas.shape, beam.shape)
+    return beam if shape == beam.shape else np.broadcast_to(beam, shape)
 
 
 def ea_beamformer(h_target: np.ndarray) -> np.ndarray:
@@ -98,5 +106,10 @@ def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method | str) -> B
 
 
 def power_scaled(cfg: ScenarioConfig, direction: np.ndarray, share: float) -> np.ndarray:
-    """Unit-normalize a beam direction, then scale it to power share * P_s."""
-    return np.sqrt(share * cfg.total_power_w) * direction / np.linalg.norm(direction)
+    """Unit-normalize each (N,) row of a (..., N) beam direction, then scale it to
+    power share * P_s. Each row's norm is np.linalg.norm's sqrt(re . re + im . im), one
+    BLAS dot per matmul row, so a stack keeps the bits of its rows' 1-D calls, which
+    np.linalg.norm(..., axis=-1) does not."""
+    re, im = direction.real[..., None, :], direction.imag[..., None, :]
+    sqnorm = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)  # (..., 1, 1)
+    return np.sqrt(share * cfg.total_power_w) * direction / np.sqrt(sqnorm[..., 0])

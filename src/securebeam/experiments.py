@@ -256,7 +256,7 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
         started_at=started, finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         outputs=tuple(str(outputs[rank]) for rank in sorted(outputs)),
     )
-    text = json.dumps(dataclasses.asdict(manifest), indent=2) + "\n"
+    text = json.dumps(vars(manifest), indent=2) + "\n"
     _write_text(out_dir / "manifest.json", text)
     return manifest
 

@@ -184,6 +184,61 @@ class TestMinRtp:
         with pytest.raises(ConfigError):
             min_rtp_beamformer(h_t, h_n, -0.1)
 
+    def test_gamma_column_gives_one_row_per_value(self):
+        # the gamma search builds each axis with one call on a (G, 1) column
+        rng = np.random.default_rng(17)
+        h_t, h_n = random_unit(9, rng), random_unit(9, rng)
+        gammas = np.array([0.0, 1e-12, 0.4, 2.1, 1e6])
+        got = min_rtp_beamformer(h_t, h_n, gammas[:, None])
+        assert got.shape == (5, 9)
+        for row, gamma in zip(got, gammas):
+            assert np.array_equal(row, min_rtp_beamformer(h_t, h_n, float(gamma)))
+
+    def test_shape_follows_gamma_arithmetic(self):
+        rng = np.random.default_rng(18)
+        h_t, h_n = random_unit(4, rng), random_unit(4, rng)
+        for gamma in (2.1, np.float64(2.1), np.array(2.1), np.ones((2, 3, 1)), np.ones(4)):
+            want = np.broadcast_shapes(np.shape(gamma), (4,))
+            assert min_rtp_beamformer(h_t, h_n, gamma).shape == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_bad_entry_anywhere_rejected_and_named(self, bad):
+        rng = np.random.default_rng(19)
+        h_t, h_n = random_unit(4, rng), random_unit(4, rng)
+        gammas = np.array([[0.0], [1.0], [bad], [-3.0]])
+        with pytest.raises(ConfigError, match=f"finite and >= 0, got {bad}$"):
+            min_rtp_beamformer(h_t, h_n, gammas)
+
+
+class TestPowerScaled:
+    # each row of a stack is normalized bit for bit as the 1-D call on it, and that call
+    # as np.linalg.norm on the row, so the gamma search's stacked beams keep every bit
+
+    @staticmethod
+    def by_linalg_norm(cfg, row, share):
+        return np.sqrt(share * cfg.total_power_w) * row / np.linalg.norm(row)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 128, 512, 1024])
+    def test_stack_rows_equal_the_1d_call(self, n):
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((3, 7, n)) + 1j * rng.standard_normal((3, 7, n))
+        got = power_scaled(cfg, stack, 0.3)
+        assert got.shape == stack.shape
+        for index in np.ndindex(3, 7):
+            one = power_scaled(cfg, stack[index], 0.3)
+            assert one.shape == (n,)
+            assert np.array_equal(one, self.by_linalg_norm(cfg, stack[index], 0.3)), index
+            assert np.array_equal(got[index], one), index
+
+    def test_stride_zero_stack(self):
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(21)
+        d = random_unit(128, rng) * 3.0
+        got = power_scaled(cfg, np.broadcast_to(d, (31, 128)), 0.5)
+        assert got.shape == (31, 128)
+        assert all(np.array_equal(row, self.by_linalg_norm(cfg, d, 0.5)) for row in got)
+
 
 class TestEa:
     def test_aligned_input_is_fixed_point(self):

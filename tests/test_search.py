@@ -10,6 +10,7 @@ from securebeam import (
     build_subcarrier_plan,
     ea_beamformer,
     grid_search_gamma,
+    min_rtp_beamformer,
     min_tp_beamformer,
     secrecy_rate,
     steering_vector,
@@ -51,6 +52,14 @@ class TestGammaGrid:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             GammaGrid(gamma_cm_values=np.array([-1.0, 0.5]), gamma_an_values=np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [np.float64(0.5), [[0.0, 1.0]], [[0.5]], np.zeros((2, 0))])
+    @pytest.mark.parametrize("name", ["gamma_cm_values", "gamma_an_values"])
+    def test_not_1d_rejected(self, name, bad):
+        # the search stacks each axis as a (G, 1) column, so a grid is 1-D
+        fields = {"gamma_cm_values": [0.0], "gamma_an_values": [0.0], name: bad}
+        with pytest.raises(ConfigError, match=f"^{name} must be 1-D, got shape"):
+            GammaGrid(**fields)
 
 
 class TestGridSearch:
@@ -120,6 +129,43 @@ class TestGridSearch:
         assert result.surface.shape == (3, 5)
         assert (np.ptp(expected) > 1e-3) == blend
         np.testing.assert_allclose(result.surface, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_surface_equals_per_cell_loop_exactly(self, n):
+        # the stacked beams keep every bit of the per-value beams, so the surface does too
+        cfg = ScenarioConfig(num_antennas=n)
+        plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
+        grid = GammaGrid(
+            gamma_cm_values=np.array([0.0, 0.4, 2.1, 7.0]),
+            gamma_an_values=np.array([0.05, 1.8, 25.0]),
+        )
+        h_b, h_e = steering_vector(plan, cfg, cfg.bob), steering_vector(plan, cfg, cfg.eve)
+        beta = cfg.power_alloc
+        expected = np.array(
+            [
+                [
+                    secrecy_rate(cfg, plan, BeamPair(
+                        power_scaled(cfg, min_rtp_beamformer(h_b, h_e, gc), beta),
+                        power_scaled(cfg, min_rtp_beamformer(h_e, h_b, ga), 1.0 - beta),
+                    ))
+                    for ga in grid.gamma_an_values
+                ]
+                for gc in grid.gamma_cm_values
+            ]
+        )
+        assert np.array_equal(grid_search_gamma(cfg, plan, grid).surface, expected)
+
+    def test_one_beam_call_per_axis(self, scenario, monkeypatch):
+        cfg, plan = scenario
+        calls = []
+
+        def counting(h_t, h_n, gamma):
+            calls.append(np.shape(gamma))
+            return min_rtp_beamformer(h_t, h_n, gamma)
+
+        monkeypatch.setattr(search, "min_rtp_beamformer", counting)
+        grid_search_gamma(cfg, plan, GammaGrid.linear(3.0, 31))
+        assert calls == [(31, 1), (31, 1)]
 
     def test_deterministic(self, scenario):
         cfg, plan = scenario
