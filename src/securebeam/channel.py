@@ -30,18 +30,21 @@ def steering_factors(
     b = exp(j 2 pi k_n df R / c) / sqrt(N).
 
     Every plan passes through here, so this is where it is checked against cfg: an
-    (N,) integer array of indices k_n in [0, N_S).
+    (N,) integer array of indices k_n in [0, N_S). A phase that is not finite is refused.
     """
     plan, n_s = np.asarray(plan), cfg.num_subcarriers
     if not (plan.shape == (cfg.num_antennas,) and np.issubdtype(plan.dtype, np.integer)
             and plan.min() >= 0 and plan.max() < n_s):
         raise ConfigError(f"plan must be {cfg.num_antennas} integers in [0, {n_s - 1}], got {plan!r}")
     two_pi_c = 2.0 * np.pi / SPEED_OF_LIGHT
-    f_n = cfg.carrier_freq_hz + plan * cfg.subcarrier_spacing_hz
-    per_cos_theta = two_pi_c * f_n * (np.arange(len(plan)) * cfg.spacing_m)
-    per_metre = two_pi_c * cfg.subcarrier_spacing_hz * plan
-    a = np.exp(-1j * np.multiply.outer(np.cos(theta_rad), per_cos_theta))
-    return a, np.exp(1j * np.multiply.outer(range_m, per_metre)) / np.sqrt(len(plan))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        f_n = cfg.carrier_freq_hz + plan * cfg.subcarrier_spacing_hz
+        per_cos_theta = two_pi_c * f_n * (np.arange(len(plan)) * cfg.spacing_m)
+        phase_a = np.multiply.outer(np.cos(theta_rad), per_cos_theta)
+        phase_b = np.multiply.outer(range_m, two_pi_c * cfg.subcarrier_spacing_hz * plan)
+    if not (np.isfinite(phase_a).all() and np.isfinite(phase_b).all()):
+        raise ConfigError("steering phase not finite: element_spacing_m, carrier_freq_hz or range")
+    return np.exp(-1j * phase_a), np.exp(1j * phase_b) / np.sqrt(len(plan))
 
 
 def steering_vector(plan: np.ndarray, cfg: ScenarioConfig, pos: PolarPosition) -> np.ndarray:

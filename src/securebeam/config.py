@@ -36,10 +36,6 @@ class InfeasibleGeometryError(RuntimeError):
     """Bob and Eve are indistinguishable in channel space; null + alignment contradict."""
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
-
-
 def path_loss(range_m: np.ndarray | float) -> np.ndarray | float:
     """Free-space square-law gain g = (R / 1 m)^-2, unit reference distance; elementwise.
     Refuses a range that is not > 0 or whose gain is not a normal float: below 7.46e-155 m

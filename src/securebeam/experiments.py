@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .beamformers import BeamPair, Method, synthesize
 from .channel import build_subcarrier_plan
-from .config import ConfigError, NameEnum, ScenarioConfig, check_count, dbm_to_watts, path_loss
+from .config import ConfigError, NameEnum, ScenarioConfig, check_count, path_loss
 from .metrics import ber_sweep, secrecy_rate, sinr_surface
 from .search import GammaGrid, grid_search_gamma
 
@@ -92,16 +92,14 @@ class ExperimentSpec:
                    and getattr(self.scenario, KEYS[k][0]) != getattr(ScenarioConfig, KEYS[k][0])]
         if unread:  # settings this experiment never uses, and would record in the manifest
             raise ConfigError(f"{self.kind.command} does not read {', '.join(unread)}")
-        for name, key in READS[self.kind].items():  # its lists, as the CLI parsers give them
+        for name, key in READS[self.kind].items():  # its lists, as texts or numbers at either door
             if key not in LISTS and key != "methods":
                 continue
             try:  # Method members or floats; an empty sweep is its list key's default
                 values = tuple(map(Method if key == "methods" else float, getattr(self, name)))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
-            values = values or (tuple(map(float, LISTS[key][0])) if name == "sweep" else ())
-            setattr(self, name, values)
-            try:  # '%.12g' names the files and prints the rows, so alike entries would clash
+                values = values or (tuple(map(float, LISTS[key][0])) if name == "sweep" else ())
+                setattr(self, name, values)
+                # '%.12g' names the files and prints the rows, so alike entries would clash
                 if not values:
                     raise ConfigError("empty list")
                 if key in LISTS and len({"%.12g" % v for v in values}) < len(values):
@@ -112,7 +110,7 @@ class ExperimentSpec:
                     for n in values:  # floats, as the SNRs are; the scenario refuses 8.5
                         n = int(n) if n.is_integer() else n
                         dataclasses.replace(self.scenario, num_antennas=n)
-            except ConfigError as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # ConfigError is a ValueError
                 raise ConfigError(f"{key}: {exc}") from exc
         if len(set(self.methods)) < len(self.methods):  # the list loop refuses an empty one
             raise ConfigError(f"methods must be nonempty and distinct, got {self.methods}")
@@ -283,14 +281,6 @@ def _int(text: str) -> int:
     raise ValueError(f"not an integer: {text!r}")
 
 
-def _count(text: str) -> int:
-    # counts size numpy arrays and draws, whose sizes are int64
-    number = _int(text)
-    if abs(number) >= 2**63:
-        raise ValueError(f"{text.strip()} does not fit in int64")
-    return number
-
-
 def _split(text: str) -> list[str]:
     parts = text.replace(",", " ").split()
     if not parts:
@@ -298,27 +288,22 @@ def _split(text: str) -> list[str]:
     return parts
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in _split(text))
-
-
-def _counts(text: str) -> tuple[int, ...]:
-    return tuple(_count(part) for part in _split(text))
-
-
 def _dbm(text: str) -> float:
-    return dbm_to_watts(float(text))
+    try:  # a level that overflows is inf, which ScenarioConfig refuses by field
+        return 10.0 ** (float(text) / 10.0) * 1e-3
+    except OverflowError:
+        return math.inf
 
 
 # Every flat config key: the field it sets wherever it is read (None: READS names the field,
-# or, for snr_db, spec_from_values derives total_power_w) and the parser of its text.
-# Parsers raise ValueError; CLI flags go through the same parsers.
+# or, for snr_db, spec_from_values derives total_power_w) and the parser of its text, which
+# CLI flags share and which raises ValueError. The typed records convert and bound the values.
 KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "experiment": ("kind", ExperimentKind),
     "methods": (None, _split),  # names; Method takes every spelling
     "seed": ("rng_seed", _int),
-    "n_antennas": ("num_antennas", _count),
-    "n_subcarriers": ("num_subcarriers", _count),
+    "n_antennas": ("num_antennas", _int),
+    "n_subcarriers": ("num_subcarriers", _int),
     "carrier_freq_hz": ("carrier_freq_hz", float),
     "bandwidth_hz": ("total_bandwidth_hz", float),
     "element_spacing_m": ("element_spacing_m", float),
@@ -331,11 +316,11 @@ KEYS: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "bob_range_m": ("bob_range_m", float),
     "eve_theta_deg": ("eve_theta_deg", float),
     "eve_range_m": ("eve_range_m", float),
-    "snr_list": (None, _floats),
-    "n_list": (None, _counts),
-    "mc_symbols": (None, _count),
+    "snr_list": (None, _split),
+    "n_list": (None, _split),
+    "mc_symbols": (None, _int),
     "gamma_max": (None, float),
-    "gamma_points": (None, _count),
+    "gamma_points": (None, _int),
     "out_dir": ("output_dir", str),
 }
 
@@ -369,8 +354,8 @@ READ_KEYS = {
 
 
 def _parse_kv_file(path: str) -> dict[str, str]:
-    try:  # read_text's universal newlines split lines as iterating the file would
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    try:  # universal newlines split lines as iterating the file would; utf-8-sig drops a BOM
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     values: dict[str, str] = {}

@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import re
@@ -30,6 +31,7 @@ from securebeam.cli import _FLAGS, _SUBCOMMANDS, build_parser
 from securebeam.cli import main as cli_main
 from securebeam.experiments import (
     KEYS,
+    LISTS,
     READ_KEYS,
     READS,
     ExperimentSpec,
@@ -240,14 +242,22 @@ class TestLoadConfig:
         "key", ["n_antennas", "n_subcarriers", "mc_symbols", "gamma_points", "n_list"]
     )
     def test_count_beyond_int64_rejected(self, key):
-        # caught while parsing, before numpy sees it; no spec made here is run
-        for text in (str(2**63), str(-(2**63)), "1e19"):
-            with pytest.raises(ConfigError, match=f"{key}: .* does not fit in int64"):
+        # config.check_count refuses it by field, before numpy sees it; no spec made here is run
+        field = {"n_antennas": "num_antennas", "n_subcarriers": "num_subcarriers",
+                 "gamma_points": r"gamma_grid_points \(gamma_points\)",
+                 "n_list": "n_list: num_antennas"}.get(key, key)
+        for text, bound in ((str(2**63), f"< {2**63}"), (str(-(2**63)), ">= "),
+                            ("1e19", f"< {2**63}")):
+            with pytest.raises(ConfigError, match=f"{field} must be {bound}"):
                 spec_from_values({"experiment": reader(key), key: text})
+        if key == "n_list":  # its entries are floats, as the SNRs are: 2**63 - 1 reads as 2**63
+            with pytest.raises(ConfigError, match=f"{field} must be < {2**63}, got {2**63}$"):
+                spec_from_values({"experiment": reader(key), key: str(2**63 - 1)})
+            return
         try:
             spec_from_values({"experiment": reader(key), key: str(2**63 - 1)})
         except ConfigError as exc:  # another bound may reject it, but not this one
-            assert "int64" not in str(exc)
+            assert f"must be < {2**63}" not in str(exc)
 
     def test_ber_symbol_floor(self, tmp_path):
         with pytest.raises(ConfigError, match="mc_symbols"):
@@ -318,6 +328,13 @@ class TestLoadConfig:
         message = f"^{re.escape(str(path))}: not UTF-8 text: invalid start byte at byte 9$"
         with pytest.raises(ConfigError, match=message):
             load_config(str(path))
+
+    def test_file_with_a_byte_order_mark_reads_as_without_it(self, tmp_path):
+        # the mark used to read as part of the first key: unknown key '\ufeffseed'
+        text = "seed = 7\nexperiment = ber_vs_snr\nmc_symbols = 2000\n"
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert load_config(str(path)) == load_config(write(tmp_path, text))
 
     def test_every_cli_flag_sets_a_key(self):
         dests = {a.dest for a in build_parser()._actions}
@@ -796,10 +813,11 @@ class TestSpecReadsRule:
             (ExperimentKind.SR_VS_N, {"snr_db_list": ()}, "^snr_list: empty list$"),
             (ExperimentKind.SR_VS_SNR, {"methods": ()}, "^methods: empty list$"),
             (ExperimentKind.SR_VS_SNR, {"methods": ("ea", "bogus")}, "^methods: 'bogus' is not"),
-            (ExperimentKind.SR_VS_SNR, {"sweep": ("ten",)}, "^sweep: could not convert"),
-            (ExperimentKind.SR_VS_SNR, {"sweep": 10.0}, "^sweep: 'float' object is not iterable"),
+            (ExperimentKind.SR_VS_SNR, {"sweep": ("ten",)}, "^snr_list: could not convert"),
+            (ExperimentKind.SR_VS_SNR, {"sweep": 10.0},
+             "^snr_list: 'float' object is not iterable"),
             (ExperimentKind.SR_VS_N, {"snr_db_list": (5.0, None)},
-             r"^snr_db_list: float\(\) argument"),
+             r"^snr_list: float\(\) argument"),
             (ExperimentKind.GAMMA_SURFACE, {"gamma_grid_points": 3.0},
              r"^gamma_grid_points \(gamma_points\) is not an integer: 3.0$"),
             (ExperimentKind.BER_VS_SNR, {"mc_symbols": 2500.0, "sweep": (5.0,)},
@@ -818,6 +836,43 @@ class TestSpecReadsRule:
         with pytest.raises(ConfigError, match=message):
             run_experiment(ExperimentSpec(kind=kind, output_dir=str(out), **fields_))
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, name, key",
+        [(ExperimentKind.SR_VS_N, "sweep", "n_list"),
+         (ExperimentKind.SR_VS_N, "snr_db_list", "snr_list"),
+         (ExperimentKind.SR_VS_SNR, "sweep", "snr_list")],
+    )
+    def test_list_entry_beyond_float_range_refused_before_the_run(self, tmp_path, kind, name, key):
+        # float(10**400) raises OverflowError, which used to escape ExperimentSpec
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^{key}: int too large to convert to float$"):
+            run_experiment(ExperimentSpec(kind=kind, output_dir=str(out), **{name: (10**400,)}))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, name, key",
+        [(kind, name, key) for kind in ExperimentKind for name, key in READS[kind].items()
+         if key in LISTS or key == "methods"],
+        ids=lambda v: getattr(v, "command", v),
+    )
+    def test_both_doors_read_a_list_alike(self, kind, name, key):
+        # a list key's text is split by spec_from_values and read by ExperimentSpec alone
+        a, b = ("ea", "min-tp") if key == "methods" else ("8", "16")
+        typed = (Method(a), Method(b)) if key == "methods" else (float(a), float(b))
+        spec = spec_from_values({"experiment": kind.value, key: f"{a}, {b}"})
+        assert spec == ExperimentSpec(kind=kind, **{name: (a, b)})
+        assert spec == ExperimentSpec(kind=kind, **{name: typed})
+        for text in ("ten", "5,5", ""):
+            parts = tuple(text.replace(",", " ").split())
+            with pytest.raises(ConfigError, match=f"^{key}: ") as cli:
+                spec_from_values({"experiment": kind.value, key: text})
+            if not parts and name == "sweep":  # the library's empty sweep is its default
+                assert ExperimentSpec(kind=kind, sweep=parts).sweep == LISTS[key][0]
+                continue
+            with pytest.raises(ConfigError) as lib:
+                ExperimentSpec(kind=kind, **{name: parts})
+            assert str(lib.value) == str(cli.value)
 
     @pytest.mark.parametrize("kind", list(GOLDEN_SPECS), ids=lambda k: k.command)
     def test_manifest_config_builds_the_spec_back(self, tmp_path, kind):
@@ -1008,9 +1063,11 @@ class TestCli:
             (["gamma-surface", "--grid", "3:1"], "gamma_max"),
             (["sr-vs-n", "--n-list", "4,0"], "n_list: num_antennas"),
             (["sr-vs-n", "--n-list", "4,5000"], "n_list: num_subcarriers"),
-            (["ber-vs-snr", "--mc-symbols", "1e20"], "mc_symbols: 1e20 does not fit in int64"),
-            (["gamma-surface", "--grid", "3:1e19"], "gamma_points: 1e19 does not fit in int64"),
-            (["sr-vs-n", "--n-list", "4,1e19"], "n_list: 1e19 does not fit in int64"),
+            (["ber-vs-snr", "--mc-symbols", "1e20"], "mc_symbols must be < 9223372036854775808"),
+            (["gamma-surface", "--grid", "3:1e19"],
+             "(gamma_points) must be < 9223372036854775808"),
+            (["sr-vs-n", "--n-list", "4,1e19"],
+             "n_list: num_antennas must be < 9223372036854775808"),
             # '%.12g' names sr-vs-n's files and prints every row: two entries alike under it
             # would write one file twice, losing a curve, or give rows that cannot be told apart
             (["sr-vs-snr", "--snr-list", "5,5"], "snr_list: entries print alike"),
@@ -1122,8 +1179,35 @@ class TestCli:
         # numpy would raise OverflowError from the plan draw
         cfgfile = write(tmp_path, "n_subcarriers = 1e19\n")
         assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
-        assert "n_subcarriers: 1e19 does not fit in int64" in capsys.readouterr().err
+        assert "num_subcarriers must be < 9223372036854775808" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, text, field",
+        [("noise_bob_dbm", "4000", "noise_power_bob_w"),
+         ("noise_eve_dbm", "1e6", "noise_power_eve_w")],
+    )
+    def test_config_dbm_that_overflows_exit_code(self, tmp_path, capsys, key, text, field):
+        # 10 ** (dBm / 10) overflows a float from about 3,083 dBm; it used to escape main
+        # as an OverflowError traceback and exit status 1
+        cfgfile, out = write(tmp_path, f"{key} = {text}\n"), tmp_path / "o"
+        assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"securebeam: config error: {field} must be finite and > 0, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["element_spacing_m = 1e308\n",  # (n - 1) d overflows
+         "carrier_freq_hz = 1e300\nbandwidth_hz = 1e299\nbob_range_m = 1e100\n"],  # k df R does
+        ids=["spacing", "range"],
+    )
+    def test_config_whose_steering_phase_overflows_exit_code(self, tmp_path, capsys, text):
+        # found by tests/test_string_door.py: the run wrote NaN rows and exited 0
+        cfgfile, out = write(tmp_path, text), tmp_path / "o"
+        assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(out)]) == 2
+        assert "config error: steering phase not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gamma_is_set_only_by_the_grid(self, tmp_path, capsys):
         # no gamma changes a Min-RTP beam, so no key or flag sets one outside the search
