@@ -141,6 +141,15 @@ class ScenarioConfig:
         spacing = self.element_spacing_m
         if spacing is not None and not (math.isfinite(spacing) and spacing > 0.0):
             raise ConfigError(f"element_spacing_m must be finite and > 0, got {spacing}")
+        # the largest phase of each factor of channel.steering_factors, in its float64 order:
+        # element N - 1 on subcarrier N_S - 1 at |cos theta| = 1, and the farther of Bob and Eve
+        two_pi_c, k = 2.0 * math.pi / SPEED_OF_LIGHT, self.num_subcarriers - 1
+        df, far = self.subcarrier_spacing_hz, max("bob_range_m", "eve_range_m", key=vars(self).get)
+        for name, phase in (("element_spacing_m", two_pi_c * (self.carrier_freq_hz + k * df)
+                             * ((self.num_antennas - 1) * self.spacing_m)),
+                            (far, getattr(self, far) * (two_pi_c * df * k))):
+            if not math.isfinite(phase):
+                raise ConfigError(f"steering phase not finite: {name} = {getattr(self, name)}")
 
     @property
     def bob(self) -> PolarPosition:

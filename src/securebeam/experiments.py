@@ -2,13 +2,15 @@
 """Experiment runner: config ingestion, sweeps, CSV emission, run manifest."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime
 import decimal
+import itertools
 import json
 import math
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +29,8 @@ DEFAULT_SR_VS_N_SNRS_DB = (5.0, 15.0, 25.0)
 # 181 x 200 angle-range probe grid; hits the default Bob and Eve positions exactly
 DEFAULT_THETA_GRID_DEG = (0.0, 180.0, 181)
 DEFAULT_RANGE_GRID_M = (500.0, 2987.5, 200)
+# CSV rows per formatted block, in whole values of the outer axes: at least one last axis
+_BLOCK_ROWS = 4096
 
 
 class ExperimentKind(NameEnum):
@@ -134,12 +138,23 @@ class RunManifest:
     outputs: tuple[str, ...]
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write through <name>.tmp and a rename, so a reader never sees a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)  # at the first write: a failed run makes none
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+def _write_text(paths: list[Path], blocks: Iterable[str]) -> None:
+    """Write the blocks to every path (all in one directory) through <name>.tmp and a rename,
+    so a reader never sees a partial file; a block that fails leaves no .tmp behind."""
+    paths[0].parent.mkdir(parents=True, exist_ok=True)  # first write: a failed run makes none
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(tmp.open("w")) for tmp in tmps]
+            for block in blocks:
+                for file in files:
+                    file.write(block)
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, path in zip(tmps, paths):
+        tmp.replace(path)
 
 
 def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
@@ -149,16 +164,18 @@ def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
     prefixes = [""]  # one per point of the outer axes; a lone axis has the one empty prefix
     for cells in outer:
         prefixes = [p + c for p in prefixes for c in cells]
-    size = len(prefixes) * len(last)
-    if any(np.size(v) != size for v in values.values()):
+    size, columns = len(prefixes) * len(last), [np.reshape(v, -1) for v in values.values()]
+    if any(column.size != size for column in columns):
         raise ValueError(f"values must have one entry per grid point ({size})")
     fill = ",".join(["%.12g"] * len(values)) + "\n"
     rows = ["", *(c + fill for c in last)]  # p.join(rows) puts p before every row, in C
-    template = "".join([p.join(rows) for p in prefixes])
-    flat = np.column_stack([np.ravel(v) for v in values.values()]).ravel().tolist()
-    text = ",".join([*axes, *values]) + "\n" + template % tuple(flat)
-    for path in paths:
-        _write_text(path, text)
+    step = max(1, _BLOCK_ROWS // len(last))  # whole outer-axis prefixes per block
+    blocks = (  # each block's one '%' fill, with its slice of every column
+        "".join([p.join(rows) for p in prefixes[i:i + step]]) % tuple(np.column_stack(
+            [column[i * len(last):(i + step) * len(last)] for column in columns]).ravel().tolist())
+        for i in range(0, len(prefixes), step)
+    )
+    _write_text(paths, itertools.chain([",".join([*axes, *values]) + "\n"], blocks))
 
 
 def _distinct(pairs: list[BeamPair]) -> tuple[list[BeamPair], list[int]]:
@@ -255,7 +272,7 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
         outputs=tuple(str(outputs[rank]) for rank in sorted(outputs)),
     )
     text = json.dumps(vars(manifest), indent=2) + "\n"
-    _write_text(out_dir / "manifest.json", text)
+    _write_text([out_dir / "manifest.json"], [text])
     return manifest
 
 

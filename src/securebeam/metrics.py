@@ -103,7 +103,8 @@ def _receiver_noise(cfg: ScenarioConfig, pos: PolarPosition, num_symbols: int) -
     return noise_power
 
 
-# symbols per decision chunk: its bit masks and each pair's products take 128-256 KiB each
+# symbols per decision chunk: its Gaussian block takes 512 KiB, its sign masks and each
+# pair's products 256 KiB each
 _CHUNK = 1 << 14
 # the sign bit of a float64
 _SIGN = np.uint64(1 << 63)
@@ -114,7 +115,7 @@ def _bit_errors(
     noise_power: float, seed: int, draws: np.ndarray,
 ) -> np.ndarray:
     """Bit errors of every pair of the broadcast gains, over draws.shape[1] QPSK symbols
-    drawn from `seed`; the Gaussian rows fill the caller's (4, symbols) float64 buffer.
+    drawn from `seed`; the first three Gaussian rows fill the caller's (3, symbols) buffer.
 
     The stream holds the symbols' bits, then the rows Re z, Im z, Re n, Im n of the
     jamming z and the noise n. The bits are those of integers(0, 2, (num_symbols, 2)),
@@ -125,7 +126,8 @@ def _bit_errors(
     all the bits.
     """
     num_symbols = draws.shape[1]
-    np.random.Generator(np.random.PCG64(seed).advance(num_symbols)).standard_normal(out=draws)
+    gauss = np.random.Generator(np.random.PCG64(seed).advance(num_symbols))
+    gauss.standard_normal(out=draws)
     bit_gen = np.random.PCG64(seed)
 
     def decision(cm_gain: complex, an_gain: complex) -> tuple[np.ndarray, float]:
@@ -139,27 +141,29 @@ def _bit_errors(
     pairs = np.broadcast(cm_gains, an_gains)
     rows, thresholds = zip(*(decision(*pair) for pair in pairs))
     rows = np.concatenate(rows)  # (2P, 4): pair p's I row, then its Q row
-    threshold = np.repeat(thresholds, 2)[:, np.newaxis]
+    threshold = np.reshape(thresholds, (-1, 1, 1))  # each pair's, for its I and Q rows
     width = min(_CHUNK, num_symbols)
+    block = np.empty((4, width))  # the chunk's rows: Im n ends the stream, so it is drawn last
     products = np.empty((pairs.size, 2, width))
-    i_masks = np.empty(width, dtype=np.uint64)
-    errors = np.zeros(2 * pairs.size, dtype=np.int64)
+    masks = np.empty((2, width), dtype=np.uint64)  # the I and Q sign masks
+    less = np.empty((pairs.size, 2, width), dtype=bool)
+    errors = np.zeros(pairs.size, dtype=np.int64)
     for start in range(0, num_symbols, _CHUNK):
-        chunk = draws[:, start:start + _CHUNK]
-        c = chunk.shape[1]
-        g = products.reshape(-1, width)[:, :c]
-        np.matmul(rows, chunk, out=g)
+        c = min(_CHUNK, num_symbols - start)
+        block[:3, :c] = draws[:, start:start + c]
+        gauss.standard_normal(out=block[3, :c])
+        np.matmul(rows, block[:, :c], out=products.reshape(-1, width)[:, :c])
         # Gray-mapped QPSK with unit average power sends (1 - 2b)/sqrt(2) per bit b, and
         # a product times 1 - 2b is the product with its sign bit XORed with b
         raw = bit_gen.random_raw(c)
-        i_mask = np.left_shift(raw, np.uint64(32), out=i_masks[:c])
-        np.bitwise_and(i_mask, _SIGN, out=i_mask)
-        q_mask = np.bitwise_and(raw, _SIGN, out=raw)
+        np.left_shift(raw, np.uint64(32), out=masks[0, :c])
+        masks[1, :c] = raw
+        mask = np.bitwise_and(masks[:, :c], _SIGN, out=masks[:, :c])
         signs = products.view(np.uint64)[..., :c]
-        np.bitwise_xor(signs[:, 0], i_mask, out=signs[:, 0])
-        np.bitwise_xor(signs[:, 1], q_mask, out=signs[:, 1])
-        errors += np.count_nonzero(g < threshold, axis=1)
-    return errors.reshape(-1, 2).sum(axis=1).reshape(pairs.shape)
+        np.bitwise_xor(signs, mask, out=signs)
+        np.less(products[..., :c], threshold, out=less[..., :c])
+        errors += [np.count_nonzero(pair) for pair in less[..., :c]]  # its I and Q rows at once
+    return errors.reshape(pairs.shape)
 
 
 def ber_monte_carlo(
@@ -177,15 +181,15 @@ def ber_monte_carlo(
     circular Gaussian) is treated as noise. Bits, jamming and noise are drawn once
     and every stacked pair sees the same draws. Deterministic for a fixed seed.
 
-    One call runs on the calling thread and holds 32 bytes per symbol for the
-    Gaussian draws, plus about 1 MiB of chunk temporaries. It is the serial oracle
+    One call runs on the calling thread and holds 24 bytes per symbol for the
+    Gaussian draws, plus 1-2 MiB of chunk temporaries. It is the serial oracle
     of `ber_sweep`, which runs a sweep's points concurrently, one draw buffer per
     worker thread, and gives each point exactly this call's rate, so sweep CSVs do
     not depend on the number of workers.
     """
     noise_power = _receiver_noise(cfg, pos, num_symbols)
     cm_gains, an_gains = received_model(cfg, plan, beams, pos)
-    errors = _bit_errors(cm_gains, an_gains, noise_power, seed, np.empty((4, num_symbols)))
+    errors = _bit_errors(cm_gains, an_gains, noise_power, seed, np.empty((3, num_symbols)))
     ber = errors / (2.0 * num_symbols)
     return ber if ber.ndim else float(ber)
 
@@ -215,7 +219,7 @@ def ber_sweep(
     The points are independent, so they run on `_ber_workers(points)` threads; numpy
     fills random arrays without holding the interpreter lock. Worker k takes points
     k, k + W, ..., and the calling thread is worker 0. Each worker draws into its own
-    (4, num_symbols) float64 buffer, allocated up front by the calling thread: 32 bytes
+    (3, num_symbols) float64 buffer, allocated up front by the calling thread: 24 bytes
     per symbol per worker, plus a few chunks of 2**14 symbols. An exception in
     any worker stops the others at their next point and is raised here.
     """
@@ -225,7 +229,7 @@ def ber_sweep(
         raise ValueError(f"beams must stack one pair per seed ({len(seeds)}) before N")
     errors = np.empty(np.shape(cm_gains), dtype=np.int64)
     workers = _ber_workers(len(seeds))
-    buffers = [np.empty((4, num_symbols)) for _ in range(workers)]
+    buffers = [np.empty((3, num_symbols)) for _ in range(workers)]
     failed: list[BaseException] = []
 
     def work(k: int) -> None:

@@ -14,6 +14,7 @@ from securebeam import (
     path_loss,
     steering_vector,
 )
+from securebeam.channel import steering_factors
 
 # frozen regression fixture: first draw of the seeded sampler (seed=42, N=8, N_S=1024)
 PLAN_SEED42_N8_NS1024 = [87, 714, 877, 667, 442, 447, 90, 787]
@@ -227,6 +228,50 @@ class TestConfigValidation:
         message = f"^{name}: range_m .* normal, finite path loss, got {re.escape(str(value))}$"
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [({"element_spacing_m": 1e308}, "element_spacing_m = 1e+308"),
+         ({"carrier_freq_hz": 1e300, "total_bandwidth_hz": 1e299, "bob_range_m": 1e100},
+          "bob_range_m = 1e+100"),
+         ({"carrier_freq_hz": 1e300, "total_bandwidth_hz": 1e299, "eve_range_m": 1e100},
+          "eve_range_m = 1e+100")],
+        ids=["spacing", "bob-range", "eve-range"],
+    )
+    def test_steering_phase_that_overflows_rejected_by_field(self, fields, named):
+        # each used to construct and fail only when a run first computed its steering
+        with pytest.raises(ConfigError, match=f"^steering phase not finite: {re.escape(named)}$"):
+            ScenarioConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "name, base",
+        [("element_spacing_m", {}),
+         ("bob_range_m", {"carrier_freq_hz": 1e300, "total_bandwidth_hz": 1e299})],
+    )
+    def test_steering_phase_bound_is_that_of_steering_factors(self, name, base):
+        # the last value the record takes gives finite phases at element N - 1 on subcarrier
+        # N_S - 1 at cos theta = 1, and the next float up does not: the same float64 order
+        def accepted(value):
+            try:
+                return ScenarioConfig(**base, **{name: value})
+            except ConfigError:
+                return None
+
+        def as_float(bits):  # positive floats order as their bits, read as integers
+            return float(np.int64(bits).view(np.float64))
+
+        lo, hi = (int(np.float64(v).view(np.int64)) for v in (1.0, 1e308))
+        assert accepted(as_float(lo)) and not accepted(as_float(hi))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(as_float(mid)) else (lo, mid)
+        cfg = accepted(as_float(lo))
+        plan = np.full(cfg.num_antennas, cfg.num_subcarriers - 1)
+        a, b = steering_factors(plan, cfg, 0.0, cfg.bob_range_m)
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        object.__setattr__(cfg, name, as_float(hi))  # past the record's check
+        with pytest.raises(ConfigError, match="^steering phase not finite"):
+            steering_factors(plan, cfg, 0.0, cfg.bob_range_m)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="rng_seed"):

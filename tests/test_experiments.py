@@ -152,6 +152,69 @@ class TestWriteCsv:
             _write_csv([tmp_path / "out.csv"], axes, values)
         assert list(tmp_path.iterdir()) == []  # not even out.csv.tmp
 
+    @staticmethod
+    def one_shot_csv(axes, values):
+        """The whole file from one '%.12g' template filled by a single '%'."""
+        grid = np.meshgrid(*axes.values(), indexing="ij")
+        columns = [*(g.ravel() for g in grid), *(np.ravel(v) for v in values.values())]
+        row = ",".join(["%.12g"] * len(columns)) + "\n"
+        flat = np.column_stack(columns).ravel().tolist()
+        return ",".join([*axes, *values]) + "\n" + row * grid[0].size % tuple(flat)
+
+    @pytest.mark.parametrize(
+        "shape, n_values, n_paths",
+        [((3, experiments._BLOCK_ROWS + 5), 1, 1),  # a last axis longer than a block
+         ((37, 500), 2, 1),  # 8 prefixes per block: 37 is no multiple of it
+         ((10_000,), 1, 1),  # a lone axis, longer than a block
+         ((7, 9, 600), 2, 1),  # three axes: 63 prefixes, 6 per block
+         ((1,), 1, 1),  # one point
+         ((20, 300), 2, 3)],  # several paths
+        ids=["long-last-axis", "outer-off-block", "lone-10000", "3-axes", "1-point", "3-paths"],
+    )
+    def test_blocks_equal_one_shot_write(self, tmp_path, shape, n_values, n_paths):
+        rng = np.random.default_rng(sum(shape))
+        axes = {f"axis{i}": rng.normal(size=size) * 1e3 for i, size in enumerate(shape)}
+        values = {f"value{k}": rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+                  for k in range(n_values)}
+        values["value0"].flat[: len(AWKWARD)] = AWKWARD[: values["value0"].size]
+        paths = [tmp_path / f"out{j}.csv" for j in range(n_paths)]
+        _write_csv(paths, axes, values)
+        want = self.one_shot_csv(axes, values)
+        for path in paths:
+            assert_same_text(path.read_text(), want)
+        assert sorted(tmp_path.iterdir()) == paths
+
+    def test_memory_is_a_block_not_the_file(self, tmp_path):
+        # a 400 x 500 grid of two values is an 11.7 MiB file; one block of 4,000 rows is
+        # formatted and written at a time, where the whole file used to take 43 MiB; a small
+        # write first keeps one-time costs out of the peak
+        rng = np.random.default_rng(4)
+        axes = {"theta": np.linspace(0.0, 180.0, 400), "range": np.linspace(500.0, 3e3, 500)}
+        values = {"a": rng.normal(size=(400, 500)), "b": rng.normal(size=(400, 500)) * 1e-5}
+        small = {"a": np.zeros((2, 3)), "b": np.zeros((2, 3))}
+        _write_csv([tmp_path / "warm.csv"], {"theta": [0.0, 1.0], "range": [1.0, 2.0, 3.0]}, small)
+        tracemalloc.start()
+        try:
+            _write_csv([tmp_path / "out.csv"], axes, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "out.csv").stat().st_size > 11 * 2**20
+        assert peak < 2 * 2**20, peak
+
+    def test_block_that_fails_to_format_leaves_no_tmp(self, tmp_path):
+        # the first block is written to both .tmp files before the second fails; an
+        # earlier file at a path keeps its bytes
+        axes = {"a": np.arange(20.0), "b": np.arange(500.0)}
+        bad = np.zeros(20 * 500, dtype=object)
+        bad[-1] = "not a number"
+        paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
+        paths[0].write_text("earlier\n")
+        with pytest.raises(TypeError):
+            _write_csv(paths, axes, {"v": np.zeros((20, 500)), "w": bad})
+        assert sorted(tmp_path.iterdir()) == [paths[0]]
+        assert paths[0].read_text() == "earlier\n"
+
 
 class TestLoadConfig:
     def test_empty_file_gives_full_defaults(self, tmp_path):
@@ -575,8 +638,8 @@ class TestRunExperiment:
         assert set(threading.enumerate()) == before
 
     def test_ber_memory_is_one_draw_buffer_per_worker(self, tmp_path):
-        # each worker holds its (4, n) float64 buffer, 32 bytes per symbol, plus about
-        # 1 MiB of chunk temporaries; the bits are drawn chunk by chunk
+        # each worker holds its (3, n) float64 buffer, 24 bytes per symbol, plus 1-2 MiB
+        # of chunk temporaries; the bits and Im n are drawn chunk by chunk
         sweep, n = (0.0, 10.0, 20.0, 30.0), 400_000
 
         def run(out, symbols):
@@ -593,7 +656,7 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         workers = metrics._ber_workers(len(sweep))
-        assert peak <= workers * (32 * n + 2**20) + 2**20, (peak, workers)
+        assert peak <= workers * (24 * n + 2 * 2**20) + 2**20, (peak, workers)
 
     @pytest.mark.parametrize("n", [2, 8, 64])
     def test_sr_vs_snr_matches_closed_form_in_power(self, tmp_path, n):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -448,6 +449,20 @@ class TestBerMonteCarlo:
             assert got.shape == (len(pairs),)
             for ber, beams in zip(got, pairs):
                 assert ber == ber_monte_carlo(cfg, plan, beams, pos, 50_000, 4)
+
+    def test_memory_is_three_gaussian_rows(self, scenario):
+        # Re z, Im z and Re n are held for every symbol, 24 bytes each; Im n is drawn chunk
+        # by chunk, and the chunk temporaries of three stacked pairs stay below 2 MiB
+        cfg, plan = scenario
+        stacked, n = stack([synthesize(cfg, plan, m) for m in Method]), 1_000_000
+        ber_monte_carlo(cfg, plan, stacked, cfg.bob, 1000, 1)  # one-time caches stay out
+        tracemalloc.start()
+        try:
+            ber_monte_carlo(cfg, plan, stacked, cfg.bob, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n + 2 * 2**20, peak
 
     def test_jammed_ber_matches_q_of_sqrt_sinr(self, scenario):
         # per bit, QPSK sees amplitude |cm|/sqrt(2) in Gaussian noise of variance

@@ -3,9 +3,10 @@ small specs it accepts into run_experiment.
 
 Contract: spec_from_values returns a spec or raises ConfigError. An accepted spec either runs,
 writing only finite cells, or raises ConfigError or InfeasibleGeometryError and leaves no
-file. A defect this finds gets its own named regression test beside the others; the fuzzer
+file. A spec too large to run only by its symbol or gamma-point count runs at the cap. A defect this finds gets its own named regression test beside the others; the fuzzer
 and its expected outcomes stay as they are.
 """
+import dataclasses
 import random
 import threading
 from collections import Counter
@@ -18,7 +19,7 @@ from securebeam import ConfigError, ExperimentKind, InfeasibleGeometryError, run
 from securebeam.experiments import READ_KEYS, spec_from_values
 
 SEED = 1
-CASES = 2000  # about 1 s on one core
+CASES = 2000  # about 1.2 s on one core
 
 # texts that sit at or past some parser's or check's edge
 HOSTILE = [
@@ -50,10 +51,22 @@ def small(spec) -> bool:
                  or spec.gamma_grid_points <= MAX_GAMMA_POINTS))
 
 
+def capped(spec):
+    """The spec with the count only its kind reads, mc_symbols or gamma_grid_points, at most
+    its cap; their defaults are above the caps."""
+    if spec.kind is ExperimentKind.BER_VS_SNR:
+        return dataclasses.replace(spec, mc_symbols=min(spec.mc_symbols, MAX_SYMBOLS))
+    if spec.kind is ExperimentKind.GAMMA_SURFACE:
+        points = min(spec.gamma_grid_points, MAX_GAMMA_POINTS)
+        return dataclasses.replace(spec, gamma_grid_points=points)
+    return spec
+
+
 def outcome(values: dict[str, str], out: Path) -> str:
-    """Build and, if small, run one case, checking the contract; the outcome's name."""
+    """Build and, if small at the caps, run one case, checking the contract; the outcome's
+    name."""
     try:
-        spec = spec_from_values({**values, "out_dir": str(out)})
+        spec = capped(spec_from_values({**values, "out_dir": str(out)}))
     except ConfigError:
         return "refused"
     if not small(spec):
@@ -73,12 +86,17 @@ def outcome(values: dict[str, str], out: Path) -> str:
 
 def test_string_door_keeps_its_contract(tmp_path):
     rng = random.Random(SEED)
-    outcomes = Counter()
+    outcomes, runs = Counter(), Counter()
     for i in range(CASES):
         values = draw_case(rng)
         try:
-            outcomes[outcome(values, tmp_path / str(i))] += 1
+            result = outcome(values, tmp_path / str(i))
         except Exception as exc:  # the case, so that a failure can be replayed
             pytest.fail(f"case {i} {values}: {exc!r}")
-    # most cases are refused, and enough run that the run contract is tested
+        outcomes[result] += 1
+        runs[values["experiment"]] += result == "ran"
+    print(f"outcomes {dict(outcomes)}; runs by experiment {dict(runs)}")
+    # most cases are refused, and enough run that the run contract is tested on every
+    # experiment that runs, the Monte Carlo and the gamma search included
     assert outcomes["refused"] > CASES // 2 and outcomes["ran"] > CASES // 20, outcomes
+    assert runs["ber_vs_snr"] >= 20 and runs["gamma_surface"] >= 20, runs
