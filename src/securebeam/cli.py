@@ -84,6 +84,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"securebeam: i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # a count below check_count's bound may still not fit
+        print(f"securebeam: out of memory: {exc}", file=sys.stderr)
+        return 5
     for path in manifest.outputs:
         print(path)
     return 0

@@ -21,7 +21,7 @@ from .beamformers import BeamPair, Method, synthesize
 from .channel import build_subcarrier_plan
 from .config import ConfigError, NameEnum, ScenarioConfig, check_count, path_loss
 from .metrics import ber_sweep, secrecy_rate, sinr_surface
-from .search import GammaGrid, grid_search_gamma
+from .search import grid_search_gamma
 
 DEFAULT_SNR_SWEEP_DB = tuple(range(0, 31, 2))
 DEFAULT_N_SWEEP = (4, 8, 16, 32, 64)
@@ -228,9 +228,9 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
 
     plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
     if spec.kind is ExperimentKind.GAMMA_SURFACE:
-        grid = GammaGrid.linear(spec.gamma_grid_max, spec.gamma_grid_points)
-        surface = grid_search_gamma(cfg, plan, grid).surface
-        axes = {"gamma_cm": grid.gamma_cm_values, "gamma_an": grid.gamma_an_values}
+        gammas = np.linspace(0.0, spec.gamma_grid_max, spec.gamma_grid_points)
+        surface = grid_search_gamma(cfg, plan, gammas, gammas).surface
+        axes = {"gamma_cm": gammas, "gamma_an": gammas}
         yield {0: "gamma_surface_min_rtp.csv"}, axes, {"sr": surface}
 
     elif spec.kind is ExperimentKind.SINR_SURFACE:

@@ -1411,6 +1411,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("securebeam: i/o error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["ber-vs-snr", "--mc-symbols", "2000", "--snr-list", "10"], "ber_sweep"),
+         (["gamma-surface", "--grid", "3:4"], "grid_search_gamma")],
+    )
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch, argv, name):
+        # numpy's allocation error (at --mc-symbols 1e12 or --grid 3:1e12) used to escape main
+        # as a traceback and exit status 1; small runs and a stand-in that raises it allocate
+        # nothing, where a real oversized request may be granted on an overcommitting host
+        def oom(*args):
+            raise MemoryError("Unable to allocate 21.8 TiB")
+
+        monkeypatch.setattr(experiments, name, oom)
+        assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "securebeam: out of memory: Unable to allocate 21.8 TiB\n"
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
     def test_method_help_lists_every_method(self):
         helps = {action.dest: action.help for action in build_parser()._actions}
         assert helps["methods"].startswith("comma-separated subset of ea,min_tp,min_rtp (")

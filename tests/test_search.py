@@ -4,7 +4,6 @@ import pytest
 from securebeam import (
     BeamPair,
     ConfigError,
-    GammaGrid,
     Method,
     ScenarioConfig,
     build_subcarrier_plan,
@@ -27,70 +26,60 @@ def scenario():
     return cfg, plan
 
 
-class TestGammaGrid:
-    def test_linear_factory(self):
-        grid = GammaGrid.linear(3.0, 31)
-        assert grid.gamma_cm_values[0] == 0.0
-        assert grid.gamma_cm_values[-1] == 3.0
-        assert grid.gamma_cm_values.size == 31
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            GammaGrid(gamma_cm_values=np.array([]), gamma_an_values=np.array([1.0]))
-
-    def test_descending_rejected(self):
-        with pytest.raises(ConfigError):
-            GammaGrid(gamma_cm_values=np.array([1.0, 0.5]), gamma_an_values=np.array([0.0]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            GammaGrid(gamma_cm_values=np.array([0.0, bad]), gamma_an_values=np.array([0.0]))
-        with pytest.raises(ConfigError):
-            GammaGrid(gamma_cm_values=np.array([0.0]), gamma_an_values=np.array([bad, 1.0]))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            GammaGrid(gamma_cm_values=np.array([-1.0, 0.5]), gamma_an_values=np.array([0.0]))
-
-    @pytest.mark.parametrize("bad", [np.float64(0.5), [[0.0, 1.0]], [[0.5]], np.zeros((2, 0))])
-    @pytest.mark.parametrize("name", ["gamma_cm_values", "gamma_an_values"])
-    def test_not_1d_rejected(self, name, bad):
-        # the search stacks each axis as a (G, 1) column, so a grid is 1-D
-        fields = {"gamma_cm_values": [0.0], "gamma_an_values": [0.0], name: bad}
-        with pytest.raises(ConfigError, match=f"^{name} must be 1-D, got shape"):
-            GammaGrid(**fields)
+class TestGridRefused:
+    # each grid is checked at the search door, before any beam is built, and the refusal
+    # names its axis
+    @pytest.mark.parametrize(
+        "bad, why",
+        [
+            ([], "1-D and nonempty"),
+            ([1.0, 0.5], "strictly ascending"),
+            ([0.0, np.nan], "finite and nonnegative"),
+            ([0.0, np.inf], "finite and nonnegative"),
+            ([np.nan, 1.0], "finite and nonnegative"),
+            ([np.inf, 1.0], "finite and nonnegative"),
+            ([np.inf, np.inf], "finite and nonnegative"),  # np.diff would warn on it
+            ([-1.0, 0.5], "finite and nonnegative"),
+            # the search stacks each axis as a (G, 1) column, so a grid is 1-D
+            (np.float64(0.5), "1-D and nonempty"),
+            ([[0.0, 1.0]], "1-D and nonempty"),
+            ([[0.5]], "1-D and nonempty"),
+            (np.zeros((2, 0)), "1-D and nonempty"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["gamma_cm", "gamma_an"])
+    def test_bad_grid_refused_naming_its_axis(self, scenario, monkeypatch, name, bad, why):
+        cfg, plan = scenario
+        monkeypatch.setattr(search, "steering_vector", lambda *args: pytest.fail("beam built"))
+        grids = {"gamma_cm": [0.0], "gamma_an": [0.0], name: bad}
+        with pytest.raises(ConfigError, match=f"^{name} must be {why}"):
+            grid_search_gamma(cfg, plan, grids["gamma_cm"], grids["gamma_an"])
 
 
 class TestGridSearch:
     def test_single_cell(self, scenario):
         cfg, plan = scenario
-        grid = GammaGrid(gamma_cm_values=np.array([2.1]), gamma_an_values=np.array([1.8]))
-        result = grid_search_gamma(cfg, plan, grid)
+        result = grid_search_gamma(cfg, plan, np.array([2.1]), np.array([1.8]))
         assert result.best == (2.1, 1.8)
         assert result.surface.shape == (1, 1)
         assert result.best_sr == result.surface[0, 0]
 
     def test_zero_cell_matches_unregularized(self, scenario):
         cfg, plan = scenario
-        grid = GammaGrid(
-            gamma_cm_values=np.array([0.0, 1.0]), gamma_an_values=np.array([0.0, 1.0])
-        )
-        result = grid_search_gamma(cfg, plan, grid)
+        result = grid_search_gamma(cfg, plan, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         sr_tp = secrecy_rate(cfg, plan, synthesize(cfg, plan, Method.MIN_TP))
         assert result.surface[0, 0] == pytest.approx(sr_tp, abs=1e-9)
 
     def test_argmax_against_full_rescan(self, scenario):
         cfg, plan = scenario
-        grid = GammaGrid.linear(3.0, 7)
-        result = grid_search_gamma(cfg, plan, grid)
+        gammas = np.linspace(0.0, 3.0, 7)
+        result = grid_search_gamma(cfg, plan, gammas, gammas)
         assert result.best_sr == result.surface.max()
         assert np.all(result.best_sr >= result.surface)
         # first row-major maximum wins ties
         flat = int(np.argmax(result.surface))
         bi, bj = np.unravel_index(flat, result.surface.shape)
-        assert result.best[0] == grid.gamma_cm_values[bi]
-        assert result.best[1] == grid.gamma_an_values[bj]
+        assert result.best == (gammas[bi], gammas[bj])
 
     @pytest.mark.parametrize("n", [8, 64])
     @pytest.mark.parametrize("blend", [False, True])
@@ -107,11 +96,8 @@ class TestGridSearch:
             monkeypatch.setattr(search, "min_rtp_beamformer", blended)
         cfg = ScenarioConfig(num_antennas=n)
         plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
-        grid = GammaGrid(
-            gamma_cm_values=np.array([0.0, 0.4, 2.1]),
-            gamma_an_values=np.array([0.05, 0.7, 1.8, 3.0, 25.0]),
-        )
-        result = grid_search_gamma(cfg, plan, grid)
+        g_cm, g_an = np.array([0.0, 0.4, 2.1]), np.array([0.05, 0.7, 1.8, 3.0, 25.0])
+        result = grid_search_gamma(cfg, plan, g_cm, g_an)
         h_b, h_e = steering_vector(plan, cfg, cfg.bob), steering_vector(plan, cfg, cfg.eve)
         beta = cfg.power_alloc
 
@@ -122,8 +108,8 @@ class TestGridSearch:
 
         expected = np.array(
             [
-                [secrecy_rate(cfg, plan, pair(gc, ga)) for ga in grid.gamma_an_values]
-                for gc in grid.gamma_cm_values
+                [secrecy_rate(cfg, plan, pair(gc, ga)) for ga in g_an]
+                for gc in g_cm
             ]
         )
         assert result.surface.shape == (3, 5)
@@ -135,10 +121,7 @@ class TestGridSearch:
         # the stacked beams keep every bit of the per-value beams, so the surface does too
         cfg = ScenarioConfig(num_antennas=n)
         plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
-        grid = GammaGrid(
-            gamma_cm_values=np.array([0.0, 0.4, 2.1, 7.0]),
-            gamma_an_values=np.array([0.05, 1.8, 25.0]),
-        )
+        g_cm, g_an = np.array([0.0, 0.4, 2.1, 7.0]), np.array([0.05, 1.8, 25.0])
         h_b, h_e = steering_vector(plan, cfg, cfg.bob), steering_vector(plan, cfg, cfg.eve)
         beta = cfg.power_alloc
         expected = np.array(
@@ -148,12 +131,12 @@ class TestGridSearch:
                         power_scaled(cfg, min_rtp_beamformer(h_b, h_e, gc), beta),
                         power_scaled(cfg, min_rtp_beamformer(h_e, h_b, ga), 1.0 - beta),
                     ))
-                    for ga in grid.gamma_an_values
+                    for ga in g_an
                 ]
-                for gc in grid.gamma_cm_values
+                for gc in g_cm
             ]
         )
-        assert np.array_equal(grid_search_gamma(cfg, plan, grid).surface, expected)
+        assert np.array_equal(grid_search_gamma(cfg, plan, g_cm, g_an).surface, expected)
 
     def test_one_beam_call_per_axis(self, scenario, monkeypatch):
         cfg, plan = scenario
@@ -164,13 +147,14 @@ class TestGridSearch:
             return min_rtp_beamformer(h_t, h_n, gamma)
 
         monkeypatch.setattr(search, "min_rtp_beamformer", counting)
-        grid_search_gamma(cfg, plan, GammaGrid.linear(3.0, 31))
+        gammas = np.linspace(0.0, 3.0, 31)
+        grid_search_gamma(cfg, plan, gammas, gammas)
         assert calls == [(31, 1), (31, 1)]
 
     def test_deterministic(self, scenario):
         cfg, plan = scenario
-        grid = GammaGrid.linear(2.0, 5)
-        a = grid_search_gamma(cfg, plan, grid)
-        b = grid_search_gamma(cfg, plan, grid)
+        gammas = np.linspace(0.0, 2.0, 5)
+        a = grid_search_gamma(cfg, plan, gammas, gammas)
+        b = grid_search_gamma(cfg, plan, gammas, gammas)
         assert a.best == b.best
         assert np.array_equal(a.surface, b.surface)

@@ -3,8 +3,9 @@ small specs it accepts into run_experiment.
 
 Contract: spec_from_values returns a spec or raises ConfigError. An accepted spec either runs,
 writing only finite cells, or raises ConfigError or InfeasibleGeometryError and leaves no
-file. A spec too large to run only by its symbol or gamma-point count runs at the cap. A defect this finds gets its own named regression test beside the others; the fuzzer
-and its expected outcomes stay as they are.
+file. A spec too large to run only by its symbol or gamma-point count runs at the cap, and a
+sinr-surface spec runs on a small probe grid about Bob and Eve. A defect this finds gets its own
+named regression test beside the others; the fuzzer and its expected outcomes stay as they are.
 """
 import dataclasses
 import random
@@ -19,7 +20,7 @@ from securebeam import ConfigError, ExperimentKind, InfeasibleGeometryError, run
 from securebeam.experiments import READ_KEYS, spec_from_values
 
 SEED = 1
-CASES = 2000  # about 1.2 s on one core
+CASES = 2000  # about 1.5 s on one core
 
 # texts that sit at or past some parser's or check's edge
 HOSTILE = [
@@ -29,8 +30,10 @@ HOSTILE = [
     "٣", "+8", "1,1", "4, 8", "5,5.000000000001", "", " ", "ten", "Min-TP,ea", "70",
     "180", "-60",
 ]
-# the sizes an accepted spec is run at, at most; sinr-surface is never run
+# the sizes an accepted spec is run at, at most, and the (theta, range) grid of a sinr-surface
+# run: 11 x 9 points about the default Bob (70 deg, 1000 m) and Eve (100 deg, 750 m)
 MAX_N, MAX_SUBCARRIERS, MAX_SYMBOLS, MAX_GAMMA_POINTS = 64, 4096, 2000, 16
+SINR_GRID = {"theta_grid_deg": (60.0, 110.0, 11), "range_grid_m": (700.0, 1100.0, 9)}
 
 
 def draw_case(rng: random.Random) -> dict[str, str]:
@@ -44,7 +47,7 @@ def draw_case(rng: random.Random) -> dict[str, str]:
 def small(spec) -> bool:
     cfg, kind = spec.scenario, spec.kind
     antennas = spec.sweep if kind is ExperimentKind.SR_VS_N else (cfg.num_antennas,)
-    return (kind is not ExperimentKind.SINR_SURFACE and max(antennas) <= MAX_N
+    return (max(antennas) <= MAX_N
             and cfg.num_subcarriers <= MAX_SUBCARRIERS
             and (kind is not ExperimentKind.BER_VS_SNR or spec.mc_symbols <= MAX_SYMBOLS)
             and (kind is not ExperimentKind.GAMMA_SURFACE
@@ -53,12 +56,14 @@ def small(spec) -> bool:
 
 def capped(spec):
     """The spec with the count only its kind reads, mc_symbols or gamma_grid_points, at most
-    its cap; their defaults are above the caps."""
+    its cap, and a sinr-surface spec on SINR_GRID; their defaults are above the caps."""
     if spec.kind is ExperimentKind.BER_VS_SNR:
         return dataclasses.replace(spec, mc_symbols=min(spec.mc_symbols, MAX_SYMBOLS))
     if spec.kind is ExperimentKind.GAMMA_SURFACE:
         points = min(spec.gamma_grid_points, MAX_GAMMA_POINTS)
         return dataclasses.replace(spec, gamma_grid_points=points)
+    if spec.kind is ExperimentKind.SINR_SURFACE:
+        return dataclasses.replace(spec, **SINR_GRID)
     return spec
 
 
@@ -97,6 +102,7 @@ def test_string_door_keeps_its_contract(tmp_path):
         runs[values["experiment"]] += result == "ran"
     print(f"outcomes {dict(outcomes)}; runs by experiment {dict(runs)}")
     # most cases are refused, and enough run that the run contract is tested on every
-    # experiment that runs, the Monte Carlo and the gamma search included
+    # experiment, the Monte Carlo, the gamma search and the SINR field included
     assert outcomes["refused"] > CASES // 2 and outcomes["ran"] > CASES // 20, outcomes
     assert runs["ber_vs_snr"] >= 20 and runs["gamma_surface"] >= 20, runs
+    assert runs["sinr_surface"] >= 20, runs
