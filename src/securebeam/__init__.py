@@ -27,7 +27,7 @@ from .metrics import (
     sinr,
     sinr_surface,
 )
-from .search import GammaSearchResult, grid_search_gamma
+from .search import grid_search_gamma
 from .experiments import (
     ExperimentKind,
     ExperimentSpec,

@@ -140,7 +140,7 @@ class RunManifest:
 
 def _write_text(paths: list[Path], blocks: Iterable[str]) -> None:
     """Write the blocks to every path (all in one directory) through <name>.tmp and a rename,
-    so a reader never sees a partial file; a block that fails leaves no .tmp behind."""
+    so a reader never sees a partial file; a block or rename that fails leaves no .tmp behind."""
     paths[0].parent.mkdir(parents=True, exist_ok=True)  # first write: a failed run makes none
     tmps = [path.with_name(path.name + ".tmp") for path in paths]
     try:
@@ -149,12 +149,12 @@ def _write_text(paths: list[Path], blocks: Iterable[str]) -> None:
             for block in blocks:
                 for file in files:
                     file.write(block)
-    except BaseException:
+        for tmp, path in zip(tmps, paths):
+            tmp.replace(path)
+    except BaseException:  # a renamed .tmp is gone already
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
         raise
-    for tmp, path in zip(tmps, paths):
-        tmp.replace(path)
 
 
 def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
@@ -229,7 +229,7 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
     plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
     if spec.kind is ExperimentKind.GAMMA_SURFACE:
         gammas = np.linspace(0.0, spec.gamma_grid_max, spec.gamma_grid_points)
-        surface = grid_search_gamma(cfg, plan, gammas, gammas).surface
+        surface = grid_search_gamma(cfg, plan, gammas, gammas)
         axes = {"gamma_cm": gammas, "gamma_an": gammas}
         yield {0: "gamma_surface_min_rtp.csv"}, axes, {"sr": surface}
 

@@ -1,8 +1,6 @@
 # securebeam/search.py
-"""Exhaustive 2-D search for the regularization pair maximizing secrecy rate."""
+"""The secrecy-rate surface of the regularized beamformer over a 2-D grid of factors."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,18 +10,11 @@ from .config import ConfigError, ScenarioConfig
 from .metrics import secrecy_rate
 
 
-@dataclass(frozen=True)
-class GammaSearchResult:
-    best: tuple[float, float]  # (gamma_cm, gamma_an)
-    best_sr: float
-    surface: np.ndarray  # (len(gamma_cm), len(gamma_an))
-
-
 def grid_search_gamma(
     cfg: ScenarioConfig, plan: np.ndarray, gamma_cm: np.ndarray, gamma_an: np.ndarray
-) -> GammaSearchResult:
-    """Evaluate the regularized beamformer's secrecy rate on every grid cell and
-    return the first row-major argmax (gamma_cm-major, deterministic ties).
+) -> np.ndarray:
+    """The regularized beamformer's secrecy rate on every grid cell, as a
+    (len(gamma_cm), len(gamma_an)) array.
 
     The message beam depends only on gamma_cm and the jamming beam only on
     gamma_an, so each axis's beams come from one call on its (G, 1) column, one
@@ -46,8 +37,4 @@ def grid_search_gamma(
     w_cm = power_scaled(cfg, min_rtp_beamformer(h_b, h_e, g_cm[:, None]), beta)
     w_an = power_scaled(cfg, min_rtp_beamformer(h_e, h_b, g_an[:, None]), 1.0 - beta)
     beams = BeamPair(w_cm[:, None, :], w_an[None, :, :])
-    surface = secrecy_rate(cfg, plan, beams)
-    flat_best = int(np.argmax(surface))  # first maximum in row-major order
-    bi, bj = np.unravel_index(flat_best, surface.shape)
-    best = (float(g_cm[bi]), float(g_an[bj]))
-    return GammaSearchResult(best=best, best_sr=float(surface[bi, bj]), surface=surface)
+    return secrecy_rate(cfg, plan, beams)

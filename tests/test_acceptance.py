@@ -160,9 +160,9 @@ def test_criterion_5_gamma_plateau():
     cfg = ScenarioConfig(num_antennas=8, total_power_w=0.1)  # 20 dB SNR via Bob's path
     plan = build_subcarrier_plan(cfg.rng_seed, 8, 1024)
     gammas = np.linspace(0.0, 3.0, 31)
-    result = grid_search_gamma(cfg, plan, gammas, gammas)
+    surface = grid_search_gamma(cfg, plan, gammas, gammas)
     mask = (gammas[:, None] >= 0.1) & (gammas[None, :] >= 1.4)
-    region = result.surface[mask]
+    region = surface[mask]
     rel_var = float((region.max() - region.min()) / region.max())
     elapsed = time.monotonic() - start
     report(

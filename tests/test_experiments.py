@@ -1412,6 +1412,19 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     @pytest.mark.parametrize(
+        "argv, blocked",
+        [(["sr-vs-snr"], "sr_vs_snr_min_rtp.csv"), (["gamma-surface"], "manifest.json")],
+    )
+    def test_failed_rename_leaves_no_tmp(self, tmp_path, capsys, argv, blocked):
+        # a directory where an output goes fails that output's rename, after its .tmp is
+        # written; every .tmp of the write not yet renamed is removed
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        assert cli_main(argv + ["--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("securebeam: i/o error: ")
+        assert list(out.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
         "argv, name",
         [(["ber-vs-snr", "--mc-symbols", "2000", "--snr-list", "10"], "ber_sweep"),
          (["gamma-surface", "--grid", "3:4"], "grid_search_gamma")],
