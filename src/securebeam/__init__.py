@@ -4,7 +4,6 @@ communication over a random-subcarrier uniform linear array."""
 __version__ = "0.1.0"
 
 from .beamformers import (
-    BeamPair,
     Method,
     ea_beamformer,
     min_rtp_beamformer,
@@ -31,7 +30,6 @@ from .search import grid_search_gamma
 from .experiments import (
     ExperimentKind,
     ExperimentSpec,
-    RunManifest,
     load_config,
     power_for_snr_db,
     run_experiment,

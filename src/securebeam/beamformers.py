@@ -2,8 +2,6 @@
 """The three beamformer pairs (EA, Min-TP, Min-RTP)."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import steering_vector
@@ -17,19 +15,6 @@ class Method(NameEnum):
     EA = "ea"
     MIN_TP = "min_tp"
     MIN_RTP = "min_rtp"
-
-
-@dataclass(frozen=True)
-class BeamPair:
-    """Power-allocated message and jamming weight vectors.
-
-    ||w_cm||^2 = beta * P_s and ||w_an||^2 = (1 - beta) * P_s. The weights may
-    be stacked along leading axes, shape (..., N), to evaluate many beams at once,
-    as the gamma search's (cm, 1, N) and (1, an, N) stacks are.
-    """
-
-    w_cm: np.ndarray
-    w_an: np.ndarray
 
 
 def min_tp_beamformer(h_target: np.ndarray, h_null: np.ndarray) -> np.ndarray:
@@ -79,8 +64,11 @@ def ea_beamformer(h_target: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.angle(h_target)) / np.sqrt(len(h_target))
 
 
-def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method | str) -> BeamPair:
-    """Build the power-allocated beam pair for one method: a member or any name Method takes.
+def synthesize(
+    cfg: ScenarioConfig, plan: np.ndarray, method: Method | str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build the power-allocated beam pair (w_cm, w_an) for one method: a member or any
+    name Method takes.
 
     The message beam targets Bob and (for Min-TP / Min-RTP) nulls Eve; the
     jamming beam targets Eve and nulls Bob. Each direction is unit-normalized
@@ -102,7 +90,7 @@ def synthesize(cfg: ScenarioConfig, plan: np.ndarray, method: Method | str) -> B
         d_an = min_rtp_beamformer(h_e, h_b, 0.0)
 
     beta = cfg.power_alloc
-    return BeamPair(power_scaled(cfg, d_cm, beta), power_scaled(cfg, d_an, 1.0 - beta))
+    return power_scaled(cfg, d_cm, beta), power_scaled(cfg, d_an, 1.0 - beta)
 
 
 def power_scaled(cfg: ScenarioConfig, direction: np.ndarray, share: float) -> np.ndarray:

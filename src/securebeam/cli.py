@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # a count below check_count's bound may still not fit
         print(f"securebeam: out of memory: {exc}", file=sys.stderr)
         return 5
-    for path in manifest.outputs:
+    for path in manifest["outputs"]:
         print(path)
     return 0
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beamformers import BeamPair, Method, synthesize
+from .beamformers import Method, synthesize
 from .channel import build_subcarrier_plan
 from .config import ConfigError, NameEnum, ScenarioConfig, check_count, path_loss
 from .metrics import ber_sweep, secrecy_rate, sinr_surface
@@ -126,16 +126,9 @@ class ExperimentSpec:
             raise ConfigError(f"gamma_max must be 0 for 1 point, else finite and > 0, got {top}")
         for name in ("theta_grid_deg", "range_grid_m"):
             setattr(self, name, _grid(name, getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config: dict
-    seed: int
-    version: str
-    started_at: str
-    finished_at: str
-    outputs: tuple[str, ...]
+        out = str(self.output_dir)  # "" would write to the current directory
+        if not out or "\0" in out:
+            raise ConfigError(f"output_dir (out_dir) must name a directory, got {out!r}")
 
 
 def _write_text(paths: list[Path], blocks: Iterable[str]) -> None:
@@ -178,10 +171,10 @@ def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
     _write_text(paths, itertools.chain([",".join([*axes, *values]) + "\n"], blocks))
 
 
-def _distinct(pairs: list[BeamPair]) -> tuple[list[BeamPair], list[int]]:
+def _distinct(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[tuple], list[int]]:
     """The pairs without repeats, in order of first appearance, and each pair's position among
     them. Only bit-identical weights repeat, so one computation serves every pair it stands for."""
-    keys = [p.w_cm.tobytes() + p.w_an.tobytes() for p in pairs]
+    keys = [w_cm.tobytes() + w_an.tobytes() for w_cm, w_an in pairs]
     firsts = list(dict.fromkeys(keys))
     return [pairs[keys.index(k)] for k in firsts], [firsts.index(k) for k in keys]
 
@@ -199,14 +192,13 @@ def _ber_seed(base_seed: int, sweep_index: int) -> int:
 
 def _power_sweep(
     spec: ExperimentSpec, cfg: ScenarioConfig, plan: np.ndarray, snrs_db: tuple[float, ...]
-) -> tuple[BeamPair, list[int]]:
+) -> tuple[tuple, list[int]]:
     """The methods' distinct beams at every SNR, stacked as (pairs, SNRs, N), and each method's
     position in the stack: every weight scales with sqrt(P_s), so each is built at unit power."""
     unit_cfg = dataclasses.replace(cfg, total_power_w=1.0)
     units, index = _distinct([synthesize(unit_cfg, plan, m) for m in spec.methods])
     scale = np.sqrt(power_for_snr_db(cfg, snrs_db))[:, np.newaxis]
-    w_cm = np.array([scale * u.w_cm for u in units])
-    return BeamPair(w_cm, np.array([scale * u.w_an for u in units])), index
+    return tuple(np.array([scale * w for w in ws]) for ws in zip(*units)), index
 
 
 def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
@@ -254,25 +246,28 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
             yield _shared(spec, index, k), {"snr_db": spec.sweep}, {column: values}
 
 
-def run_experiment(spec: ExperimentSpec) -> RunManifest:
-    """Run one experiment, write one CSV per method plus a manifest, return the manifest."""
+def run_experiment(spec: ExperimentSpec) -> dict:
+    """Run one experiment, write one CSV per method plus manifest.json, and return its dict."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     # encoded before the first write, so no CSV is left beside an earlier run's manifest
     config = json.loads(json.dumps(_spec_as_dict(spec), default=np.generic.item))
     out_dir = Path(spec.output_dir)
     outputs = {}  # position in the manifest -> path
     for names, axes, values in _datasets(spec):
+        # only once a dataset is computed, so a refused or infeasible run changes nothing, and
+        # before its files, so no earlier run's manifest stays beside them (then a no-op)
+        (out_dir / "manifest.json").unlink(missing_ok=True)
         paths = {rank: out_dir / name for rank, name in names.items()}
         _write_csv(list(paths.values()), axes, values)
         outputs.update(paths)
 
-    manifest = RunManifest(
-        config=config, seed=config["scenario"]["rng_seed"], version=__version__,
-        started_at=started, finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        outputs=tuple(str(outputs[rank]) for rank in sorted(outputs)),
-    )
-    text = json.dumps(vars(manifest), indent=2) + "\n"
-    _write_text([out_dir / "manifest.json"], [text])
+    manifest = {
+        "config": config, "seed": config["scenario"]["rng_seed"], "version": __version__,
+        "started_at": started,
+        "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "outputs": [str(outputs[rank]) for rank in sorted(outputs)],
+    }
+    _write_text([out_dir / "manifest.json"], [json.dumps(manifest, indent=2) + "\n"])
     return manifest
 
 

@@ -8,7 +8,6 @@ import threading
 
 import numpy as np
 
-from .beamformers import BeamPair
 from .channel import steering_factors
 from .config import ConfigError, PolarPosition, ScenarioConfig, check_count, path_loss
 
@@ -21,12 +20,13 @@ def _to_db(power: np.ndarray | float) -> np.ndarray | float:
 
 
 def _received(
-    cfg: ScenarioConfig, plan: np.ndarray, beams: BeamPair,
+    cfg: ScenarioConfig, plan: np.ndarray, beams: tuple[np.ndarray, np.ndarray],
     theta_rad: np.ndarray | float, range_m: np.ndarray | float,
 ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
-    """Effective gains sqrt(g(R)) h(theta, R)^H w of the message and jamming beams on
-    the grid of every angle with every range: weights stacked as B + (N,) give gains
-    of shape B + theta.shape + range.shape."""
+    """Effective gains sqrt(g(R)) h(theta, R)^H w of the beams (w_cm, w_an) on the grid of
+    every angle with every range: weights stacked as B + (N,) give gains of shape
+    B + theta.shape + range.shape."""
+    w_cm, w_an = beams
     amp = np.sqrt(path_loss(range_m))  # rejects bad ranges before any exponential
     a, b = steering_factors(plan, cfg, theta_rad, range_m)
     a_conj = a.conj().reshape(-1, len(plan))  # (Theta, N)
@@ -38,13 +38,14 @@ def _received(
         gains = (a_conj * w.reshape(-1, 1, len(plan))) @ b_cols  # (B, Theta, R)
         return gains.reshape(w.shape[:-1] + a.shape[:-1] + b.shape[:-1])[()]
 
-    return gain(beams.w_cm), gain(beams.w_an)
+    return gain(w_cm), gain(w_an)
 
 
 def received_model(
-    cfg: ScenarioConfig, plan: np.ndarray, beams: BeamPair, pos: PolarPosition
+    cfg: ScenarioConfig, plan: np.ndarray, beams: tuple[np.ndarray, np.ndarray], pos: PolarPosition
 ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
-    """Effective gains (cm_gain, an_gain) = sqrt(g(R)) h(pos)^H w at one probe position."""
+    """Effective gains (cm_gain, an_gain) = sqrt(g(R)) h(pos)^H w at one probe position
+    of the beams (w_cm, w_an), each an (N,) weight or a stack of them, shape (..., N)."""
     return _received(cfg, plan, beams, pos.angle_rad, pos.range_m)
 
 
@@ -58,7 +59,7 @@ def sinr(
 
 
 def secrecy_rate(
-    cfg: ScenarioConfig, plan: np.ndarray, beams: BeamPair
+    cfg: ScenarioConfig, plan: np.ndarray, beams: tuple[np.ndarray, np.ndarray]
 ) -> float | np.ndarray:
     """max{ log2(1 + SINR_Bob) - log2(1 + SINR_Eve), 0 } in bits per channel use;
     for stacked beams, one rate per stacked pair, broadcast over the leading axes."""
@@ -70,7 +71,7 @@ def secrecy_rate(
 def sinr_surface(
     cfg: ScenarioConfig,
     plan: np.ndarray,
-    beams: BeamPair,
+    beams: tuple[np.ndarray, np.ndarray],
     theta_deg_grid: np.ndarray,
     range_m_grid: np.ndarray,
 ) -> np.recarray:
@@ -169,7 +170,7 @@ def _bit_errors(
 def ber_monte_carlo(
     cfg: ScenarioConfig,
     plan: np.ndarray,
-    beams: BeamPair,
+    beams: tuple[np.ndarray, np.ndarray],
     pos: PolarPosition,
     num_symbols: int,
     seed: int,
@@ -207,7 +208,7 @@ def _ber_workers(points: int) -> int:
 def ber_sweep(
     cfg: ScenarioConfig,
     plan: np.ndarray,
-    beams: BeamPair,
+    beams: tuple[np.ndarray, np.ndarray],
     pos: PolarPosition,
     num_symbols: int,
     seeds: list[int],

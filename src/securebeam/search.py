@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beamformers import BeamPair, min_rtp_beamformer, power_scaled
+from .beamformers import min_rtp_beamformer, power_scaled
 from .channel import steering_vector
 from .config import ConfigError, ScenarioConfig
 from .metrics import secrecy_rate
@@ -36,5 +36,4 @@ def grid_search_gamma(
     beta = cfg.power_alloc
     w_cm = power_scaled(cfg, min_rtp_beamformer(h_b, h_e, g_cm[:, None]), beta)
     w_an = power_scaled(cfg, min_rtp_beamformer(h_e, h_b, g_an[:, None]), 1.0 - beta)
-    beams = BeamPair(w_cm[:, None, :], w_an[None, :, :])
-    return secrecy_rate(cfg, plan, beams)
+    return secrecy_rate(cfg, plan, (w_cm[:, None, :], w_an[None, :, :]))

@@ -288,7 +288,7 @@ def test_criterion_10_rerun_determinism(tmp_path):
             manifest = run_experiment(
                 ExperimentSpec(kind=kind, output_dir=str(out), **extra)
             )
-            for path in manifest.outputs:
+            for path in manifest["outputs"]:
                 blobs[kind.value + "/" + path.rsplit("/", 1)[-1]] = Path(path).read_bytes()
         return blobs
 

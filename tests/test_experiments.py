@@ -26,7 +26,7 @@ from securebeam import (
     sinr_surface,
     synthesize,
 )
-from securebeam import beamformers, experiments, metrics
+from securebeam import beamformers, cli, experiments, metrics
 from securebeam.cli import _FLAGS, _SUBCOMMANDS, build_parser
 from securebeam.cli import main as cli_main
 from securebeam.experiments import (
@@ -451,8 +451,8 @@ class TestRunExperiment:
             output_dir=str(tmp_path / "out"),
         )
         manifest = run_experiment(spec)
-        assert len(manifest.outputs) == 1
-        lines = Path(manifest.outputs[0]).read_text().splitlines()
+        assert len(manifest["outputs"]) == 1
+        lines = Path(manifest["outputs"][0]).read_text().splitlines()
         assert lines[0] == "snr_db,sr_bits"
         assert len(lines) == 2
 
@@ -466,7 +466,7 @@ class TestRunExperiment:
                 output_dir=str(out),
             )
             manifest = run_experiment(spec)
-            return Path(manifest.outputs[0]).read_bytes()
+            return Path(manifest["outputs"][0]).read_bytes()
 
         assert run(tmp_path / "a") == run(tmp_path / "b")
 
@@ -477,7 +477,7 @@ class TestRunExperiment:
             output_dir=str(tmp_path),
         )
         manifest = run_experiment(spec)
-        lines = Path(manifest.outputs[0]).read_text().splitlines()
+        lines = Path(manifest["outputs"][0]).read_text().splitlines()
         assert lines[0] == "gamma_cm,gamma_an,sr"
         assert len(lines) == 1 + 9
 
@@ -490,7 +490,7 @@ class TestRunExperiment:
             output_dir=str(tmp_path),
         )
         manifest = run_experiment(spec)
-        lines = Path(manifest.outputs[0]).read_text().splitlines()
+        lines = Path(manifest["outputs"][0]).read_text().splitlines()
         assert lines[0] == "theta_deg,range_m,cm_sinr_db,an_power_db"
         assert len(lines) == 1 + 30
 
@@ -533,8 +533,8 @@ class TestRunExperiment:
             output_dir=str(tmp_path),
         )
         manifest = run_experiment(spec)
-        assert len(manifest.outputs) == 2
-        lines = Path(manifest.outputs[0]).read_text().splitlines()
+        assert len(manifest["outputs"]) == 2
+        lines = Path(manifest["outputs"][0]).read_text().splitlines()
         assert lines[0] == "n,sr_bits"
 
     def test_manifest_written_with_outputs(self, tmp_path):
@@ -547,8 +547,18 @@ class TestRunExperiment:
         manifest = run_experiment(spec)
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk["seed"] == 42
-        assert on_disk["outputs"] == list(manifest.outputs)
+        assert on_disk["outputs"] == list(manifest["outputs"])
         assert on_disk["config"]["scenario"]["num_antennas"] == 8
+
+    @pytest.mark.parametrize("kind", list(GOLDEN_SPECS), ids=lambda k: k.command)
+    def test_manifest_returned_is_the_manifest_written(self, tmp_path, capsys, monkeypatch, kind):
+        spec = ExperimentSpec(kind=kind, output_dir=str(tmp_path), **GOLDEN_SPECS[kind])
+        assert run_experiment(spec) == json.loads((tmp_path / "manifest.json").read_text())
+        # and the CLI prints the outputs its manifest lists, one a line, in their order
+        monkeypatch.setattr(cli, "spec_from_values", lambda values: spec)
+        assert cli_main([kind.command]) == 0
+        written = json.loads((tmp_path / "manifest.json").read_text())
+        assert capsys.readouterr().out.splitlines() == written["outputs"]
 
     def test_numpy_scalar_in_scenario_recorded_as_its_number(self, tmp_path):
         # a loop over np.arange gives np.int64; json.dumps used to fail on it after the CSVs
@@ -558,7 +568,7 @@ class TestRunExperiment:
         manifest = run_experiment(spec)
         scenario = json.loads((tmp_path / "manifest.json").read_text())["config"]["scenario"]
         assert type(scenario["num_antennas"]) is int and scenario["num_antennas"] == 8
-        assert manifest.config["scenario"] == scenario
+        assert manifest["config"]["scenario"] == scenario
         assert ScenarioConfig(**scenario) == spec.scenario
 
     def test_config_that_cannot_be_encoded_writes_nothing(self, tmp_path, monkeypatch):
@@ -706,7 +716,7 @@ class TestRunExperiment:
             kind=ExperimentKind.SR_VS_SNR, sweep=(10.0,), output_dir=str(tmp_path)
         )
         manifest = run_experiment(spec)
-        names = [Path(p).name for p in manifest.outputs] + ["manifest.json"]
+        names = [Path(p).name for p in manifest["outputs"]] + ["manifest.json"]
         assert renames == [(name + ".tmp", name) for name in names]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
@@ -716,10 +726,10 @@ class TestRunExperiment:
             ExperimentSpec(kind=kind, output_dir=str(tmp_path), **GOLDEN_SPECS[kind])
         )
         golden = GOLDEN / kind.value
-        assert sorted(Path(p).name for p in manifest.outputs) == sorted(
+        assert sorted(Path(p).name for p in manifest["outputs"]) == sorted(
             p.name for p in golden.iterdir()
         )
-        for path in map(Path, manifest.outputs):
+        for path in map(Path, manifest["outputs"]):
             got, want = path.read_text(), (golden / path.name).read_text()
             if kind is ExperimentKind.BER_VS_SNR:
                 assert got == want
@@ -753,7 +763,7 @@ class TestRunExperiment:
             kind=ExperimentKind.SR_VS_SNR, sweep=(10.0,), methods=(Method.EA,), output_dir=out
         )
         manifest = run_experiment(spec)
-        assert manifest.outputs and all(p.startswith(out) for p in manifest.outputs)
+        assert manifest["outputs"] and all(p.startswith(out) for p in manifest["outputs"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
@@ -861,8 +871,8 @@ class TestSpecReadsRule:
             fields_ = {**GOLDEN_SPECS[kind], name: value}
             spec = ExperimentSpec(kind=kind, output_dir=str(tmp_path), **fields_)
             manifest = run_experiment(spec)
-            files = {Path(p).name: Path(p).read_bytes() for p in manifest.outputs}
-            return spec, manifest.config, files
+            files = {Path(p).name: Path(p).read_bytes() for p in manifest["outputs"]}
+            return spec, manifest["config"], files
 
         spec, config, files = run(given)
         assert (spec, config, files) == run(same)
@@ -971,7 +981,7 @@ class TestSpecReadsRule:
         def run(kind_):
             spec = ExperimentSpec(kind=kind_, output_dir=str(tmp_path), **GOLDEN_SPECS[kind])
             manifest = run_experiment(spec)
-            return spec, {Path(p).name: Path(p).read_bytes() for p in manifest.outputs}
+            return spec, {Path(p).name: Path(p).read_bytes() for p in manifest["outputs"]}
 
         assert run(name) == run(kind)
 
@@ -1003,7 +1013,7 @@ class TestSharedWork:
         spec = ExperimentSpec(
             kind=ExperimentKind.SINR_SURFACE, output_dir=str(tmp_path), **SMALL_GRID
         )
-        assert len(run_experiment(spec).outputs) == 3
+        assert len(run_experiment(spec)["outputs"]) == 3
         assert len(seen) == calls
 
     @pytest.mark.parametrize(
@@ -1422,6 +1432,22 @@ class TestCli:
         (out / blocked).mkdir(parents=True)
         assert cli_main(argv + ["--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("securebeam: i/o error: ")
+        assert list(out.rglob("*.tmp")) == []
+
+    def test_failed_run_leaves_no_earlier_manifest(self, tmp_path, capsys):
+        # a run that failed part-way left its new CSVs beside the earlier run's manifest,
+        # which then described other bytes; a run that fails before any dataset changes nothing
+        out = tmp_path / "o"
+        assert cli_main(["sr-vs-snr", "--out", str(out), "--seed", "5"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfgfile = write(tmp_path, "eve_theta_deg = 70\neve_range_m = 1000\n")
+        assert cli_main(["sr-vs-snr", "--config", cfgfile, "--out", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        (out / "sr_vs_snr_min_rtp.csv").unlink()
+        (out / "sr_vs_snr_min_rtp.csv").mkdir()
+        assert cli_main(["sr-vs-snr", "--out", str(out), "--seed", "7"]) == 4
+        assert "securebeam: i/o error: " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
         assert list(out.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from securebeam import (
-    BeamPair,
     ConfigError,
     Method,
     PolarPosition,
@@ -50,8 +49,8 @@ class TestReceivedModel:
         beams = synthesize(cfg, plan, Method.MIN_TP)
         _, bob_an = received_model(cfg, plan, beams, cfg.bob)
         eve_cm, _ = received_model(cfg, plan, beams, cfg.eve)
-        assert abs(bob_an) <= 1e-8 * np.linalg.norm(beams.w_an)
-        assert abs(eve_cm) <= 1e-8 * np.linalg.norm(beams.w_cm)
+        assert abs(bob_an) <= 1e-8 * np.linalg.norm(beams[1])
+        assert abs(eve_cm) <= 1e-8 * np.linalg.norm(beams[0])
 
     def test_zero_jamming_weights_give_zero_gain(self, scenario):
         cfg, plan = scenario
@@ -108,17 +107,17 @@ class TestSecrecyRate:
 
     def test_scalar_recomputation_oracle(self, scenario):
         cfg, plan = scenario
-        beams = synthesize(cfg, plan, Method.EA)
+        w_cm, w_an = beams = synthesize(cfg, plan, Method.EA)
         sr = secrecy_rate(cfg, plan, beams)
         # spreadsheet-style recomputation from the raw complex gains
         h_b = steering_vector(plan, cfg, cfg.bob)
         h_e = steering_vector(plan, cfg, cfg.eve)
         g_b, g_e = path_loss(cfg.bob.range_m), path_loss(cfg.eve.range_m)
-        sinr_b = (g_b * abs(h_b.conj() @ beams.w_cm) ** 2) / (
-            g_b * abs(h_b.conj() @ beams.w_an) ** 2 + cfg.noise_power_bob_w
+        sinr_b = (g_b * abs(h_b.conj() @ w_cm) ** 2) / (
+            g_b * abs(h_b.conj() @ w_an) ** 2 + cfg.noise_power_bob_w
         )
-        sinr_e = (g_e * abs(h_e.conj() @ beams.w_cm) ** 2) / (
-            g_e * abs(h_e.conj() @ beams.w_an) ** 2 + cfg.noise_power_eve_w
+        sinr_e = (g_e * abs(h_e.conj() @ w_cm) ** 2) / (
+            g_e * abs(h_e.conj() @ w_an) ** 2 + cfg.noise_power_eve_w
         )
         expected = max(math.log2(1.0 + sinr_b) - math.log2(1.0 + sinr_e), 0.0)
         assert sr == pytest.approx(expected, abs=1e-9)
@@ -167,10 +166,10 @@ class TestSecrecyRate:
                 v = w + size * (complement @ c)
                 return v * np.linalg.norm(w) / np.linalg.norm(v)
 
-            w_cm, w_an = perturbed(best.w_cm), perturbed(best.w_an)
+            w_cm, w_an = perturbed(best[0]), perturbed(best[1])
             assert abs(h_e.conj() @ w_cm) <= 1e-10 * np.linalg.norm(w_cm)
             assert abs(h_b.conj() @ w_an) <= 1e-10 * np.linalg.norm(w_an)
-            sr = secrecy_rate(cfg, plan, BeamPair(w_cm, w_an))
+            sr = secrecy_rate(cfg, plan, (w_cm, w_an))
             assert sr <= secrecy_rate(cfg, plan, best) + 1e-12
 
     def test_nonnegative(self, scenario):
@@ -351,7 +350,7 @@ def literal_ber(cfg, plan, beams, pos, noise_power, num_symbols, seed):
 
 
 def stack(pairs):
-    return BeamPair(np.array([b.w_cm for b in pairs]), np.array([b.w_an for b in pairs]))
+    return tuple(np.array(ws) for ws in zip(*pairs))
 
 
 class TestBerMonteCarlo:

@@ -53,8 +53,9 @@ def mp_gain_power(cfg, plan, w, theta_rad, range_m):
 
 
 def mp_sinr(cfg, plan, beams, theta_rad, range_m, noise):
-    cm = mp_gain_power(cfg, plan, beams.w_cm, theta_rad, range_m)
-    an = mp_gain_power(cfg, plan, beams.w_an, theta_rad, range_m)
+    w_cm, w_an = beams
+    cm = mp_gain_power(cfg, plan, w_cm, theta_rad, range_m)
+    an = mp_gain_power(cfg, plan, w_an, theta_rad, range_m)
     return cm / (an + mp.mpf(noise)), an
 
 

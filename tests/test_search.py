@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from securebeam import (
-    BeamPair,
     ConfigError,
     Method,
     ScenarioConfig,
@@ -96,7 +95,7 @@ class TestGridSearch:
         def pair(gc, ga):  # looked up on the module, so the stand-in applies
             w_cm = power_scaled(cfg, beamformers.min_rtp_beamformer(h_b, h_e, gc), beta)
             w_an = power_scaled(cfg, beamformers.min_rtp_beamformer(h_e, h_b, ga), 1.0 - beta)
-            return BeamPair(w_cm, w_an)
+            return w_cm, w_an
 
         expected = np.array(
             [
@@ -119,7 +118,7 @@ class TestGridSearch:
         expected = np.array(
             [
                 [
-                    secrecy_rate(cfg, plan, BeamPair(
+                    secrecy_rate(cfg, plan, (
                         power_scaled(cfg, min_rtp_beamformer(h_b, h_e, gc), beta),
                         power_scaled(cfg, min_rtp_beamformer(h_e, h_b, ga), 1.0 - beta),
                     ))

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from securebeam import ConfigError, ExperimentKind, InfeasibleGeometryError, run_experiment
+from securebeam.cli import main as cli_main
 from securebeam.experiments import READ_KEYS, spec_from_values
 
 SEED = 1
@@ -83,7 +84,7 @@ def outcome(values: dict[str, str], out: Path) -> str:
         assert not out.exists(), "a refused run left files"
         return "run refused"
     assert threading.active_count() == threads, "a run left a thread behind"
-    for path in manifest.outputs:
+    for path in manifest["outputs"]:
         cells = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert cells.size and np.isfinite(cells).all(), f"{path}: a cell is not finite"
     return "ran"
@@ -106,3 +107,17 @@ def test_string_door_keeps_its_contract(tmp_path):
     assert outcomes["refused"] > CASES // 2 and outcomes["ran"] > CASES // 20, outcomes
     assert runs["ber_vs_snr"] >= 20 and runs["gamma_surface"] >= 20, runs
     assert runs["sinr_surface"] >= 20, runs
+
+
+@pytest.mark.parametrize("text", ["", "a\0b"], ids=["empty", "nul"])
+def test_out_dir_that_names_no_directory_refused(tmp_path, monkeypatch, capsys, text):
+    # draw_case never draws out_dir. An empty one wrote every file into the current
+    # directory, and one with a NUL ended in a ValueError traceback: both doors refuse them
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"out_dir = {text}\n")
+    for argv in (["--config", "run.cfg"], ["--out", text]):
+        assert cli_main(["sr-vs-snr", *argv]) == 2
+        assert "config error: output_dir (out_dir) must name a directory" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"^output_dir \(out_dir\) must name a directory"):
+        spec_from_values({"out_dir": text})
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
