@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import datetime
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -29,7 +30,8 @@ DEFAULT_SR_VS_N_SNRS_DB = (5.0, 15.0, 25.0)
 # 181 x 200 angle-range probe grid; hits the default Bob and Eve positions exactly
 DEFAULT_THETA_GRID_DEG = (0.0, 180.0, 181)
 DEFAULT_RANGE_GRID_M = (500.0, 2987.5, 200)
-# CSV rows per formatted block, in whole values of the outer axes: at least one last axis
+# CSV rows per '%'-formatted block, in whole values of the outer axes: at least one last
+# axis; values per block of the digit tables, and the fewest rows that use them
 _BLOCK_ROWS = 4096
 
 
@@ -131,14 +133,15 @@ class ExperimentSpec:
             raise ConfigError(f"output_dir (out_dir) must name a directory, got {out!r}")
 
 
-def _write_text(paths: list[Path], blocks: Iterable[str]) -> None:
-    """Write the blocks to every path (all in one directory) through <name>.tmp and a rename,
-    so a reader never sees a partial file; a block or rename that fails leaves no .tmp behind."""
+def _write_text(paths: list[Path], blocks: Iterable[bytes]) -> None:
+    """Write the blocks (bytes or any buffer) to every path (all in one directory) through
+    <name>.tmp and a rename, so a reader never sees a partial file; a block or rename that fails
+    leaves no .tmp behind."""
     paths[0].parent.mkdir(parents=True, exist_ok=True)  # first write: a failed run makes none
     tmps = [path.with_name(path.name + ".tmp") for path in paths]
     try:
         with contextlib.ExitStack() as stack:
-            files = [stack.enter_context(tmp.open("w")) for tmp in tmps]
+            files = [stack.enter_context(tmp.open("wb")) for tmp in tmps]
             for block in blocks:
                 for file in files:
                     file.write(block)
@@ -148,6 +151,131 @@ def _write_text(paths: list[Path], blocks: Iterable[str]) -> None:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
         raise
+
+
+# Exact '%.12g' by table, for the float columns of a dataset of at least _BLOCK_ROWS rows.
+# A value's text is gathered from a 24-byte source row: the 12 digits of its rounded mantissa
+# m (bytes 0-11), '0' and the 3 digits of its |exponent| (12-15), '-', '.', 'e', '+' (16-19),
+# ',' and '\n' (20-21), and NUL (22-23), which pads a text to a fixed width.
+_MARKS = np.frombuffer(b"-.e+,\n\0\0", np.uint32)
+_WIDTH = 19  # the longest text: -1.23456789012e-308
+
+
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """The source-row byte at each position of a text, padded with NUL to _WIDTH, then of the
+    ',' after it, and the text's length, by key (sign, class, significant digits d - 1). Each
+    is read off '%.12g' of a value with d nonzero digits: classes 0-15 have exponent -4 to 11
+    (fixed notation), 16-19 exponent -150, -50, 50 and 150 (exponential, with 3 or 2 exponent
+    digits), and class 20 is zero."""
+    rows = []
+    for x in [*range(-4, 12), -150, -50, 50, 150, None]:
+        for d in range(1, 13):
+            value = 0.0 if x is None else float(f"{'123456789123'[:d]}e{x - d + 1}")
+            mantissa, e, exponent = ("%.12g" % value).partition("e")
+            digits = iter(range(12))  # the n-th digit other than '0' is byte n
+            row = [{".": 17, "0": 12}.get(c) for c in mantissa]
+            row = [next(digits) if byte is None else byte for byte in row]
+            if e:  # then 'e', its sign and the last 2 or 3 digits of |exponent|
+                row += [18, 16 if exponent[0] == "-" else 19, *range(17 - len(exponent), 16)]
+            rows.append(row)
+    rows += [[16, *row] for row in rows]  # the same texts after a '-'
+    return (np.array([[*row, *[22] * (_WIDTH - len(row)), 20] for row in rows]),
+            np.array([len(row) for row in rows]))
+
+
+def _scale(e: int) -> tuple[float, float]:
+    """10**(11 - e) as an exact power of ten times the float nearest the rest; for e below -11
+    the power is 10**22 * 2**64, so that neither a subnormal times it nor the rest overflows."""
+    k, power = 11 - e, 10**22 * 2**64
+    if 0 <= k <= 22:
+        return 10**k, 1.0
+    return (1.0, 1 / 10**-k) if k < 0 else (power, 10**k / power)
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """_cells' tables, built on its first call, so that a run that writes no large dataset
+    pays nothing for them. By k < 10**4: its 4 ASCII digits as one uint32, and its trailing
+    zeros, 4 for 0, both from the 10 x 10 x 10 x 10 grid of its digits. By key: the layouts
+    and lengths of _layouts. By exponent e + 324, for e from -324 to 308, and at 633 for zero,
+    nan and inf: the key of 12 significant digits, the digits of |e|, and the two factors of
+    _scale."""
+    digits = np.stack(np.broadcast_arrays(*np.ix_(*[np.arange(48, 58, dtype=np.uint8)] * 4)), -1)
+    digits = digits.reshape(10_000, 4).view(np.uint32)[:, 0]
+    thousands, hundreds, tens, ones = np.ix_(*[(np.arange(10) == 0).astype(int)] * 4)
+    trailing_zeros = (ones * (1 + tens * (1 + hundreds * (1 + thousands)))).ravel()
+    e = np.arange(-324, 310)
+    key = 11 + 12 * np.select([e > 308, (e >= -4) & (e <= 11)], [20, e + 4],
+                              16 + (e > -100) + (e > 11) + (e > 99))
+    power, rest = np.array([_scale(k) for k in range(-324, 310)], dtype=float).T
+    tables = (digits, trailing_zeros, *_layouts(), key, digits[np.where(e > 308, 0, np.abs(e))],
+              power, rest)
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """The CSV text of each row of the float64 array values, as '%.12g' cells each followed by
+    ',' or the last by '\\n': a uint8 array of cells padded with NUL to one width."""
+    digits, trailing_zeros, layout, length, key_base, exponent_digits, power, rest = _tables()
+    x = values.ravel()
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # e + 324; log10 may be one off near a power of ten, and then m's range sends x to '%'
+        t = np.log10(a) + 324
+        exponent = np.where(np.isfinite(t), t, 633).astype(np.intp)
+        s = a * power.take(exponent) * rest.take(exponent)  # a * 10**(11 - e)
+        m = np.rint(s)
+        # s is rounded once for e in -11..11, else at most three times, so it is within 4e-4 of
+        # the exact a * 10**(11 - e), and away from a tie m is its correct rounding; s >= 1e11
+        # also refuses an e one too high, where m could round up to 1e11
+        ok = (s >= 1e11) & (m < 1e12) & (np.abs(s - m) < 0.499)
+    del t, s  # here and below, freed before the gather index, the block's largest array
+    low = np.where(ok, m, 111_111_111_111).astype(np.int64)  # any digits for zero and for '%'
+    high = low // 10**8
+    low -= high * 10**8
+    mid = low // 10**4
+    low -= mid * 10**4
+    trailing = trailing_zeros.take(low)
+    rare = np.flatnonzero(low == 0)  # m ends in four zeros or more
+    trailing[rare] += trailing_zeros.take(mid[rare]) + (mid[rare] == 0) * trailing_zeros.take(
+        high[rare])
+    key = key_base.take(exponent) - trailing
+    key += len(layout) // 2 * np.signbit(x)  # the keys of negative values come second
+    source = np.empty((x.size, 6), np.uint32)
+    source[:, 0], source[:, 1], source[:, 2] = (digits.take(g) for g in (high, mid, low))
+    source[:, 3], source[:, 4], source[:, 5] = exponent_digits.take(exponent), *_MARKS
+    fallback = np.flatnonzero(~ok & (a != 0.0))
+    del a, m, high, mid, low, trailing, exponent, ok
+    texts = ["%.12g" % v for v in x[fallback].tolist()]
+    width = max([length.take(key).max(), *map(len, texts)])
+    columns = [*range(width), _WIDTH]  # the text, then the column of ',' or '\n'
+    index = layout.take(columns, 1).take(key, 0)  # into source, built in place
+    index += 24 * np.arange(x.size)[:, np.newaxis]
+    index.reshape(*values.shape, -1)[:, -1, -1] += 1  # '\n' after a row's last cell
+    cells = source.view(np.uint8).ravel().take(index)
+    del index
+    cells[fallback, :width] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
+    return cells.reshape(len(values), -1)
+
+
+def _texts(strings: list[str]) -> np.ndarray:
+    """The ASCII strings as the rows of a uint8 array, padded with NUL to one width."""
+    raw = np.array(strings, dtype="S")
+    return raw.view(np.uint8).reshape(len(strings), raw.itemsize)
+
+
+def _byte_block(axes: tuple[np.ndarray, np.ndarray], start: int, values: np.ndarray
+                ) -> np.ndarray:
+    """The CSV bytes of the rows from start on, whose float columns are values: a uint8 matrix
+    with one row per CSV row, its prefix and last-axis texts (_texts of each) and its value
+    texts (_cells) in fixed columns, compressed by the mask of its bytes that are not NUL."""
+    prefixes, last = axes
+    outer, inner = np.divmod(np.arange(start, start + len(values)), len(last))
+    matrix = np.concatenate(
+        [prefixes.take(outer, 0), last.take(inner, 0), _cells(values.astype(np.float64))], 1)
+    return matrix[matrix != 0]
 
 
 def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
@@ -160,15 +288,23 @@ def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
     size, columns = len(prefixes) * len(last), [np.reshape(v, -1) for v in values.values()]
     if any(column.size != size for column in columns):
         raise ValueError(f"values must have one entry per grid point ({size})")
-    fill = ",".join(["%.12g"] * len(values)) + "\n"
-    rows = ["", *(c + fill for c in last)]  # p.join(rows) puts p before every row, in C
-    step = max(1, _BLOCK_ROWS // len(last))  # whole outer-axis prefixes per block
-    blocks = (  # each block's one '%' fill, with its slice of every column
-        "".join([p.join(rows) for p in prefixes[i:i + step]]) % tuple(np.column_stack(
-            [column[i * len(last):(i + step) * len(last)] for column in columns]).ravel().tolist())
-        for i in range(0, len(prefixes), step)
-    )
-    _write_text(paths, itertools.chain([",".join([*axes, *values]) + "\n"], blocks))
+    if size >= _BLOCK_ROWS and columns and all(c.dtype.kind == "f" and c.itemsize <= 8
+                                               for c in columns):
+        # the digit tables, _BLOCK_ROWS values at a time: a block may split an outer-axis value
+        step, texts = max(1, _BLOCK_ROWS // len(columns)), (_texts(prefixes), _texts(last))
+        blocks = (_byte_block(texts, i, np.column_stack([column[i:i + step] for column in columns]))
+                  for i in range(0, size, step))
+    else:
+        fill = ",".join(["%.12g"] * len(values)) + "\n"
+        rows = ["", *(c + fill for c in last)]  # p.join(rows) puts p before every row, in C
+        step = max(1, _BLOCK_ROWS // len(last))  # whole outer-axis prefixes per block
+        blocks = (  # each block's one '%' fill, with its slice of every column
+            ("".join([p.join(rows) for p in prefixes[i:i + step]]) % tuple(np.column_stack(
+                [column[i * len(last):(i + step) * len(last)] for column in columns]
+            ).ravel().tolist())).encode()
+            for i in range(0, len(prefixes), step)
+        )
+    _write_text(paths, itertools.chain([(",".join([*axes, *values]) + "\n").encode()], blocks))
 
 
 def _distinct(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[list[tuple], list[int]]:
@@ -267,7 +403,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(outputs[rank]) for rank in sorted(outputs)],
     }
-    _write_text([out_dir / "manifest.json"], [json.dumps(manifest, indent=2) + "\n"])
+    _write_text([out_dir / "manifest.json"], [(json.dumps(manifest, indent=2) + "\n").encode()])
     return manifest
 
 

@@ -1,7 +1,11 @@
 import codecs
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -44,6 +48,7 @@ from securebeam.experiments import (
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 # the five small specs of acceptance criterion 10; tests/data/golden holds the
@@ -161,22 +166,40 @@ class TestWriteCsv:
         flat = np.column_stack(columns).ravel().tolist()
         return ",".join([*axes, *values]) + "\n" + row * grid[0].size % tuple(flat)
 
+    @staticmethod
+    def column(rng, kind, shape):
+        """A value column: magnitudes from 1e-300 to 1e300, dB values with the -300 dB floor
+        (fixed notation, as sinr-surface writes), zeros, exponential notation or float32."""
+        if kind == "wide":
+            return rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        if kind == "db":
+            db = 10 * np.log10(rng.exponential(size=shape))
+            return np.where(rng.random(shape) < 0.01, -300.0, db)
+        return {"zero": np.zeros(shape), "exp": rng.normal(size=shape) * 1e-5,
+                "f32": rng.normal(size=shape).astype(np.float32)}[kind]
+
     @pytest.mark.parametrize(
-        "shape, n_values, n_paths",
-        [((3, experiments._BLOCK_ROWS + 5), 1, 1),  # a last axis longer than a block
-         ((37, 500), 2, 1),  # 8 prefixes per block: 37 is no multiple of it
-         ((10_000,), 1, 1),  # a lone axis, longer than a block
-         ((7, 9, 600), 2, 1),  # three axes: 63 prefixes, 6 per block
-         ((1,), 1, 1),  # one point
-         ((20, 300), 2, 3)],  # several paths
-        ids=["long-last-axis", "outer-off-block", "lone-10000", "3-axes", "1-point", "3-paths"],
+        "shape, kinds, n_paths",
+        [((3, experiments._BLOCK_ROWS + 5), ("wide",), 1),  # a last axis longer than a block
+         ((37, 500), ("wide", "wide"), 1),  # 8 prefixes per block: 37 is no multiple of it
+         ((10_000,), ("wide",), 1),  # a lone axis, longer than a block
+         ((7, 9, 600), ("wide", "wide"), 1),  # three axes: 63 prefixes, 6 per block
+         ((1,), ("wide",), 1),  # one point
+         ((20, 300), ("wide", "wide"), 3),  # several paths
+         ((181, 200), ("db", "db"), 1),  # the default sinr-surface grid
+         ((experiments._BLOCK_ROWS - 1,), ("db",), 1),  # one row short of the digit tables
+         ((experiments._BLOCK_ROWS,), ("db",), 1),  # the fewest rows that use them
+         ((20, 300), ("zero", "exp"), 1),
+         ((5, 1000), ("f32", "db", "wide"), 1)],
+        ids=["long-last-axis", "outer-off-block", "lone-10000", "3-axes", "1-point", "3-paths",
+             "db-181x200", "block-rows-minus-1", "block-rows", "zero-and-exp", "float32"],
     )
-    def test_blocks_equal_one_shot_write(self, tmp_path, shape, n_values, n_paths):
+    def test_blocks_equal_one_shot_write(self, tmp_path, shape, kinds, n_paths):
         rng = np.random.default_rng(sum(shape))
         axes = {f"axis{i}": rng.normal(size=size) * 1e3 for i, size in enumerate(shape)}
-        values = {f"value{k}": rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-                  for k in range(n_values)}
-        values["value0"].flat[: len(AWKWARD)] = AWKWARD[: values["value0"].size]
+        values = {f"value{k}": self.column(rng, kind, shape) for k, kind in enumerate(kinds)}
+        if kinds[0] == "wide":
+            values["value0"].flat[: len(AWKWARD)] = AWKWARD[: values["value0"].size]
         paths = [tmp_path / f"out{j}.csv" for j in range(n_paths)]
         _write_csv(paths, axes, values)
         want = self.one_shot_csv(axes, values)
@@ -214,6 +237,75 @@ class TestWriteCsv:
             _write_csv(paths, axes, {"v": np.zeros((20, 500)), "w": bad})
         assert sorted(tmp_path.iterdir()) == [paths[0]]
         assert paths[0].read_text() == "earlier\n"
+
+
+def format_fuzz_values(size=200_000):
+    """Floats whose '%.12g' text the digit tables must get right: random values of either sign
+    from 1e-8 to 1e14, ties at the 12th digit, the neighbours of every power of ten from 1e-6
+    to 1e13 and values 1e-12 from it, and the awkward ones, each also negated."""
+    rng = np.random.default_rng(31)
+    random = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 14, size)
+    # (k + 0.5) / 10**j for 12-digit k, exact ties for j in 0..22, and near ties from 1e-289
+    # to 1e302, where 10**(11 - e) is no one power of ten
+    scale = np.concatenate([np.repeat(np.arange(23), 500), np.repeat(np.arange(-290, 301), 20)])
+    ties = (rng.integers(10**11, 10**12, scale.size) + 0.5) / 10.0**scale
+    powers = 10.0 ** np.arange(-6, 14)
+    special = [999999999999.5, 0.00009999999999995, 0.0, 5e-324, 1e300, math.inf, math.nan,
+               -300.0, 8.0, 123456789012.0, 1e11, 1e16, 1e22]
+    integral = rng.integers(-10**13, 10**13, 2000).astype(float)
+    edges = np.concatenate([ties, np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+                            powers * (1 - 1e-12), powers * (1 + 1e-12), special, integral])
+    return np.concatenate([random, edges, -edges])
+
+
+def assert_prints_as_percent_12g(path, values):
+    """The lone-axis CSV at path holds, value by value, '%.12g' % v of each of values."""
+    lines = path.read_text().splitlines()[1:]
+    got = [line.split(",")[1] for line in lines]
+    want = ["%.12g" % v for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, f"{len(bad)} values differ, first {bad[:3]}"
+
+
+class TestExactFormat:
+    """The digit tables' '%.12g' for large float datasets, against Python's own."""
+
+    def test_every_value_prints_as_percent_12g(self, tmp_path):
+        values = format_fuzz_values()
+        _write_csv([tmp_path / "v.csv"], {"i": np.arange(values.size, dtype=float)}, {"v": values})
+        assert_prints_as_percent_12g(tmp_path / "v.csv", values)
+
+    @pytest.mark.parametrize("error", [-1.0, -1e-12, 1e-12, 1.0])
+    def test_exact_when_log10_errs(self, tmp_path, monkeypatch, error):
+        # the range and tie guards, not log10's accuracy, make the digits exact: a log10 off by
+        # a decade, or by 1e-12 near each power of ten, sends the values it misses to '%'
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+        values = format_fuzz_values(20_000)
+        _write_csv([tmp_path / "v.csv"], {"i": np.arange(values.size, dtype=float)}, {"v": values})
+        assert_prints_as_percent_12g(tmp_path / "v.csv", values)
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="names x86-64 SIMD targets")
+    def test_exact_without_simd_kernels(self, tmp_path):
+        # in a child process whose numpy dispatches no AVX2 or AVX-512 loop (log10 included)
+        # and whose OpenBLAS runs its oldest kernel: exactness rests on the range and tie
+        # guards, not on the loops numpy picks for this CPU
+        values = format_fuzz_values()
+        np.save(tmp_path / "v.npy", values)
+        child = ("import sys, numpy as np; from pathlib import Path; "
+                 "from securebeam.experiments import _write_csv; v = np.load(sys.argv[1]); "
+                 "axis = {'i': np.arange(v.size, dtype=float)}; "
+                 "_write_csv([Path(sys.argv[2])], axis, {'v': v}); "
+                 "print(np.show_config(mode='dicts')['SIMD Extensions'].get('found', []))")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+               "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": str(SRC)}
+        run = subprocess.run([sys.executable, "-c", child, str(tmp_path / "v.npy"),
+                              str(tmp_path / "v.csv")], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"  # no SIMD extension beyond the x86-64-v2 baseline
+        assert_prints_as_percent_12g(tmp_path / "v.csv", values)
 
 
 class TestLoadConfig:
