@@ -24,8 +24,11 @@ def min_tp_beamformer(h_target: np.ndarray, h_null: np.ndarray) -> np.ndarray:
     Uses the exact simplification P (P^H P)^+ P^H = P for the orthogonal projector
     P = I - h_null h_null^H, so the direction is P h_target / ||P h_target||^2
     with no numerical pseudo-inverse involved, computed in O(N) as h_t - h_n (h_n^H h_t).
+    That one Gram-Schmidt step cancels as |h_n^H h_t| -> 1, so it is applied twice
+    ("twice is enough"; Giraud, Langou & Rozloznik, Comput. Math. Appl., 2005).
     """
     p_ht = h_target - h_null * (h_null.conj() @ h_target)
+    p_ht -= h_null * (h_null.conj() @ p_ht)
     gain = np.linalg.norm(p_ht) ** 2  # equals h_target^H P h_target, real
     if np.sqrt(gain) <= FEASIBILITY_TOL:
         raise InfeasibleGeometryError(

@@ -153,43 +153,27 @@ def _write_text(paths: list[Path], blocks: Iterable[bytes]) -> None:
         raise
 
 
-# Exact '%.12g' by table, for the float columns of a dataset of at least _BLOCK_ROWS rows.
-# A value's text is gathered from a 24-byte source row: the 12 digits of its rounded mantissa
-# m (bytes 0-11), '0' and the 3 digits of its |exponent| (12-15), '-', '.', 'e', '+' (16-19),
-# ',' and '\n' (20-21), and NUL (22-23), which pads a text to a fixed width.
-_MARKS = np.frombuffer(b"-.e+,\n\0\0", np.uint32)
-_WIDTH = 19  # the longest text: -1.23456789012e-308
+# Exact '%.12g' by table, for the float columns of a dataset of at least _BLOCK_ROWS rows, of
+# each value it writes in fixed notation (nonzero, decimal exponent -4 to 11). Its text is
+# gathered from a 20-byte source row: the 12 digits of its rounded mantissa m (bytes 0-11),
+# '0', '-', '.', ',' and '\n' (12-16), and NUL (17-19), which pads a text to a fixed width.
+_MARKS = np.frombuffer(b"0-.,\n\0\0\0", np.uint32)
+_WIDTH = 19  # the longest '%.12g' text, -1.23456789012e-308, so that '%' texts fit a cell too
 
 
 def _layouts() -> tuple[np.ndarray, np.ndarray]:
     """The source-row byte at each position of a text, padded with NUL to _WIDTH, then of the
-    ',' after it, and the text's length, by key (sign, class, significant digits d - 1). Each
-    is read off '%.12g' of a value with d nonzero digits: classes 0-15 have exponent -4 to 11
-    (fixed notation), 16-19 exponent -150, -50, 50 and 150 (exponential, with 3 or 2 exponent
-    digits), and class 20 is zero."""
+    ',' after it, and the text's length, by key (sign, exponent e + 4, significant digits
+    d - 1). Each is read off '%.12g' of a value with d nonzero digits."""
     rows = []
-    for x in [*range(-4, 12), -150, -50, 50, 150, None]:
+    for e in range(-4, 12):
         for d in range(1, 13):
-            value = 0.0 if x is None else float(f"{'123456789123'[:d]}e{x - d + 1}")
-            mantissa, e, exponent = ("%.12g" % value).partition("e")
             digits = iter(range(12))  # the n-th digit other than '0' is byte n
-            row = [{".": 17, "0": 12}.get(c) for c in mantissa]
-            row = [next(digits) if byte is None else byte for byte in row]
-            if e:  # then 'e', its sign and the last 2 or 3 digits of |exponent|
-                row += [18, 16 if exponent[0] == "-" else 19, *range(17 - len(exponent), 16)]
-            rows.append(row)
-    rows += [[16, *row] for row in rows]  # the same texts after a '-'
-    return (np.array([[*row, *[22] * (_WIDTH - len(row)), 20] for row in rows]),
+            text = "%.12g" % float(f"{'123456789123'[:d]}e{e - d + 1}")
+            rows.append([12 if c == "0" else 14 if c == "." else next(digits) for c in text])
+    rows += [[13, *row] for row in rows]  # the same texts after a '-'
+    return (np.array([[*row, *[17] * (_WIDTH - len(row)), 15] for row in rows]),
             np.array([len(row) for row in rows]))
-
-
-def _scale(e: int) -> tuple[float, float]:
-    """10**(11 - e) as an exact power of ten times the float nearest the rest; for e below -11
-    the power is 10**22 * 2**64, so that neither a subnormal times it nor the rest overflows."""
-    k, power = 11 - e, 10**22 * 2**64
-    if 0 <= k <= 22:
-        return 10**k, 1.0
-    return (1.0, 1 / 10**-k) if k < 0 else (power, 10**k / power)
 
 
 @functools.cache
@@ -197,19 +181,13 @@ def _tables() -> tuple[np.ndarray, ...]:
     """_cells' tables, built on its first call, so that a run that writes no large dataset
     pays nothing for them. By k < 10**4: its 4 ASCII digits as one uint32, and its trailing
     zeros, 4 for 0, both from the 10 x 10 x 10 x 10 grid of its digits. By key: the layouts
-    and lengths of _layouts. By exponent e + 324, for e from -324 to 308, and at 633 for zero,
-    nan and inf: the key of 12 significant digits, the digits of |e|, and the two factors of
-    _scale."""
+    and lengths of _layouts. By exponent e + 4: the exact 10**(11 - e)."""
     digits = np.stack(np.broadcast_arrays(*np.ix_(*[np.arange(48, 58, dtype=np.uint8)] * 4)), -1)
     digits = digits.reshape(10_000, 4).view(np.uint32)[:, 0]
     thousands, hundreds, tens, ones = np.ix_(*[(np.arange(10) == 0).astype(int)] * 4)
     trailing_zeros = (ones * (1 + tens * (1 + hundreds * (1 + thousands)))).ravel()
-    e = np.arange(-324, 310)
-    key = 11 + 12 * np.select([e > 308, (e >= -4) & (e <= 11)], [20, e + 4],
-                              16 + (e > -100) + (e > 11) + (e > 99))
-    power, rest = np.array([_scale(k) for k in range(-324, 310)], dtype=float).T
-    tables = (digits, trailing_zeros, *_layouts(), key, digits[np.where(e > 308, 0, np.abs(e))],
-              power, rest)
+    power = np.array([10**k for k in range(15, -1, -1)], dtype=float)
+    tables = (digits, trailing_zeros, *_layouts(), power)
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
@@ -218,21 +196,20 @@ def _tables() -> tuple[np.ndarray, ...]:
 def _cells(values: np.ndarray) -> np.ndarray:
     """The CSV text of each row of the float64 array values, as '%.12g' cells each followed by
     ',' or the last by '\\n': a uint8 array of cells padded with NUL to one width."""
-    digits, trailing_zeros, layout, length, key_base, exponent_digits, power, rest = _tables()
+    digits, trailing_zeros, layout, length, power = _tables()
     x = values.ravel()
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # e + 324; log10 may be one off near a power of ten, and then m's range sends x to '%'
-        t = np.log10(a) + 324
-        exponent = np.where(np.isfinite(t), t, 633).astype(np.intp)
-        s = a * power.take(exponent) * rest.take(exponent)  # a * 10**(11 - e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # e + 4, clipped to the table: where it is not x's exponent (zero, nan, inf, an e
+        # outside -4..11, or log10 one off near a power of ten), m's range sends x to '%'
+        exponent = np.clip(np.nan_to_num(np.log10(a) + 4), 0, 15).astype(np.intp)
+        s = a * power.take(exponent)  # a * 10**(11 - e), rounded once: within 1.2e-4 of exact
         m = np.rint(s)
-        # s is rounded once for e in -11..11, else at most three times, so it is within 4e-4 of
-        # the exact a * 10**(11 - e), and away from a tie m is its correct rounding; s >= 1e11
-        # also refuses an e one too high, where m could round up to 1e11
+        # away from a tie m is its correct rounding; s >= 1e11 also refuses an e one too high,
+        # where m could round up to 1e11
         ok = (s >= 1e11) & (m < 1e12) & (np.abs(s - m) < 0.499)
-    del t, s  # here and below, freed before the gather index, the block's largest array
-    low = np.where(ok, m, 111_111_111_111).astype(np.int64)  # any digits for zero and for '%'
+    del s  # here and below, freed before the gather index, the block's largest array
+    low = np.where(ok, m, 111_111_111_111).astype(np.int64)  # any digits for '%'
     high = low // 10**8
     low -= high * 10**8
     mid = low // 10**4
@@ -241,18 +218,18 @@ def _cells(values: np.ndarray) -> np.ndarray:
     rare = np.flatnonzero(low == 0)  # m ends in four zeros or more
     trailing[rare] += trailing_zeros.take(mid[rare]) + (mid[rare] == 0) * trailing_zeros.take(
         high[rare])
-    key = key_base.take(exponent) - trailing
+    key = 11 + 12 * exponent - trailing
     key += len(layout) // 2 * np.signbit(x)  # the keys of negative values come second
-    source = np.empty((x.size, 6), np.uint32)
+    source = np.empty((x.size, 5), np.uint32)
     source[:, 0], source[:, 1], source[:, 2] = (digits.take(g) for g in (high, mid, low))
-    source[:, 3], source[:, 4], source[:, 5] = exponent_digits.take(exponent), *_MARKS
-    fallback = np.flatnonzero(~ok & (a != 0.0))
+    source[:, 3], source[:, 4] = _MARKS
+    fallback = np.flatnonzero(~ok)
     del a, m, high, mid, low, trailing, exponent, ok
     texts = ["%.12g" % v for v in x[fallback].tolist()]
     width = max([length.take(key).max(), *map(len, texts)])
     columns = [*range(width), _WIDTH]  # the text, then the column of ',' or '\n'
     index = layout.take(columns, 1).take(key, 0)  # into source, built in place
-    index += 24 * np.arange(x.size)[:, np.newaxis]
+    index += 20 * np.arange(x.size)[:, np.newaxis]
     index.reshape(*values.shape, -1)[:, -1, -1] += 1  # '\n' after a row's last cell
     cells = source.view(np.uint8).ravel().take(index)
     del index

@@ -62,10 +62,13 @@ def secrecy_rate(
     cfg: ScenarioConfig, plan: np.ndarray, beams: tuple[np.ndarray, np.ndarray]
 ) -> float | np.ndarray:
     """max{ log2(1 + SINR_Bob) - log2(1 + SINR_Eve), 0 } in bits per channel use;
-    for stacked beams, one rate per stacked pair, broadcast over the leading axes."""
+    for stacked beams, one rate per stacked pair, broadcast over the leading axes.
+
+    Formed as log1p((SINR_Bob - SINR_Eve) / (1 + SINR_Eve)) / ln 2, which keeps the digits
+    of a small rate that the difference of two logarithms, or log2(1 + s) itself, drops."""
     sinr_b = sinr(*received_model(cfg, plan, beams, cfg.bob), cfg.noise_power_bob_w)
     sinr_e = sinr(*received_model(cfg, plan, beams, cfg.eve), cfg.noise_power_eve_w)
-    return np.maximum(np.log2(1.0 + sinr_b) - np.log2(1.0 + sinr_e), 0.0)
+    return np.maximum(np.log1p((sinr_b - sinr_e) / (1.0 + sinr_e)) / math.log(2.0), 0.0)
 
 
 def sinr_surface(

@@ -308,6 +308,20 @@ class TestExactFormat:
         assert_prints_as_percent_12g(tmp_path / "v.csv", values)
 
 
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("seed", [1, 7, 42, 901])
+def test_default_field_is_fixed_notation(seed, n):
+    # the digit tables take only values that '%.12g' writes in fixed notation, finite and
+    # nonzero; all but 0-2 of the default field's 144,800 values are such, so a field whose
+    # values left the tables would fail here, not only run slower
+    spec = spec_from_values({"experiment": "sinr_surface", "seed": str(seed),
+                             "n_antennas": str(n)})
+    values = [v for _, _, columns in experiments._datasets(spec)
+              for column in columns.values() for v in column.tolist()]
+    fixed = [math.isfinite(v) and v != 0.0 and "e" not in "%.12g" % v for v in values]
+    assert len(values) == 144_800 and sum(fixed) >= 0.999 * len(values), sum(fixed)
+
+
 class TestLoadConfig:
     def test_empty_file_gives_full_defaults(self, tmp_path):
         spec = load_config(write(tmp_path, ""))
