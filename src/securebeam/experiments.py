@@ -30,8 +30,8 @@ DEFAULT_SR_VS_N_SNRS_DB = (5.0, 15.0, 25.0)
 # 181 x 200 angle-range probe grid; hits the default Bob and Eve positions exactly
 DEFAULT_THETA_GRID_DEG = (0.0, 180.0, 181)
 DEFAULT_RANGE_GRID_M = (500.0, 2987.5, 200)
-# CSV rows per '%'-formatted block, in whole values of the outer axes: at least one last
-# axis; values per block of the digit tables, and the fewest rows that use them
+# values per block of the digit tables, and the fewest CSV rows that use them; a dataset of
+# fewer rows is one '%' fill
 _BLOCK_ROWS = 4096
 
 
@@ -119,7 +119,8 @@ class ExperimentSpec:
             except (TypeError, ValueError, OverflowError) as exc:  # ConfigError is a ValueError
                 raise ConfigError(f"{key}: {exc}") from exc
         if len(set(self.methods)) < len(self.methods):  # the list loop refuses an empty one
-            raise ConfigError(f"methods must be nonempty and distinct, got {self.methods}")
+            names = ", ".join(map(str, self.methods))
+            raise ConfigError(f"methods must be nonempty and distinct, got {names}")
         check_count("mc_symbols", self.mc_symbols, 1000)
         check_count("gamma_grid_points (gamma_points)", self.gamma_grid_points, 1)
         top, points = self.gamma_grid_max, self.gamma_grid_points
@@ -153,8 +154,8 @@ def _write_text(paths: list[Path], blocks: Iterable[bytes]) -> None:
         raise
 
 
-# Exact '%.12g' by table, for the float columns of a dataset of at least _BLOCK_ROWS rows, of
-# each value it writes in fixed notation (nonzero, decimal exponent -4 to 11). Its text is
+# Exact '%.12g' by table, for the columns (as float64) of a dataset of _BLOCK_ROWS rows or more,
+# of each value it writes in fixed notation (nonzero, decimal exponent -4 to 11). Its text is
 # gathered from a 20-byte source row: the 12 digits of its rounded mantissa m (bytes 0-11),
 # '0', '-', '.', ',' and '\n' (12-16), and NUL (17-19), which pads a text to a fixed width.
 _MARKS = np.frombuffer(b"0-.,\n\0\0\0", np.uint32)
@@ -265,22 +266,16 @@ def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:
     size, columns = len(prefixes) * len(last), [np.reshape(v, -1) for v in values.values()]
     if any(column.size != size for column in columns):
         raise ValueError(f"values must have one entry per grid point ({size})")
-    if size >= _BLOCK_ROWS and columns and all(c.dtype.kind == "f" and c.itemsize <= 8
-                                               for c in columns):
+    if size >= _BLOCK_ROWS:
         # the digit tables, _BLOCK_ROWS values at a time: a block may split an outer-axis value
         step, texts = max(1, _BLOCK_ROWS // len(columns)), (_texts(prefixes), _texts(last))
         blocks = (_byte_block(texts, i, np.column_stack([column[i:i + step] for column in columns]))
                   for i in range(0, size, step))
-    else:
+    else:  # the whole file's template, filled by one '%'
         fill = ",".join(["%.12g"] * len(values)) + "\n"
         rows = ["", *(c + fill for c in last)]  # p.join(rows) puts p before every row, in C
-        step = max(1, _BLOCK_ROWS // len(last))  # whole outer-axis prefixes per block
-        blocks = (  # each block's one '%' fill, with its slice of every column
-            ("".join([p.join(rows) for p in prefixes[i:i + step]]) % tuple(np.column_stack(
-                [column[i * len(last):(i + step) * len(last)] for column in columns]
-            ).ravel().tolist())).encode()
-            for i in range(0, len(prefixes), step)
-        )
+        blocks = [("".join([p.join(rows) for p in prefixes])
+                   % tuple(np.column_stack(columns).ravel().tolist())).encode()]
     _write_text(paths, itertools.chain([(",".join([*axes, *values]) + "\n").encode()], blocks))
 
 

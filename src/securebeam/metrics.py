@@ -192,6 +192,7 @@ def ber_monte_carlo(
     not depend on the number of workers.
     """
     noise_power = _receiver_noise(cfg, pos, num_symbols)
+    seed = check_count("seed", seed, 0, math.inf)  # as ScenarioConfig checks rng_seed
     cm_gains, an_gains = received_model(cfg, plan, beams, pos)
     errors = _bit_errors(cm_gains, an_gains, noise_power, seed, np.empty((3, num_symbols)))
     ber = errors / (2.0 * num_symbols)
@@ -228,6 +229,7 @@ def ber_sweep(
     any worker stops the others at their next point and is raised here.
     """
     noise_power = _receiver_noise(cfg, pos, num_symbols)
+    seeds = [check_count("seed", seed, 0, math.inf) for seed in seeds]
     cm_gains, an_gains = received_model(cfg, plan, beams, pos)
     if np.shape(cm_gains)[-1:] != (len(seeds),):
         raise ValueError(f"beams must stack one pair per seed ({len(seeds)}) before N")

@@ -181,9 +181,10 @@ class TestWriteCsv:
     @pytest.mark.parametrize(
         "shape, kinds, n_paths",
         [((3, experiments._BLOCK_ROWS + 5), ("wide",), 1),  # a last axis longer than a block
-         ((37, 500), ("wide", "wide"), 1),  # 8 prefixes per block: 37 is no multiple of it
+         ((37, 500), ("wide", "wide"), 1),  # 2,048 rows per block: blocks split outer values
          ((10_000,), ("wide",), 1),  # a lone axis, longer than a block
-         ((7, 9, 600), ("wide", "wide"), 1),  # three axes: 63 prefixes, 6 per block
+         ((7, 9, 600), ("wide", "wide"), 1),  # three axes: blocks split both outer axes' values
+         ((63, 65), ("wide", "wide"), 1),  # 4,095 rows, 63 prefixes: the '%' fill at its largest
          ((1,), ("wide",), 1),  # one point
          ((20, 300), ("wide", "wide"), 3),  # several paths
          ((181, 200), ("db", "db"), 1),  # the default sinr-surface grid
@@ -191,8 +192,9 @@ class TestWriteCsv:
          ((experiments._BLOCK_ROWS,), ("db",), 1),  # the fewest rows that use them
          ((20, 300), ("zero", "exp"), 1),
          ((5, 1000), ("f32", "db", "wide"), 1)],
-        ids=["long-last-axis", "outer-off-block", "lone-10000", "3-axes", "1-point", "3-paths",
-             "db-181x200", "block-rows-minus-1", "block-rows", "zero-and-exp", "float32"],
+        ids=["long-last-axis", "outer-off-block", "lone-10000", "3-axes", "63-prefixes",
+             "1-point", "3-paths", "db-181x200", "block-rows-minus-1", "block-rows",
+             "zero-and-exp", "float32"],
     )
     def test_blocks_equal_one_shot_write(self, tmp_path, shape, kinds, n_paths):
         rng = np.random.default_rng(sum(shape))
@@ -225,16 +227,37 @@ class TestWriteCsv:
         assert (tmp_path / "out.csv").stat().st_size > 11 * 2**20
         assert peak < 2 * 2**20, peak
 
-    def test_block_that_fails_to_format_leaves_no_tmp(self, tmp_path):
-        # the first block is written to both .tmp files before the second fails; an
-        # earlier file at a path keeps its bytes
+    def test_block_that_fails_to_format_leaves_no_tmp(self, tmp_path, monkeypatch):
+        # 10,000 rows of two values are five blocks of 2,048 rows for the digit tables; the
+        # string in the last row fails float64 conversion in the fifth, after the header and
+        # four blocks reached both .tmp files. An earlier file at a path keeps its bytes
         axes = {"a": np.arange(20.0), "b": np.arange(500.0)}
         bad = np.zeros(20 * 500, dtype=object)
         bad[-1] = "not a number"
         paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
         paths[0].write_text("earlier\n")
-        with pytest.raises(TypeError):
+        writes = {}  # file name: the size of each write to it
+        open_path = Path.open
+
+        class Tally:  # a file opened by _write_text, counting what it is given
+            def __init__(self, path, mode):
+                self.file, self.sizes = open_path(path, mode), writes.setdefault(path.name, [])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, block):
+                self.sizes.append(self.file.write(block))
+
+        with monkeypatch.context() as patch, pytest.raises(ValueError, match="convert string"):
+            patch.setattr(Path, "open", lambda path, mode: Tally(path, mode))
             _write_csv(paths, axes, {"v": np.zeros((20, 500)), "w": bad})
+        assert sorted(writes) == ["one.csv.tmp", "two.csv.tmp"]
+        assert writes["one.csv.tmp"] == writes["two.csv.tmp"]
+        assert len(writes["one.csv.tmp"]) == 5 and min(writes["one.csv.tmp"][1:]) > 2048
         assert sorted(tmp_path.iterdir()) == [paths[0]]
         assert paths[0].read_text() == "earlier\n"
 
@@ -265,6 +288,21 @@ def assert_prints_as_percent_12g(path, values):
     want = ["%.12g" % v for v in values.tolist()]
     bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert len(got) == len(want) and not bad, f"{len(bad)} values differ, first {bad[:3]}"
+
+
+def mark_table_digits(monkeypatch):
+    """Swap the digit tables' 4-digit ASCII table for one of 'A'-'J', which marks every cell
+    they format and no '%.12g' text."""
+    digits, *rest = experiments._tables()
+    marked = digits + np.uint32(0x11111111)  # each of the four bytes '0'-'9' -> 'A'-'J'
+    monkeypatch.setattr(experiments, "_tables", lambda: (marked, *rest))
+
+
+def table_shares(path, n_axes):
+    """The share of marked cells in each value column of the CSV at path."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [np.mean([re.search("[A-J]", cell) is not None for cell in column])
+            for column in list(zip(*rows))[n_axes:]]
 
 
 class TestExactFormat:
@@ -306,6 +344,26 @@ class TestExactFormat:
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"  # no SIMD extension beyond the x86-64-v2 baseline
         assert_prints_as_percent_12g(tmp_path / "v.csv", values)
+
+    def test_tables_take_every_decade(self, tmp_path, monkeypatch):
+        # the tables, not the '%.12g' fallback, format all but the near ties of each decade
+        # from 1e-4 to 1e11: '%' would print a decade the tables lost just as right
+        mark_table_digits(monkeypatch)
+        rng = np.random.default_rng(33)
+        shape, exponents = (experiments._BLOCK_ROWS, 16), np.arange(-4, 12)
+        values = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 10.0, shape) * 10.0 ** exponents
+        _write_csv([tmp_path / "v.csv"], {"i": np.arange(shape[0], dtype=float)},
+                   {f"e{e}": values[:, k] for k, e in enumerate(exponents)})
+        shares = table_shares(tmp_path / "v.csv", 1)
+        assert len(shares) == 16 and min(shares) >= 0.99, shares
+
+    def test_tables_take_the_default_field(self, tmp_path, monkeypatch):
+        # 0.18-0.22 % of the default field's values are near ties, which go to '%'
+        mark_table_digits(monkeypatch)
+        run_experiment(ExperimentSpec(kind=ExperimentKind.SINR_SURFACE, output_dir=str(tmp_path)))
+        shares = [share for path in sorted(tmp_path.glob("*.csv"))
+                  for share in table_shares(path, 2)]
+        assert len(shares) == 6 and min(shares) >= 0.99, shares
 
 
 @pytest.mark.parametrize("n", [8, 256])
@@ -1236,7 +1294,8 @@ class TestCli:
             (["gamma-surface", "--grid", "nan:3"], "gamma_max"),
             (["gamma-surface", "--grid=-1:3"], "gamma_max"),
             (["gamma-surface", "--grid", "0:2"], "gamma_max"),
-            (["sr-vs-snr", "--method", "ea,ea"], "methods"),
+            (["sr-vs-snr", "--method", "ea,EA"],
+             "config error: methods must be nonempty and distinct, got ea, ea"),
             (["sr-vs-snr", "--method", "foo"], "methods: 'foo' is not a valid Method"),
             (["gamma-surface", "--grid", "3"], "config error: --grid expects MAX:POINTS"),
             (["gamma-surface", "--grid", "3:1"], "gamma_max"),
@@ -1607,6 +1666,8 @@ COUNT_DOORS = {
     "n_subcarriers": lambda v: build_subcarrier_plan(42, 8, v),
     "num_symbols": lambda v: _ber_door(ber_monte_carlo, v, 1),
     "num_symbols (ber_sweep)": lambda v: _ber_door(metrics.ber_sweep, v, [1]),
+    "seed": lambda v: _ber_door(ber_monte_carlo, 1000, v),
+    "seed (ber_sweep)": lambda v: _ber_door(metrics.ber_sweep, 1000, [v]),
 }
 
 
@@ -1618,3 +1679,14 @@ def test_every_count_door_refuses_a_bool(door, value):
     name = door.removesuffix(" (ber_sweep)")
     with pytest.raises(ConfigError, match=f"^{re.escape(name)} is not an integer: {value}$"):
         COUNT_DOORS[door](value)
+
+
+@pytest.mark.parametrize("value, message", [(-1, "must be >= 0, got -1"),
+                                            (1.5, "is not an integer: 1.5")])
+@pytest.mark.parametrize("door", ["seed", "seed (ber_sweep)"])
+def test_ber_seed_door_refuses_what_rng_seed_refuses(door, value, message):
+    # check_count's refusals, as for rng_seed, where numpy would raise its own or run seed 1
+    with pytest.raises(ConfigError, match=f"^seed {re.escape(message)}$"):
+        COUNT_DOORS[door](value)
+    with pytest.raises(ConfigError, match=f"^rng_seed {re.escape(message)}$"):
+        ScenarioConfig(rng_seed=value)
