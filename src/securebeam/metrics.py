@@ -84,27 +84,22 @@ def sinr_surface(
 
     The SINR is Bob's, at his own noise floor, wherever he stands: every grid point
     is probed with cfg.noise_power_bob_w. Records run theta-major: record
-    i * len(range_m_grid) + j probes (theta_deg_grid[i], range_m_grid[j]).
+    i * len(range_m_grid) + j probes (theta_deg_grid[i], range_m_grid[j]). A cell at an
+    exact null of either beam reads the -300 dB floor.
     """
     theta_deg = np.asarray(theta_deg_grid, dtype=np.float64)
     r = np.asarray(range_m_grid, dtype=np.float64)
     if theta_deg.size == 0 or r.size == 0 or not np.all(np.isfinite(theta_deg)):
         raise ConfigError("angle and range grids must be nonempty, with finite angles")
 
-    cm, an = _received(cfg, plan, beams, np.radians(theta_deg), r)
+    mags = (abs(g) for g in _received(cfg, plan, beams, np.radians(theta_deg), r))
+    # at an exact null the N-term product leaves rounding, at most about N eps sqrt(g(R)) ||w||;
+    # zeroed, such a cell reads the dB floor on every kernel
+    bound = len(plan) * np.finfo(np.float64).eps * np.sqrt(path_loss(r))
+    cm, an = (np.where(m <= bound * np.linalg.norm(w), 0.0, m) for m, w in zip(mags, beams))
     cm_sinr = sinr(cm, an, cfg.noise_power_bob_w)
-    columns = (_to_db(cm_sinr).ravel(), _to_db(np.abs(an) ** 2).ravel())
+    columns = (_to_db(cm_sinr).ravel(), _to_db(an ** 2).ravel())
     return np.rec.fromarrays(columns, names=("cm_sinr_db", "an_power_db"))
-
-
-def _receiver_noise(cfg: ScenarioConfig, pos: PolarPosition, num_symbols: int) -> float:
-    """The noise floor of the receiver a BER probe sits at, after checking the symbol count."""
-    check_count("num_symbols", num_symbols, 1)
-    # Eve's entry comes last, so it wins when Bob and Eve share one position
-    noise_power = {cfg.bob: cfg.noise_power_bob_w, cfg.eve: cfg.noise_power_eve_w}.get(pos)
-    if noise_power is None:
-        raise ConfigError(f"BER is defined at Bob or Eve only, got a probe at {pos}")
-    return noise_power
 
 
 # symbols per decision chunk: its Gaussian block takes 512 KiB, its sign masks and each
@@ -179,23 +174,20 @@ def ber_monte_carlo(
     seed: int,
 ) -> float | np.ndarray:
     """Bit error rate of coherent QPSK at Bob or at Eve, with that receiver's noise
-    floor; for stacked beams, one rate per stacked pair, broadcast over the leading axes.
+    floor; for stacked beams, one rate per stacked pair, the leading axes of the two
+    beams broadcast.
 
     The receiver knows its complex message gain; the jamming signal (unit-power
     circular Gaussian) is treated as noise. Bits, jamming and noise are drawn once
     and every stacked pair sees the same draws. Deterministic for a fixed seed.
 
-    One call runs on the calling thread and holds 24 bytes per symbol for the
-    Gaussian draws, plus 1-2 MiB of chunk temporaries. It is the serial oracle
-    of `ber_sweep`, which runs a sweep's points concurrently, one draw buffer per
-    worker thread, and gives each point exactly this call's rate, so sweep CSVs do
-    not depend on the number of workers.
+    This is `ber_sweep` at one point: one worker, the calling thread, holding 24 bytes
+    per symbol of Gaussian draws plus 1-2 MiB of chunk temporaries. The oracles of its
+    bits are `test_error_counts_equal_literal_complex_decisions` (the complex decision
+    rule written out) and `test_jammed_ber_matches_q_of_sqrt_sinr` (Q(sqrt(SINR))).
     """
-    noise_power = _receiver_noise(cfg, pos, num_symbols)
-    seed = check_count("seed", seed, 0, math.inf)  # as ScenarioConfig checks rng_seed
-    cm_gains, an_gains = received_model(cfg, plan, beams, pos)
-    errors = _bit_errors(cm_gains, an_gains, noise_power, seed, np.empty((3, num_symbols)))
-    ber = errors / (2.0 * num_symbols)
+    one_point = tuple(w[..., None, :] for w in beams)
+    ber = ber_sweep(cfg, plan, one_point, pos, num_symbols, [seed])[..., 0]
     return ber if ber.ndim else float(ber)
 
 
@@ -218,8 +210,8 @@ def ber_sweep(
     seeds: list[int],
 ) -> np.ndarray:
     """`ber_monte_carlo` at every point of a sweep, with beams stacked as B + (points, N)
-    and one seed per point: rates of shape B + (points,), each equal to that of the
-    serial call with the point's beams and seed.
+    (the two beams' stacks broadcast) and one seed per point: rates of shape B + (points,),
+    each equal to that of the one-point call with the point's beams and seed.
 
     The points are independent, so they run on `_ber_workers(points)` threads; numpy
     fills random arrays without holding the interpreter lock. Worker k takes points
@@ -228,12 +220,16 @@ def ber_sweep(
     per symbol per worker, plus a few chunks of 2**14 symbols. An exception in
     any worker stops the others at their next point and is raised here.
     """
-    noise_power = _receiver_noise(cfg, pos, num_symbols)
+    check_count("num_symbols", num_symbols, 1)
+    # Eve's entry comes last, so it wins when Bob and Eve share one position
+    noise_power = {cfg.bob: cfg.noise_power_bob_w, cfg.eve: cfg.noise_power_eve_w}.get(pos)
+    if noise_power is None:
+        raise ConfigError(f"BER is defined at Bob or Eve only, got a probe at {pos}")
     seeds = [check_count("seed", seed, 0, math.inf) for seed in seeds]
-    cm_gains, an_gains = received_model(cfg, plan, beams, pos)
-    if np.shape(cm_gains)[-1:] != (len(seeds),):
+    cm_gains, an_gains = np.broadcast_arrays(*received_model(cfg, plan, beams, pos))
+    if cm_gains.shape[-1:] != (len(seeds),):
         raise ValueError(f"beams must stack one pair per seed ({len(seeds)}) before N")
-    errors = np.empty(np.shape(cm_gains), dtype=np.int64)
+    errors = np.empty(cm_gains.shape, dtype=np.int64)
     workers = _ber_workers(len(seeds))
     buffers = [np.empty((3, num_symbols)) for _ in range(workers)]
     failed: list[BaseException] = []

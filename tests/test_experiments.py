@@ -768,6 +768,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [None, 2, 3], ids=lambda w: f"workers={w}")
     def test_parallel_ber_csv_equals_serial_calls(self, tmp_path, monkeypatch, workers):
+        # W workers against one: each per-point call is a one-point sweep on this thread.
         # 7 points, more than workers and odd; a symbol count off the decision chunk
         if workers is not None:  # None: as many as the code picks for this machine
             monkeypatch.setattr(metrics, "_ber_workers", lambda points: min(workers, points))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -298,12 +299,21 @@ class TestSinrSurface:
             assert s.cm_sinr_db == pytest.approx(cm_db, abs=1e-9)
             assert s.an_power_db == pytest.approx(an_db, abs=1e-9)
 
-    @pytest.mark.parametrize("n", [8, 256])
+    @pytest.mark.parametrize(
+        "n, fields",
+        [
+            pytest.param(8, {}, id="8"),
+            pytest.param(256, {}, id="256"),
+            # the grid product left Eve's message gain at 0.41 eps sqrt(g(R)) ||w|| here,
+            # which printed as -298.33 dB before such residues were zeroed
+            pytest.param(8, {"rng_seed": 7, "power_alloc": 1.0}, id="8-seed7-beta1"),
+        ],
+    )
     @pytest.mark.parametrize("method", [Method.MIN_TP, Method.MIN_RTP])
-    def test_nulls_sit_at_the_floor_on_the_default_grid(self, n, method):
-        # both nulls are exact, so the grid product must leave only rounding there:
-        # far below the -300 dB floor that the dB conversion applies
-        cfg = ScenarioConfig(num_antennas=n)
+    def test_nulls_sit_at_the_floor_on_the_default_grid(self, n, fields, method):
+        # both nulls are exact, so the grid product leaves only rounding there, which
+        # sinr_surface zeroes: the cells read the -300 dB floor, whatever the rounding
+        cfg = ScenarioConfig(num_antennas=n, **fields)
         plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
         beams = synthesize(cfg, plan, method)
         theta, ranges = np.linspace(*DEFAULT_THETA_GRID_DEG), np.linspace(*DEFAULT_RANGE_GRID_M)
@@ -439,15 +449,21 @@ class TestBerMonteCarlo:
         assert ber == ber_monte_carlo(eve_floor, plan, beams, cfg.bob, 20_000, 3)
 
     def test_stacked_beams_equal_unstacked_calls(self, scenario):
-        # one draw shared by every stacked pair must give each pair's own result
+        # one draw shared by every stacked pair must give each pair's own result, also
+        # when only one of the two beams is stacked and the other broadcasts against it
         cfg, plan = scenario
         pairs = [synthesize(cfg, plan, m) for m in Method]
-        stacked = stack(pairs)
+        (w_cm, w_an), (cm_stack, an_stack) = pairs[1], stack(pairs)
         for pos in (cfg.bob, cfg.eve):
-            got = ber_monte_carlo(cfg, plan, stacked, pos, 50_000, 4)
-            assert got.shape == (len(pairs),)
-            for ber, beams in zip(got, pairs):
-                assert ber == ber_monte_carlo(cfg, plan, beams, pos, 50_000, 4)
+            for stacked, each in (
+                ((cm_stack, an_stack), pairs),
+                ((w_cm, an_stack), [(w_cm, w) for w in an_stack]),
+                ((cm_stack, w_an), [(w, w_an) for w in cm_stack]),
+            ):
+                got = ber_monte_carlo(cfg, plan, stacked, pos, 50_000, 4)
+                assert got.shape == (len(pairs),)
+                for ber, beams in zip(got, each):
+                    assert ber == ber_monte_carlo(cfg, plan, beams, pos, 50_000, 4)
 
     def test_memory_is_three_gaussian_rows(self, scenario):
         # Re z, Im z and Re n are held for every symbol, 24 bytes each; Im n is drawn chunk
@@ -576,7 +592,8 @@ class TestBerSweep:
     @pytest.mark.parametrize("workers", [None, 1, 3, 8], ids=lambda w: f"workers={w}")
     @pytest.mark.parametrize("beta", [0.0, 0.5])  # beta = 0: cm == 0 exactly, coin flips
     def test_points_equal_serial_calls(self, scenario, monkeypatch, switchy, workers, beta):
-        # 7 points: more than workers, an odd count; symbols off the chunk size
+        # W workers against one: ber_monte_carlo is the one-point sweep, on the calling
+        # thread. 7 points: more than workers, an odd count; symbols off the chunk size
         if workers is not None:  # None: as many as the code picks for this machine
             monkeypatch.setattr(metrics, "_ber_workers", lambda points: min(workers, points))
         cfg, plan = scenario
@@ -587,14 +604,19 @@ class TestBerSweep:
             [synthesize(replace(cfg, total_power_w=p), plan, m) for p in power_for_snr_db(cfg, snrs_db)]
             for m in Method
         ]
-        swept = stack([stack(row) for row in by_method])  # (methods, points, N)
-        for pos in (cfg.bob, cfg.eve):
+        cm_swept, an_swept = stack([stack(row) for row in by_method])  # (methods, points, N)
+        w_cm, w_an = by_method[1][3]  # one unstacked pair, to broadcast against a stack
+        stackings = [  # both beams stacked, then either one unstacked; each point's beams
+            ((cm_swept, an_swept), lambda i: (cm_swept[:, i], an_swept[:, i])),
+            ((w_cm, an_swept), lambda i: (w_cm, an_swept[:, i])),
+            ((cm_swept, w_an), lambda i: (cm_swept[:, i], w_an)),
+        ]
+        for (swept, point), pos in itertools.product(stackings, (cfg.bob, cfg.eve)):
             assert np.all(received_model(cfg, plan, swept, pos)[0] == 0.0) == (beta == 0.0)
             got = ber_sweep(cfg, plan, swept, pos, num_symbols, seeds)
             assert got.shape == (len(Method), len(snrs_db))
             for i, seed in enumerate(seeds):
-                point = stack([row[i] for row in by_method])
-                want = ber_monte_carlo(cfg, plan, point, pos, num_symbols, seed)
+                want = ber_monte_carlo(cfg, plan, point(i), pos, num_symbols, seed)
                 np.testing.assert_array_equal(got[:, i], want)
             if beta == 0.0:
                 se = math.sqrt(0.25 / (2.0 * num_symbols))
