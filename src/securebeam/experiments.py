@@ -155,40 +155,36 @@ def _write_text(paths: list[Path], blocks: Iterable[bytes]) -> None:
 
 
 # Exact '%.12g' by table, for the columns (as float64) of a dataset of _BLOCK_ROWS rows or more,
-# of each value it writes in fixed notation (nonzero, decimal exponent -4 to 11). Its text is
-# gathered from a 20-byte source row: the 12 digits of its rounded mantissa m (bytes 0-11),
-# '0', '-', '.', ',' and '\n' (12-16), and NUL (17-19), which pads a text to a fixed width.
-_MARKS = np.frombuffer(b"0-.,\n\0\0\0", np.uint32)
-_WIDTH = 19  # the longest '%.12g' text, -1.23456789012e-308, so that '%' texts fit a cell too
-
-
-def _layouts() -> tuple[np.ndarray, np.ndarray]:
-    """The source-row byte at each position of a text, padded with NUL to _WIDTH, then of the
-    ',' after it, and the text's length, by key (sign, exponent e + 4, significant digits
-    d - 1). Each is read off '%.12g' of a value with d nonzero digits."""
-    rows = []
-    for e in range(-4, 12):
-        for d in range(1, 13):
-            digits = iter(range(12))  # the n-th digit other than '0' is byte n
-            text = "%.12g" % float(f"{'123456789123'[:d]}e{e - d + 1}")
-            rows.append([12 if c == "0" else 14 if c == "." else next(digits) for c in text])
-    rows += [[13, *row] for row in rows]  # the same texts after a '-'
-    return (np.array([[*row, *[17] * (_WIDTH - len(row)), 15] for row in rows]),
-            np.array([len(row) for row in rows]))
+# of each value it writes in fixed notation (nonzero, decimal exponent e from -4 to 11). Its text
+# fills a 24-byte cell of three little-endian uint64 words: its prefix ('-', and '0.' and zeros if
+# e < 0) from byte 0, the 12 digits of its rounded mantissa m, a '.' moved in and trailing zeros
+# masked away, from byte 8, and the ',' or '\n' after it at byte 23; the NUL between is dropped.
 
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
     """_cells' tables, built on its first call, so that a run that writes no large dataset
-    pays nothing for them. By k < 10**4: its 4 ASCII digits as one uint32, and its trailing
-    zeros, 4 for 0, both from the 10 x 10 x 10 x 10 grid of its digits. By key: the layouts
-    and lengths of _layouts. By exponent e + 4: the exact 10**(11 - e)."""
+    pays nothing for them. By k < 10**4: its 4 ASCII digits as one uint64, the same shifted up
+    32 bits, and its trailing zeros, 4 for 0, from the 10 x 10 x 10 x 10 grid of its digits. By
+    exponent e + 4: the exact 10**(11 - e). By key 192 * sign + 12 * (e + 4) + trailing zeros:
+    the masks of m's digits left and right of the '.', and the cell's prefix, '.' and ','."""
     digits = np.stack(np.broadcast_arrays(*np.ix_(*[np.arange(48, 58, dtype=np.uint8)] * 4)), -1)
-    digits = digits.reshape(10_000, 4).view(np.uint32)[:, 0]
+    digits = digits.reshape(10_000, 4).view("<u4")[:, 0].astype(np.uint64)
     thousands, hundreds, tens, ones = np.ix_(*[(np.arange(10) == 0).astype(int)] * 4)
     trailing_zeros = (ones * (1 + tens * (1 + hundreds * (1 + thousands)))).ravel()
     power = np.array([10**k for k in range(15, -1, -1)], dtype=float)
-    tables = (digits, trailing_zeros, *_layouts(), power)
+    left, right = np.zeros((2, 384, 16), np.uint8)
+    marks = np.zeros((384, 24), np.uint8)
+    for key in range(384):
+        sign, e, zeros = key // 192, key % 192 // 12 - 4, key % 12
+        point = max(e + 1, 0)  # m's digits left of the '.', then right of it up to 12 - zeros
+        left[key, :point] = right[key, point:12 - zeros] = 255
+        prefix = ("-"[:sign] + ("0." + "0" * -(e + 1) if e < 0 else "")).encode()
+        marks[key, :len(prefix)] = list(prefix)
+        marks[key, 8 + point] = ord(".") if 0 <= e and point < 12 - zeros else 0
+    marks[:, 23] = ord(",")
+    tables = (digits, digits << np.uint64(32), trailing_zeros, power,  # words by key, transposed
+              *(np.ascontiguousarray(t.view("<u8").T) for t in (left, right, marks)))
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
@@ -197,19 +193,19 @@ def _tables() -> tuple[np.ndarray, ...]:
 def _cells(values: np.ndarray) -> np.ndarray:
     """The CSV text of each row of the float64 array values, as '%.12g' cells each followed by
     ',' or the last by '\\n': a uint8 array of cells padded with NUL to one width."""
-    digits, trailing_zeros, layout, length, power = _tables()
+    digits, digits_32, trailing_zeros, power, left, right, marks = _tables()
     x = values.ravel()
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # e + 4, clipped to the table: where it is not x's exponent (zero, nan, inf, an e
-        # outside -4..11, or log10 one off near a power of ten), m's range sends x to '%'
-        exponent = np.clip(np.nan_to_num(np.log10(a) + 4), 0, 15).astype(np.intp)
+        # e + 4, clamped to the table (fmax takes 0 over nan): where it is not x's exponent (0, nan,
+        # inf, e outside -4..11, or log10 one off near a power of ten), m's range sends x to '%'
+        exponent = np.log10(a) + 4
+        exponent = np.fmin(np.fmax(exponent, 0, out=exponent), 15, out=exponent).astype(np.intp)
         s = a * power.take(exponent)  # a * 10**(11 - e), rounded once: within 1.2e-4 of exact
         m = np.rint(s)
         # away from a tie m is its correct rounding; s >= 1e11 also refuses an e one too high,
         # where m could round up to 1e11
         ok = (s >= 1e11) & (m < 1e12) & (np.abs(s - m) < 0.499)
-    del s  # here and below, freed before the gather index, the block's largest array
     low = np.where(ok, m, 111_111_111_111).astype(np.int64)  # any digits for '%'
     high = low // 10**8
     low -= high * 10**8
@@ -219,23 +215,26 @@ def _cells(values: np.ndarray) -> np.ndarray:
     rare = np.flatnonzero(low == 0)  # m ends in four zeros or more
     trailing[rare] += trailing_zeros.take(mid[rare]) + (mid[rare] == 0) * trailing_zeros.take(
         high[rare])
-    key = 11 + 12 * exponent - trailing
-    key += len(layout) // 2 * np.signbit(x)  # the keys of negative values come second
-    source = np.empty((x.size, 5), np.uint32)
-    source[:, 0], source[:, 1], source[:, 2] = (digits.take(g) for g in (high, mid, low))
-    source[:, 3], source[:, 4] = _MARKS
+    key = 12 * exponent + trailing
+    key += 192 * np.signbit(x)  # the keys of negative values come second
     fallback = np.flatnonzero(~ok)
-    del a, m, high, mid, low, trailing, exponent, ok
-    texts = ["%.12g" % v for v in x[fallback].tolist()]
-    width = max([length.take(key).max(), *map(len, texts)])
-    columns = [*range(width), _WIDTH]  # the text, then the column of ',' or '\n'
-    index = layout.take(columns, 1).take(key, 0)  # into source, built in place
-    index += 20 * np.arange(x.size)[:, np.newaxis]
-    index.reshape(*values.shape, -1)[:, -1, -1] += 1  # '\n' after a row's last cell
-    cells = source.view(np.uint8).ravel().take(index)
-    del index
-    cells[fallback, :width] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
-    return cells.reshape(len(values), -1)
+    del a, s, m, trailing, exponent, ok
+    body = [digits.take(high), digits.take(low)]  # m's digits, the first at byte 8 of the cell
+    body[0] |= digits_32.take(mid)
+    moved = [body[j] & right[j].take(key) for j in (0, 1)]  # these move up a byte for the '.'
+    cells = np.empty((x.size, 3), "<u8")
+    cells[:, 0] = marks[0].take(key)
+    for j in (0, 1):
+        body[j] &= left[j].take(key)
+        body[j] |= moved[j] << np.uint64(8)
+        body[j] |= marks[j + 1].take(key)
+    body[1] |= moved[0] >> np.uint64(56)
+    cells[:, 1], cells[:, 2] = body
+    texts = ["%.12g" % v for v in x[fallback].tolist()]  # at most 19 bytes, -1.2345e-308
+    cells.view(np.uint8)[fallback, :23] = np.array(texts, "S23").view(np.uint8).reshape(-1, 23)
+    cells = cells.view(np.uint8).reshape(len(values), -1)
+    cells[:, -1] = ord("\n")  # after a row's last cell
+    return cells
 
 
 def _texts(strings: list[str]) -> np.ndarray:
@@ -244,16 +243,15 @@ def _texts(strings: list[str]) -> np.ndarray:
     return raw.view(np.uint8).reshape(len(strings), raw.itemsize)
 
 
-def _byte_block(axes: tuple[np.ndarray, np.ndarray], start: int, values: np.ndarray
-                ) -> np.ndarray:
+def _byte_block(axes: tuple[np.ndarray, np.ndarray], start: int, values: np.ndarray) -> bytes:
     """The CSV bytes of the rows from start on, whose float columns are values: a uint8 matrix
     with one row per CSV row, its prefix and last-axis texts (_texts of each) and its value
-    texts (_cells) in fixed columns, compressed by the mask of its bytes that are not NUL."""
+    texts (_cells) in fixed columns, less its NUL bytes."""
     prefixes, last = axes
     outer, inner = np.divmod(np.arange(start, start + len(values)), len(last))
     matrix = np.concatenate(
         [prefixes.take(outer, 0), last.take(inner, 0), _cells(values.astype(np.float64))], 1)
-    return matrix[matrix != 0]
+    return matrix.tobytes().translate(None, b"\0")
 
 
 def _write_csv(paths: list[Path], axes: dict, values: dict) -> None:

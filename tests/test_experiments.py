@@ -210,9 +210,9 @@ class TestWriteCsv:
         assert sorted(tmp_path.iterdir()) == paths
 
     def test_memory_is_a_block_not_the_file(self, tmp_path):
-        # a 400 x 500 grid of two values is an 11.7 MiB file; one block of 4,000 rows is
-        # formatted and written at a time, where the whole file used to take 43 MiB; a small
-        # write first keeps one-time costs out of the peak
+        # a 400 x 500 grid of two values is an 11.7 MiB file; one block of 2,048 rows of two
+        # values is formatted and written at a time, where the whole file used to take 43 MiB;
+        # a small write first keeps one-time costs out of the peak
         rng = np.random.default_rng(4)
         axes = {"theta": np.linspace(0.0, 180.0, 400), "range": np.linspace(500.0, 3e3, 500)}
         values = {"a": rng.normal(size=(400, 500)), "b": rng.normal(size=(400, 500)) * 1e-5}
@@ -291,11 +291,12 @@ def assert_prints_as_percent_12g(path, values):
 
 
 def mark_table_digits(monkeypatch):
-    """Swap the digit tables' 4-digit ASCII table for one of 'A'-'J', which marks every cell
-    they format and no '%.12g' text."""
-    digits, *rest = experiments._tables()
-    marked = digits + np.uint32(0x11111111)  # each of the four bytes '0'-'9' -> 'A'-'J'
-    monkeypatch.setattr(experiments, "_tables", lambda: (marked, *rest))
+    """Swap both of the digit tables' 4-digit ASCII word tables (low and shifted up 32 bits)
+    for ones of 'A'-'J', which mark every digit of m they format and no '%.12g' text."""
+    digits, digits_32, *rest = experiments._tables()
+    mark = np.uint64(0x11111111)  # each of the four bytes '0'-'9' -> 'A'-'J'
+    marked = (digits + mark, digits_32 + (mark << np.uint64(32)))
+    monkeypatch.setattr(experiments, "_tables", lambda: (*marked, *rest))
 
 
 def table_shares(path, n_axes):
@@ -344,6 +345,33 @@ class TestExactFormat:
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"  # no SIMD extension beyond the x86-64-v2 baseline
         assert_prints_as_percent_12g(tmp_path / "v.csv", values)
+
+    def test_every_key_prints_as_percent_12g(self, tmp_path, monkeypatch):
+        # the tables are built by rule, not read off '%.12g'. Each of their 384 keys (sign, e
+        # from -4 to 11, m's 0-11 trailing zeros) formats values k * 10**(e - d + 1) of d
+        # significant digits as '%.12g' does, its digits of m marked and its '0.000' prefix
+        # not: zeros within (100.5, 1e11), no fraction (12.0), e = -4 with 12 digits. In the
+        # digits 1010...3 each two neighbours' marks, 'B', 'A' and 'D', have a bit the other
+        # lacks, and the last one's a bit of the trailing zero's 'A', so a digit a wrong mask
+        # lets into a neighbour's byte shows; each value is also a first column, before a ','
+        mark_table_digits(monkeypatch)
+        rng = np.random.default_rng(35)
+        values = [float(f"{sign}{k}e{e - d + 1}") for sign in "+-" for e in range(-4, 12)
+                  for d in range(1, 13) for k in (10 ** (d - 1) + 5 * (d > 1), 10**d - 1,
+                                                  rng.integers(10 ** (d - 1), 10**d) | 1,
+                                                  int(("10" * 6)[:d - 1] + "3"))]
+        named = [100.5, 1e11, 12.0, -0.000123456789012]
+        values = np.resize([*values, *named], experiments._BLOCK_ROWS)  # repeated to a block
+        _write_csv([tmp_path / "v.csv"], {"i": np.arange(values.size, dtype=float)},
+                   {"v": values, "w": values})
+        rows = [line.split(",") for line in (tmp_path / "v.csv").read_text().splitlines()[1:]]
+        marks = str.maketrans("0123456789", "ABCDEFGHIJ")
+        want = []
+        for text in ("%.12g" % v for v in values.tolist()):
+            cut = re.match(r"-?(0\.0*)?", text).end()
+            want.append(text[:cut] + text[cut:].translate(marks))
+        bad = [(v, r, w) for v, r, w in zip(values.tolist(), rows, want) if r[1:] != [w, w]]
+        assert len(rows) == values.size and not bad, f"{len(bad)} values differ, first {bad[:3]}"
 
     def test_tables_take_every_decade(self, tmp_path, monkeypatch):
         # the tables, not the '%.12g' fallback, format all but the near ties of each decade
@@ -745,26 +773,6 @@ class TestRunExperiment:
             run_experiment(ExperimentSpec(sweep=(10.0,), output_dir=str(tmp_path)))
         # no sr_vs_snr CSV beside the gamma run's manifest, which is left as it was
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-
-    def test_ber_csv_equals_per_method_calls(self, tmp_path):
-        # the runner stacks the methods' beams and shares one draw per SNR point;
-        # each value must equal the per-method, per-point call with the same seed
-        sweep, n = (0.0, 6.0, 12.0), 20_000
-        spec = ExperimentSpec(
-            kind=ExperimentKind.BER_VS_SNR, sweep=sweep, mc_symbols=n, output_dir=str(tmp_path)
-        )
-        run_experiment(spec)
-        cfg = spec.scenario
-        plan = build_subcarrier_plan(cfg.rng_seed, cfg.num_antennas, cfg.num_subcarriers)
-        for m in Method:
-            rows = []
-            for i, snr_db in enumerate(sweep):
-                cfg_p = replace(cfg, total_power_w=power_for_snr_db(cfg, snr_db))
-                beams = synthesize(cfg_p, plan, m)
-                ber = ber_monte_carlo(cfg_p, plan, beams, cfg.bob, n, _ber_seed(cfg.rng_seed, i))
-                rows.append(f"{snr_db:.12g},{ber:.12g}")
-            lines = (tmp_path / f"ber_vs_snr_{m.value}.csv").read_text().splitlines()
-            assert lines[1:] == rows
 
     @pytest.mark.parametrize("workers", [None, 2, 3], ids=lambda w: f"workers={w}")
     def test_parallel_ber_csv_equals_serial_calls(self, tmp_path, monkeypatch, workers):
