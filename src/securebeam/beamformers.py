@@ -2,6 +2,8 @@
 """The three beamformer pairs (EA, Min-TP, Min-RTP)."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channel import steering_vector
@@ -38,26 +40,18 @@ def min_tp_beamformer(h_target: np.ndarray, h_null: np.ndarray) -> np.ndarray:
     return p_ht / gain
 
 
-def min_rtp_beamformer(
-    h_target: np.ndarray, h_null: np.ndarray, gamma: float | np.ndarray
-) -> np.ndarray:
+def min_rtp_beamformer(h_target: np.ndarray, h_null: np.ndarray, gamma: float) -> np.ndarray:
     """Regularized minimum-power beam: the ridge update P (P^H P + gamma I)^-1 P^H
     h_target for P = I - h_null h_null^H, rescaled to unit target gain; both
-    channels are (N,) arrays.
+    channels are (N,) arrays and gamma is one real factor.
 
     P (P^H P + gamma I)^-1 P^H = P / (1 + gamma) for an orthogonal projector P,
     and the unit-gain rescale cancels 1 / (1 + gamma) exactly: Min-RTP equals
-    Min-TP for every gamma >= 0, so this returns the Min-TP beam, built once and
-    broadcast over an array gamma: a (G, 1) column gives a read-only (G, N) view.
+    Min-TP for every gamma >= 0, so this checks gamma and returns the Min-TP beam.
     """
-    gammas = np.asarray(gamma)
-    bad = ~(np.isfinite(gammas) & (gammas >= 0.0))
-    if bad.any():
-        first = gammas[bad][0].item()
-        raise ConfigError(f"regularization factors must be finite and >= 0, got {first}")
-    beam = min_tp_beamformer(h_target, h_null)
-    shape = np.broadcast_shapes(gammas.shape, beam.shape)
-    return beam if shape == beam.shape else np.broadcast_to(beam, shape)
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ConfigError(f"regularization factors must be finite and >= 0, got {gamma}")
+    return min_tp_beamformer(h_target, h_null)
 
 
 def ea_beamformer(h_target: np.ndarray) -> np.ndarray:
@@ -74,9 +68,10 @@ def synthesize(
     name Method takes.
 
     The message beam targets Bob and (for Min-TP / Min-RTP) nulls Eve; the
-    jamming beam targets Eve and nulls Bob. Each direction is unit-normalized
-    then scaled by sqrt(beta P_s) and sqrt((1 - beta) P_s). Min-RTP is built at gamma = 0:
-    no gamma changes its beam, so only the gamma search sets one.
+    jamming beam targets Eve and nulls Bob. Each direction is divided by its
+    np.linalg.norm, then scaled by sqrt(beta P_s) and sqrt((1 - beta) P_s). Min-RTP is
+    built at gamma = 0: no gamma changes its beam, so this one pair serves every cell of
+    the gamma search's grid.
     """
     method = Method(method)
     h_b = steering_vector(plan, cfg, cfg.bob)
@@ -92,15 +87,7 @@ def synthesize(
         d_cm = min_rtp_beamformer(h_b, h_e, 0.0)
         d_an = min_rtp_beamformer(h_e, h_b, 0.0)
 
-    beta = cfg.power_alloc
-    return power_scaled(cfg, d_cm, beta), power_scaled(cfg, d_an, 1.0 - beta)
-
-
-def power_scaled(cfg: ScenarioConfig, direction: np.ndarray, share: float) -> np.ndarray:
-    """Unit-normalize each (N,) row of a (..., N) beam direction, then scale it to
-    power share * P_s. Each row's norm is np.linalg.norm's sqrt(re . re + im . im), one
-    BLAS dot per matmul row, so a stack keeps the bits of its rows' 1-D calls, which
-    np.linalg.norm(..., axis=-1) does not."""
-    re, im = direction.real[..., None, :], direction.imag[..., None, :]
-    sqnorm = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)  # (..., 1, 1)
-    return np.sqrt(share * cfg.total_power_w) * direction / np.sqrt(sqnorm[..., 0])
+    beta, p_s = cfg.power_alloc, cfg.total_power_w
+    w_cm = np.sqrt(beta * p_s) * d_cm / np.linalg.norm(d_cm)
+    w_an = np.sqrt((1.0 - beta) * p_s) * d_an / np.linalg.norm(d_an)
+    return w_cm, w_an

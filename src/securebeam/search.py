@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beamformers import min_rtp_beamformer, power_scaled
-from .channel import steering_vector
+from .beamformers import Method, synthesize
 from .config import ConfigError, ScenarioConfig
 from .metrics import secrecy_rate
 
@@ -16,10 +15,9 @@ def grid_search_gamma(
     """The regularized beamformer's secrecy rate on every grid cell, as a
     (len(gamma_cm), len(gamma_an)) array.
 
-    The message beam depends only on gamma_cm and the jamming beam only on
-    gamma_an, so each axis's beams come from one call on its (G, 1) column, one
-    row per grid value. Stacked as (cm, 1, N) and (1, an, N), their gains and
-    rates broadcast to the (cm, an) surface.
+    P (P^H P + gamma I)^-1 P^H = P / (1 + gamma) for the orthogonal null projector P, and
+    the unit-gain rescale cancels 1 / (1 + gamma), so no factor changes either beam: the
+    surface is flat, and one Min-RTP pair's secrecy rate fills every cell.
     """
     g_cm = np.asarray(gamma_cm, dtype=np.float64)
     g_an = np.asarray(gamma_an, dtype=np.float64)
@@ -31,9 +29,5 @@ def grid_search_gamma(
             raise ConfigError(f"{name} must be finite and nonnegative")
         if np.any(np.diff(vals) <= 0.0):
             raise ConfigError(f"{name} must be strictly ascending")
-    h_b = steering_vector(plan, cfg, cfg.bob)
-    h_e = steering_vector(plan, cfg, cfg.eve)
-    beta = cfg.power_alloc
-    w_cm = power_scaled(cfg, min_rtp_beamformer(h_b, h_e, g_cm[:, None]), beta)
-    w_an = power_scaled(cfg, min_rtp_beamformer(h_e, h_b, g_an[:, None]), 1.0 - beta)
-    return secrecy_rate(cfg, plan, (w_cm[:, None, :], w_an[None, :, :]))
+    rate = secrecy_rate(cfg, plan, synthesize(cfg, plan, Method.MIN_RTP))
+    return np.full((g_cm.size, g_an.size), rate)

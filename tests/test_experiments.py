@@ -212,12 +212,13 @@ class TestWriteCsv:
     def test_memory_is_a_block_not_the_file(self, tmp_path):
         # a 400 x 500 grid of two values is an 11.7 MiB file; one block of 2,048 rows of two
         # values is formatted and written at a time, where the whole file used to take 43 MiB;
-        # a small write first keeps one-time costs out of the peak
+        # a first write of a block's rows builds the digit tables, a one-time cost, untraced
         rng = np.random.default_rng(4)
         axes = {"theta": np.linspace(0.0, 180.0, 400), "range": np.linspace(500.0, 3e3, 500)}
         values = {"a": rng.normal(size=(400, 500)), "b": rng.normal(size=(400, 500)) * 1e-5}
-        small = {"a": np.zeros((2, 3)), "b": np.zeros((2, 3))}
-        _write_csv([tmp_path / "warm.csv"], {"theta": [0.0, 1.0], "range": [1.0, 2.0, 3.0]}, small)
+        warm = {"theta": np.arange(64.0), "range": np.arange(64.0)}
+        assert 64 * 64 >= experiments._BLOCK_ROWS  # the tables' path, not the '%' fill
+        _write_csv([tmp_path / "warm.csv"], warm, {"a": rng.normal(size=(64, 64))})
         tracemalloc.start()
         try:
             _write_csv([tmp_path / "out.csv"], axes, values)
@@ -1274,15 +1275,14 @@ class TestCli:
         assert "snr_db" in err and "total_power_w" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["sr-vs-snr", "sinr-surface"])
+    @pytest.mark.parametrize("command", ["sr-vs-snr", "sinr-surface", "gamma-surface"])
     def test_infeasible_geometry_exit_code(self, tmp_path, capsys, command):
         # EA is feasible with Bob at Eve's position; Min-TP is not, and the run
         # must fail before writing EA's file, or even making the output directory
         cfgfile = tmp_path / "bad.cfg"
         snr_list = "snr_list = 20\n" if command == "sr-vs-snr" else ""  # no surface reads it
-        cfgfile.write_text(
-            "eve_theta_deg = 70\neve_range_m = 1000\nmethods = ea, min_tp\n" + snr_list
-        )
+        methods = "" if command == "gamma-surface" else "methods = ea, min_tp\n"  # Min-RTP only
+        cfgfile.write_text("eve_theta_deg = 70\neve_range_m = 1000\n" + methods + snr_list)
         rc = cli_main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
