@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .beamformers import Method
@@ -36,10 +37,13 @@ _READERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # one parser: it parses every flag, and spec_from_values refuses a key the command does
     # not read; each add_argument call costs a help formatter, so five subparsers would
-    # add each flag five times
+    # add each flag five times. It is built on the first call and shared by every later
+    # one in the process, so a caller must not mutate it; parse_args keeps no state, and
+    # help text is formatted for the terminal width at the time it is asked for
     parser = argparse.ArgumentParser(
         prog="securebeam",
         description="Reproduce secrecy-rate, SINR-field, and BER experiments for "

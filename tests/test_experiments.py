@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -1654,6 +1656,72 @@ class TestCli:
         for key, _ in _FLAGS.values():
             named = re.search(r" \(read by (.*)\)$", helps[key]).group(1).split(", ")
             assert named == [k.command for k in ExperimentKind if key in READ_KEYS[k]], key
+
+    @pytest.fixture
+    def fresh_parser(self):
+        # the parser is cached per process; a test that counts or wraps its construction
+        # starts from none and leaves none of its own behind
+        build_parser.cache_clear()
+        yield
+        build_parser.cache_clear()
+
+    def test_one_parser_per_process(self, tmp_path, monkeypatch, capsys, fresh_parser):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(argparse.ArgumentParser(*args, **kwargs))
+            return built[-1]
+
+        # argparse looks its own class up by name, so the count wraps cli's view of it only
+        monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counted))
+        assert cli_main(["sr-vs-snr", "--snr-list", "0", "--out", str(tmp_path / "a")]) == 0
+        assert cli_main(["gamma-surface", "--grid", "1:2", "--out", str(tmp_path / "b")]) == 0
+        assert cli_main(["sr-vs-snr", "--beta", "2.0", "--out", str(tmp_path / "c")]) == 2
+        assert len(built) == 1 and build_parser() is built[0]
+
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli_main(["sr-vs-snr", "--method", "ea", "--snr-list", "0", "--out", str(a)]) == 0
+        assert cli_main(["sr-vs-snr", "--out", str(b)]) == 0
+        assert sorted(p.name for p in b.glob("*.csv")) == sorted(
+            f"sr_vs_snr_{m}.csv" for m in Method
+        )
+        config = json.loads((b / "manifest.json").read_text())["config"]
+        assert config["methods"] == [m.value for m in Method]
+        assert config["sweep"] == [float(s) for s in range(0, 31, 2)]
+
+    def test_help_wraps_to_the_width_at_each_call(self, monkeypatch):
+        # the shared parser keeps no formatter: each help text reads the terminal width anew
+        parser = build_parser()
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = parser.format_help()
+        monkeypatch.setenv("COLUMNS", "120")
+        wide = build_parser().format_help()
+        assert build_parser() is parser
+        assert narrow != wide
+        assert len(narrow.splitlines()) > len(wide.splitlines())
+
+    def test_python_m_securebeam(self, tmp_path):
+        # a source checkout runs the CLI without an install; `import securebeam.cli`, the
+        # import setup_s times, loads no more than it did before the -m entry point existed
+        env = {k: v for k, v in os.environ.items() if k != "SECUREBEAM_OUT_DIR"}
+        env["PYTHONPATH"] = str(SRC)
+
+        def run(*args):
+            return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        ok = run("-m", "securebeam", "sr-vs-snr", "--snr-list", "0,10", "--out", "o")
+        assert ok.returncode == 0, ok.stderr
+        written = [f"o/sr_vs_snr_{m}.csv" for m in Method]
+        assert ok.stdout.split() == [str(Path(name)) for name in written]
+        assert all((tmp_path / name).is_file() for name in written)
+        bad = run("-m", "securebeam", "sr_vs_snr", "--out", "p")
+        assert bad.returncode == 2 and "command" in bad.stderr
+        assert not (tmp_path / "p").exists()
+        imported = run("-c", "import sys, securebeam.cli; print('securebeam.__main__' in "
+                             "sys.modules)")
+        assert imported.stdout == "False\n", imported.stderr
 
 
 def _ber_door(ber, num_symbols, seed):
