@@ -37,13 +37,10 @@ _READERS = {
 }
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # one parser: it parses every flag, and spec_from_values refuses a key the command does
     # not read; each add_argument call costs a help formatter, so five subparsers would
-    # add each flag five times. It is built on the first call and shared by every later
-    # one in the process, so a caller must not mutate it; parse_args keeps no state, and
-    # help text is formatted for the terminal width at the time it is asked for
+    # add each flag five times
     parser = argparse.ArgumentParser(
         prog="securebeam",
         description="Reproduce secrecy-rate, SINR-field, and BER experiments for "
@@ -56,6 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, (key, help_text) in _FLAGS.items():
         parser.add_argument(flag, dest=key, help=f"{help_text} (read by {_READERS[key]})")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built on its first call and reused by every later one in the process;
+    # parse_args keeps no state, help text reads the terminal width when it is formatted,
+    # and build_parser still gives any other caller a parser of its own
+    return build_parser()
 
 
 def _values_from_args(args: argparse.Namespace) -> dict[str, str]:
@@ -75,7 +80,7 @@ def _values_from_args(args: argparse.Namespace) -> dict[str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = spec_from_values(_values_from_args(args))
         manifest = run_experiment(spec)
@@ -94,7 +99,3 @@ def main(argv: list[str] | None = None) -> int:
     for path in manifest["outputs"]:
         print(path)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1659,11 +1659,11 @@ class TestCli:
 
     @pytest.fixture
     def fresh_parser(self):
-        # the parser is cached per process; a test that counts or wraps its construction
-        # starts from none and leaves none of its own behind
-        build_parser.cache_clear()
+        # main's parser is cached per process; a test that counts its construction starts
+        # from none and leaves none of its own behind
+        cli._parser.cache_clear()
         yield
-        build_parser.cache_clear()
+        cli._parser.cache_clear()
 
     def test_one_parser_per_process(self, tmp_path, monkeypatch, capsys, fresh_parser):
         built = []
@@ -1677,7 +1677,11 @@ class TestCli:
         assert cli_main(["sr-vs-snr", "--snr-list", "0", "--out", str(tmp_path / "a")]) == 0
         assert cli_main(["gamma-surface", "--grid", "1:2", "--out", str(tmp_path / "b")]) == 0
         assert cli_main(["sr-vs-snr", "--beta", "2.0", "--out", str(tmp_path / "c")]) == 2
-        assert len(built) == 1 and build_parser() is built[0]
+        assert len(built) == 1 and cli._parser() is built[0]
+        # build_parser is not the cache: a caller that extends its parser changes no main call
+        build_parser().set_defaults(seed="x")
+        assert len(built) == 2 and built[1] is not built[0]
+        assert cli_main(["sr-vs-snr", "--snr-list", "0", "--out", str(tmp_path / "d")]) == 0
 
     def test_no_flag_leaks_into_the_next_call(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1691,13 +1695,13 @@ class TestCli:
         assert config["sweep"] == [float(s) for s in range(0, 31, 2)]
 
     def test_help_wraps_to_the_width_at_each_call(self, monkeypatch):
-        # the shared parser keeps no formatter: each help text reads the terminal width anew
-        parser = build_parser()
+        # main's shared parser keeps no formatter: each help text reads the terminal width anew
+        parser = cli._parser()
         monkeypatch.setenv("COLUMNS", "40")
         narrow = parser.format_help()
         monkeypatch.setenv("COLUMNS", "120")
-        wide = build_parser().format_help()
-        assert build_parser() is parser
+        wide = cli._parser().format_help()
+        assert cli._parser() is parser
         assert narrow != wide
         assert len(narrow.splitlines()) > len(wide.splitlines())
 
