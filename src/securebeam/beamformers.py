@@ -76,7 +76,14 @@ def synthesize(
     method = Method(method)
     h_b = steering_vector(plan, cfg, cfg.bob)
     h_e = steering_vector(plan, cfg, cfg.eve)
+    return _pair(h_b, h_e, method, cfg.power_alloc, cfg.total_power_w)
 
+
+def _pair(
+    h_b: np.ndarray, h_e: np.ndarray, method: Method, beta: float, p_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """synthesize's pair for Bob's and Eve's steering vectors h_b and h_e, the power split
+    beta and the total power P_s: the one place a beam pair is built."""
     if method is Method.EA:
         d_cm = ea_beamformer(h_b)
         d_an = ea_beamformer(h_e)
@@ -87,7 +94,6 @@ def synthesize(
         d_cm = min_rtp_beamformer(h_b, h_e, 0.0)
         d_an = min_rtp_beamformer(h_e, h_b, 0.0)
 
-    beta, p_s = cfg.power_alloc, cfg.total_power_w
     w_cm = np.sqrt(beta * p_s) * d_cm / np.linalg.norm(d_cm)
     w_an = np.sqrt((1.0 - beta) * p_s) * d_an / np.linalg.norm(d_an)
     return w_cm, w_an

@@ -47,6 +47,12 @@ def steering_factors(
     return np.exp(-1j * phase_a), np.exp(1j * phase_b) / np.sqrt(len(plan))
 
 
+def _receivers(plan: np.ndarray, cfg: ScenarioConfig) -> tuple[tuple, tuple]:
+    """Bob's and Eve's steering factor pairs (a, b), one steering_factors call each: every
+    beam pair and every point metric of (cfg, plan) is built from these two."""
+    return tuple(steering_factors(plan, cfg, p.angle_rad, p.range_m) for p in (cfg.bob, cfg.eve))
+
+
 def steering_vector(plan: np.ndarray, cfg: ScenarioConfig, pos: PolarPosition) -> np.ndarray:
     """Unit-norm array response h(theta, R) = a(theta) * b(R) at one position, shape (N,)."""
     a, b = steering_factors(plan, cfg, pos.angle_rad, pos.range_m)

@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beamformers import Method, synthesize
-from .channel import build_subcarrier_plan
+from .beamformers import Method, _pair, synthesize
+from .channel import _receivers, build_subcarrier_plan
 from .config import ConfigError, NameEnum, ScenarioConfig, check_count, path_loss
-from .metrics import ber_sweep, secrecy_rate, sinr_surface
+from .metrics import _ber_sweep, _secrecy_rate, sinr_surface
 from .search import grid_search_gamma
 
 DEFAULT_SNR_SWEEP_DB = tuple(range(0, 31, 2))
@@ -297,12 +297,13 @@ def _ber_seed(base_seed: int, sweep_index: int) -> int:
 
 
 def _power_sweep(
-    spec: ExperimentSpec, cfg: ScenarioConfig, plan: np.ndarray, snrs_db: tuple[float, ...]
+    spec: ExperimentSpec, cfg: ScenarioConfig, factors: tuple, snrs_db: tuple[float, ...]
 ) -> tuple[tuple, list[int]]:
-    """The methods' distinct beams at every SNR, stacked as (pairs, SNRs, N), and each method's
-    position in the stack: every weight scales with sqrt(P_s), so each is built at unit power."""
-    unit_cfg = dataclasses.replace(cfg, total_power_w=1.0)
-    units, index = _distinct([synthesize(unit_cfg, plan, m) for m in spec.methods])
+    """The methods' distinct beams at every SNR, from Bob's and Eve's steering factors, stacked
+    as (pairs, SNRs, N), and each method's position in the stack: every weight scales with
+    sqrt(P_s), so each is built at unit power."""
+    h_b, h_e = (a * b for a, b in factors)  # the steering vectors, as steering_vector forms them
+    units, index = _distinct([_pair(h_b, h_e, m, cfg.power_alloc, 1.0) for m in spec.methods])
     scale = np.sqrt(power_for_snr_db(cfg, snrs_db))[:, np.newaxis]
     return tuple(np.array([scale * w for w in ws]) for ws in zip(*units)), index
 
@@ -316,8 +317,9 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
         for n in spec.sweep:
             cfg_n = dataclasses.replace(cfg, num_antennas=int(n))
             plan = build_subcarrier_plan(cfg.rng_seed, int(n), cfg.num_subcarriers)
-            beams, index = _power_sweep(spec, cfg_n, plan, spec.snr_db_list)
-            rates.append(secrecy_rate(cfg_n, plan, beams)[index])
+            factors = _receivers(plan, cfg_n)
+            beams, index = _power_sweep(spec, cfg_n, factors, spec.snr_db_list)
+            rates.append(_secrecy_rate(cfg_n, factors, beams)[index])
         for s, (snr_db, by_method) in enumerate(zip(spec.snr_db_list, np.array(rates).T)):
             for i, (method, sr) in enumerate(zip(spec.methods, by_method)):
                 name = f"sr_vs_n_{method.value}_snr{snr_db:.12g}db.csv"
@@ -334,7 +336,8 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
     elif spec.kind is ExperimentKind.SINR_SURFACE:
         theta, ranges = np.linspace(*spec.theta_grid_deg), np.linspace(*spec.range_grid_m)
         # every beam is built before the first file is written, so an infeasible
-        # method leaves no partial output behind
+        # method leaves no partial output behind; each through synthesize, with its own two
+        # steering evaluations, since benchmarks/test_benchmark.py traces that call here
         pairs, index = _distinct([synthesize(cfg, plan, m) for m in spec.methods])
         for k, beams in enumerate(pairs):
             surface = sinr_surface(cfg, plan, beams, theta, ranges)
@@ -342,12 +345,14 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
             yield _shared(spec, index, k), {"theta_deg": theta, "range_m": ranges}, values
 
     else:  # SR_VS_SNR or BER_VS_SNR
-        beams, index = _power_sweep(spec, cfg, plan, spec.sweep)
+        factors = _receivers(plan, cfg)  # Bob's and Eve's, shared by the beams and the metric
+        beams, index = _power_sweep(spec, cfg, factors, spec.sweep)
         if spec.kind is ExperimentKind.SR_VS_SNR:
-            column, rates = "sr_bits", secrecy_rate(cfg, plan, beams)
+            column, rates = "sr_bits", _secrecy_rate(cfg, factors, beams)
         else:  # one draw of bits, jamming and noise per SNR point, shared by every method
             seeds = [_ber_seed(cfg.rng_seed, i) for i in range(len(spec.sweep))]
-            column, rates = "ber", ber_sweep(cfg, plan, beams, cfg.bob, spec.mc_symbols, seeds)
+            column, rates = "ber", _ber_sweep(
+                cfg, factors[0], beams, cfg.bob, spec.mc_symbols, seeds)
         for k, values in enumerate(rates):
             yield _shared(spec, index, k), {"snr_db": spec.sweep}, {column: values}
 
@@ -355,8 +360,10 @@ def _datasets(spec: ExperimentSpec) -> Iterator[tuple[dict, dict, dict]]:
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment, write one CSV per method plus manifest.json, and return its dict."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    # encoded before the first write, so no CSV is left beside an earlier run's manifest
-    config = json.loads(json.dumps(_spec_as_dict(spec), default=np.generic.item))
+    config = _spec_as_dict(spec)
+    # encoded before the first write, so no CSV is left beside an earlier run's manifest, and
+    # indented one level in, as json.dumps(manifest, indent=2) puts the manifest's first entry
+    config_text = json.dumps(config, indent=2).replace("\n", "\n  ")
     out_dir = Path(spec.output_dir)
     outputs = {}  # position in the manifest -> path
     for names, axes, values in _datasets(spec):
@@ -367,20 +374,31 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         _write_csv(list(paths.values()), axes, values)
         outputs.update(paths)
 
-    manifest = {
-        "config": config, "seed": config["scenario"]["rng_seed"], "version": __version__,
-        "started_at": started,
+    record = {
+        "seed": config["scenario"]["rng_seed"], "version": __version__, "started_at": started,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(outputs[rank]) for rank in sorted(outputs)],
     }
-    _write_text([out_dir / "manifest.json"], [(json.dumps(manifest, indent=2) + "\n").encode()])
-    return manifest
+    text = '{\n  "config": ' + config_text + ",\n" + json.dumps(record, indent=2)[2:] + "\n"
+    _write_text([out_dir / "manifest.json"], [text.encode()])
+    return {"config": config, **record}
 
 
 def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    """The experiment, its scenario and the fields READS says it reads; enums are str."""
-    fields = {name: getattr(spec, name) for name in READS[spec.kind]}
-    return {"experiment": spec.kind, "scenario": dataclasses.asdict(spec.scenario), **fields}
+    """The experiment, its scenario and the fields READS says it reads, in JSON's own types:
+    a str for an enum, a list for a tuple, a Python number for a NumPy scalar."""
+    fields = {name: _plain(getattr(spec, name)) for name in READS[spec.kind]}
+    scenario = {f.name: _plain(getattr(spec.scenario, f.name))
+                for f in dataclasses.fields(spec.scenario)}
+    return {"experiment": spec.kind.value, "scenario": scenario, **fields}
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, NameEnum):
+        return value.value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 # ---------------------------------------------------------------------------

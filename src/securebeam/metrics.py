@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 
-from .channel import steering_factors
+from .channel import _receivers, steering_factors
 from .config import ConfigError, PolarPosition, ScenarioConfig, check_count, path_loss
 
 # floor applied before converting powers to dB, avoids -inf at exact nulls
@@ -26,16 +26,23 @@ def _received(
     """Effective gains sqrt(g(R)) h(theta, R)^H w of the beams (w_cm, w_an) on the grid of
     every angle with every range: weights stacked as B + (N,) give gains of shape
     B + theta.shape + range.shape."""
-    w_cm, w_an = beams
     amp = np.sqrt(path_loss(range_m))  # rejects bad ranges before any exponential
-    a, b = steering_factors(plan, cfg, theta_rad, range_m)
-    a_conj = a.conj().reshape(-1, len(plan))  # (Theta, N)
-    b_cols = (np.expand_dims(amp, -1) * b.conj()).reshape(-1, len(plan)).T  # (N, R)
+    return _gains(beams, amp, *steering_factors(plan, cfg, theta_rad, range_m))
+
+
+def _gains(
+    beams: tuple[np.ndarray, np.ndarray], amp: np.ndarray | float, a: np.ndarray, b: np.ndarray
+) -> tuple[complex | np.ndarray, complex | np.ndarray]:
+    """_received's gains from the grid's path amplitude sqrt(g(R)) and steering factors."""
+    w_cm, w_an = beams
+    n = a.shape[-1]
+    a_conj = a.conj().reshape(-1, n)  # (Theta, N)
+    b_cols = (np.expand_dims(amp, -1) * b.conj()).reshape(-1, n).T  # (N, R)
 
     def gain(w: np.ndarray) -> np.ndarray:
         # matmul takes each stacked beam's (Theta, N) slice as its own product, so a beam's
         # gains do not depend on its stack: at an exact null they are pure rounding
-        gains = (a_conj * w.reshape(-1, 1, len(plan))) @ b_cols  # (B, Theta, R)
+        gains = (a_conj * w.reshape(-1, 1, n)) @ b_cols  # (B, Theta, R)
         return gains.reshape(w.shape[:-1] + a.shape[:-1] + b.shape[:-1])[()]
 
     return gain(w_cm), gain(w_an)
@@ -66,8 +73,16 @@ def secrecy_rate(
 
     Formed as log1p((SINR_Bob - SINR_Eve) / (1 + SINR_Eve)) / ln 2, which keeps the digits
     of a small rate that the difference of two logarithms, or log2(1 + s) itself, drops."""
-    sinr_b = sinr(*received_model(cfg, plan, beams, cfg.bob), cfg.noise_power_bob_w)
-    sinr_e = sinr(*received_model(cfg, plan, beams, cfg.eve), cfg.noise_power_eve_w)
+    return _secrecy_rate(cfg, _receivers(plan, cfg), beams)
+
+
+def _secrecy_rate(
+    cfg: ScenarioConfig, factors: tuple[tuple, tuple], beams: tuple[np.ndarray, np.ndarray]
+) -> float | np.ndarray:
+    """secrecy_rate from Bob's and Eve's steering factor pairs, as channel._receivers gives them."""
+    bob, eve = factors
+    sinr_b = sinr(*_gains(beams, np.sqrt(path_loss(cfg.bob_range_m)), *bob), cfg.noise_power_bob_w)
+    sinr_e = sinr(*_gains(beams, np.sqrt(path_loss(cfg.eve_range_m)), *eve), cfg.noise_power_eve_w)
     return np.maximum(np.log1p((sinr_b - sinr_e) / (1.0 + sinr_e)) / math.log(2.0), 0.0)
 
 
@@ -220,13 +235,23 @@ def ber_sweep(
     per symbol per worker, plus a few chunks of 2**14 symbols. An exception in
     any worker stops the others at their next point and is raised here.
     """
+    factors = steering_factors(plan, cfg, pos.angle_rad, pos.range_m)
+    return _ber_sweep(cfg, factors, beams, pos, num_symbols, seeds)
+
+
+def _ber_sweep(
+    cfg: ScenarioConfig, factors: tuple[np.ndarray, np.ndarray],
+    beams: tuple[np.ndarray, np.ndarray], pos: PolarPosition, num_symbols: int, seeds: list[int],
+) -> np.ndarray:
+    """ber_sweep from the steering factor pair (a, b) at pos."""
     check_count("num_symbols", num_symbols, 1)
     # Eve's entry comes last, so it wins when Bob and Eve share one position
     noise_power = {cfg.bob: cfg.noise_power_bob_w, cfg.eve: cfg.noise_power_eve_w}.get(pos)
     if noise_power is None:
         raise ConfigError(f"BER is defined at Bob or Eve only, got a probe at {pos}")
     seeds = [check_count("seed", seed, 0, math.inf) for seed in seeds]
-    cm_gains, an_gains = np.broadcast_arrays(*received_model(cfg, plan, beams, pos))
+    amp = np.sqrt(path_loss(pos.range_m))
+    cm_gains, an_gains = np.broadcast_arrays(*_gains(beams, amp, *factors))
     if cm_gains.shape[-1:] != (len(seeds),):
         raise ValueError(f"beams must stack one pair per seed ({len(seeds)}) before N")
     errors = np.empty(cm_gains.shape, dtype=np.int64)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beamformers import Method, synthesize
+from .beamformers import Method, _pair
+from .channel import _receivers
 from .config import ConfigError, ScenarioConfig
-from .metrics import secrecy_rate
+from .metrics import _secrecy_rate
 
 
 def grid_search_gamma(
@@ -29,5 +30,8 @@ def grid_search_gamma(
             raise ConfigError(f"{name} must be finite and nonnegative")
         if np.any(np.diff(vals) <= 0.0):
             raise ConfigError(f"{name} must be strictly ascending")
-    rate = secrecy_rate(cfg, plan, synthesize(cfg, plan, Method.MIN_RTP))
+    factors = _receivers(plan, cfg)  # Bob's and Eve's, shared by the beams and the rate
+    h_b, h_e = (a * b for a, b in factors)  # the steering vectors, as steering_vector forms them
+    beams = _pair(h_b, h_e, Method.MIN_RTP, cfg.power_alloc, cfg.total_power_w)
+    rate = _secrecy_rate(cfg, factors, beams)
     return np.full((g_cm.size, g_an.size), rate)

@@ -32,7 +32,8 @@ from securebeam import (
     sinr_surface,
     synthesize,
 )
-from securebeam import beamformers, cli, experiments, metrics
+from securebeam import beamformers, channel, cli, experiments, metrics
+from securebeam.channel import _receivers
 from securebeam.cli import _FLAGS, _SUBCOMMANDS, build_parser
 from securebeam.cli import main as cli_main
 from securebeam.experiments import (
@@ -856,7 +857,7 @@ class TestRunExperiment:
         run_experiment(spec)
         cfg = spec.scenario
         plan = build_subcarrier_plan(cfg.rng_seed, n, cfg.num_subcarriers)
-        beams, index = _power_sweep(spec, cfg, plan, spec.sweep)
+        beams, index = _power_sweep(spec, cfg, _receivers(plan, cfg), spec.sweep)
         rates = secrecy_rate(cfg, plan, beams)[index]
         power = power_for_snr_db(cfg, spec.sweep)
         unit = replace(cfg, total_power_w=1.0)
@@ -1174,6 +1175,38 @@ SMALL_GRID = {"theta_grid_deg": (60.0, 110.0, 11), "range_grid_m": (700.0, 1100.
 class TestSharedWork:
     # methods share one computation and one formatted text exactly when their weights
     # are bit-identical; the method names never decide it
+
+    @pytest.mark.parametrize(
+        "argv, points, grids",
+        [
+            (["gamma-surface", "--n-antennas", "4"], 2, 0),
+            (["sr-vs-snr", "--snr-list", "0,10"], 2, 0),
+            (["ber-vs-snr", "--snr-list", "0,10", "--mc-symbols", "2000"], 2, 0),
+            (["sr-vs-n", "--n-list", "4,8,16"], 2 * 3, 0),
+            # each method's pair from its own synthesize call, the seam the benchmark's span
+            # test traces, and one field per distinct pair: EA's and Min-TP's, which Min-RTP's is
+            (["sinr-surface", "--n-antennas", "4"], 2 * 3, 2),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_one_channel_evaluation_per_receiver(self, tmp_path, monkeypatch, argv, points, grids):
+        # a run's beams and its point metric share one steering evaluation toward Bob and one
+        # toward Eve per (scenario, plan); a second run counts as many again, so no run leaves
+        # them behind for the next
+        original, calls = channel.steering_factors, []
+
+        def counting(plan, cfg, theta_rad, range_m):
+            calls.append("point" if np.ndim(theta_rad) == 0 else "grid")
+            return original(plan, cfg, theta_rad, range_m)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("securebeam") and vars(module).get(
+                    "steering_factors") is original:
+                monkeypatch.setattr(module, "steering_factors", counting)
+        for run in ("first", "second"):
+            calls.clear()
+            assert cli_main(argv + ["--out", str(tmp_path / run)]) == 0
+            assert (calls.count("point"), calls.count("grid")) == (points, grids), run
 
     @pytest.mark.parametrize("leaky, calls", [(False, 2), (True, 3)], ids=["min-rtp", "leaky"])
     def test_sinr_surface_once_per_distinct_pair(self, tmp_path, monkeypatch, leaky, calls):
@@ -1628,7 +1661,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv, name",
-        [(["ber-vs-snr", "--mc-symbols", "2000", "--snr-list", "10"], "ber_sweep"),
+        [(["ber-vs-snr", "--mc-symbols", "2000", "--snr-list", "10"], "_ber_sweep"),
          (["gamma-surface", "--grid", "3:4"], "grid_search_gamma")],
     )
     def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch, argv, name):

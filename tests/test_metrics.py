@@ -14,6 +14,7 @@ from securebeam import (
     ScenarioConfig,
     ber_monte_carlo,
     build_subcarrier_plan,
+    grid_search_gamma,
     path_loss,
     received_model,
     secrecy_rate,
@@ -212,6 +213,46 @@ class TestSecrecyRate:
             for method, want in expected.items():
                 got = secrecy_rate(cfg, plan, synthesize(cfg, plan, method))
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=method.value)
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 512])
+    @pytest.mark.parametrize("seed", [1, 7, 42, 901])
+    def test_each_receivers_sinr_closed_form_in_rho(self, seed, n):
+        # EA is MRT here: every steering entry has modulus 1/sqrt(N), so EA's weights are
+        # h_b and h_e themselves. With rho = h_e^H h_b and S_b, S_e each receiver's SNR,
+        #   EA:     SINR_b = beta S_b / ((1 - beta) S_b |rho|^2 + 1)
+        #           SINR_e = beta S_e |rho|^2 / ((1 - beta) S_e + 1)
+        #   Min-TP: SINR_b = beta S_b (1 - |rho|^2), SINR_e = 0
+        # at each receiver's own gains and in the rate of the pair, whose Bob and Eve
+        # factors are shared by the beams and the metric in the gamma search
+        for beta, snr_db in itertools.product([0.1, 0.5, 0.9], range(-30, 31, 6)):
+            cfg = ScenarioConfig(num_antennas=n, power_alloc=beta, rng_seed=seed)
+            cfg = replace(cfg, total_power_w=power_for_snr_db(cfg, snr_db))
+            plan = build_subcarrier_plan(seed, n, cfg.num_subcarriers)
+            h_b, h_e = (steering_vector(plan, cfg, pos) for pos in (cfg.bob, cfg.eve))
+            rho2 = abs(np.vdot(h_e, h_b)) ** 2
+            s_b = cfg.total_power_w * path_loss(cfg.bob_range_m) / cfg.noise_power_bob_w
+            s_e = cfg.total_power_w * path_loss(cfg.eve_range_m) / cfg.noise_power_eve_w
+            want = {
+                Method.EA: (beta * s_b / ((1.0 - beta) * s_b * rho2 + 1.0),
+                            beta * s_e * rho2 / ((1.0 - beta) * s_e + 1.0)),
+                Method.MIN_TP: (beta * s_b * (1.0 - rho2), 0.0),
+            }
+            for method, (want_b, want_e) in want.items():
+                beams = synthesize(cfg, plan, method)
+                got_b = sinr(*received_model(cfg, plan, beams, cfg.bob), cfg.noise_power_bob_w)
+                got_e = sinr(*received_model(cfg, plan, beams, cfg.eve), cfg.noise_power_eve_w)
+                case = f"{method.value} beta {beta} at {snr_db} dB"
+                np.testing.assert_allclose(got_b, want_b, rtol=1e-12, atol=0.0, err_msg=case)
+                if method is Method.EA:
+                    np.testing.assert_allclose(got_e, want_e, rtol=1e-12, atol=0.0, err_msg=case)
+                else:  # an exact null leaves rounding only
+                    assert got_e <= 1e-25 * got_b, case
+                rate = max(math.log1p((want_b - want_e) / (1.0 + want_e)) / math.log(2.0), 0.0)
+                np.testing.assert_allclose(
+                    secrecy_rate(cfg, plan, beams), rate, rtol=1e-12, atol=0.0, err_msg=case)
+            # Min-RTP is Min-TP, and the last rate above is Min-TP's
+            surface = grid_search_gamma(cfg, plan, [0.0], [0.0])
+            np.testing.assert_allclose(surface, [[rate]], rtol=1e-12, atol=0.0, err_msg=case)
 
 
 class TestSinrSurface:

@@ -23,8 +23,8 @@ def scenario():
 
 
 class TestGridRefused:
-    # each grid is checked at the search door, before any beam is built, and the refusal
-    # names its axis
+    # each grid is checked at the search door, before any channel is evaluated or beam built,
+    # and the refusal names its axis
     @pytest.mark.parametrize(
         "bad, why",
         [
@@ -46,7 +46,7 @@ class TestGridRefused:
     @pytest.mark.parametrize("name", ["gamma_cm", "gamma_an"])
     def test_bad_grid_refused_naming_its_axis(self, scenario, monkeypatch, name, bad, why):
         cfg, plan = scenario
-        monkeypatch.setattr(search, "synthesize", lambda *args: pytest.fail("beam built"))
+        monkeypatch.setattr(search, "_receivers", lambda *args: pytest.fail("channel evaluated"))
         grids = {"gamma_cm": [0.0], "gamma_an": [0.0], name: bad}
         with pytest.raises(ConfigError, match=f"^{name} must be {why}"):
             grid_search_gamma(cfg, plan, grids["gamma_cm"], grids["gamma_an"])
@@ -130,7 +130,8 @@ class TestGridSearch:
         assert np.array_equal(grid_search_gamma(cfg, plan, g_cm, g_an), expected)
 
     def test_one_pair_for_every_cell(self, scenario, monkeypatch):
-        # no factor changes a beam, so the whole grid costs one pair and one rate
+        # no factor changes a beam, so the whole grid costs one channel evaluation (Bob's and
+        # Eve's steering factors), one pair and one rate
         cfg, plan = scenario
         calls = []
 
@@ -140,11 +141,11 @@ class TestGridSearch:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(search, "synthesize", counting("synthesize", synthesize))
-        monkeypatch.setattr(search, "secrecy_rate", counting("secrecy_rate", secrecy_rate))
+        for name in ("_receivers", "_pair", "_secrecy_rate"):
+            monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
         gammas = np.linspace(0.0, 3.0, 31)
         assert grid_search_gamma(cfg, plan, gammas, gammas).shape == (31, 31)
-        assert calls == ["synthesize", "secrecy_rate"]
+        assert calls == ["_receivers", "_pair", "_secrecy_rate"]
 
     def test_deterministic(self, scenario):
         cfg, plan = scenario
