@@ -55,12 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # main's parser, built on its first call and reused by every later one in the process;
-    # parse_args keeps no state, help text reads the terminal width when it is formatted,
-    # and build_parser still gives any other caller a parser of its own
-    return build_parser()
+# main's parser, built once per process; build_parser still gives every other caller its own
+_parser = functools.cache(build_parser)
 
 
 def _values_from_args(args: argparse.Namespace) -> dict[str, str]:

@@ -93,15 +93,18 @@ def sinr_surface(
     theta_deg_grid: np.ndarray,
     range_m_grid: np.ndarray,
 ) -> np.recarray:
-    """Message-beam SINR (dB) and jamming power (dB) over an angle-range grid, as a
-    record array with one record per grid point and the fields `cm_sinr_db` and
-    `an_power_db`, the names in its `dtype.names`.
+    """Message-beam SINR (dB) and jamming power (dB) of one (N,) beam pair (a stack is a
+    ValueError) over an angle-range grid, as a record array with one record per grid point
+    and the fields `cm_sinr_db` and `an_power_db`, the names in its `dtype.names`.
 
     The SINR is Bob's, at his own noise floor, wherever he stands: every grid point
     is probed with cfg.noise_power_bob_w. Records run theta-major: record
     i * len(range_m_grid) + j probes (theta_deg_grid[i], range_m_grid[j]). A cell at an
     exact null of either beam reads the -300 dB floor.
     """
+    shapes = [np.shape(w) for w in beams]
+    if shapes != [(cfg.num_antennas,)] * 2:  # a stack would give records of several pairs
+        raise ValueError(f"beams must be one pair of shape ({cfg.num_antennas},), got {shapes}")
     theta_deg = np.asarray(theta_deg_grid, dtype=np.float64)
     r = np.asarray(range_m_grid, dtype=np.float64)
     if theta_deg.size == 0 or r.size == 0 or not np.all(np.isfinite(theta_deg)):

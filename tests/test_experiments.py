@@ -756,6 +756,23 @@ class TestRunExperiment:
         written = json.loads((tmp_path / "manifest.json").read_text())
         assert capsys.readouterr().out.splitlines() == written["outputs"]
 
+    @pytest.mark.parametrize(
+        "kind, permuted",
+        [(kind, False) for kind in GOLDEN_SPECS]
+        + [(kind, True) for kind in GOLDEN_SPECS if kind is not ExperimentKind.GAMMA_SURFACE],
+        ids=lambda v: v.command if isinstance(v, ExperimentKind) else ("permuted" if v else "golden"),
+    )
+    def test_manifest_text_is_one_indented_dump(self, tmp_path, kind, permuted):
+        # the config's text is encoded once and spliced into the record's: the file holds the
+        # bytes one json.dumps(manifest, indent=2) gives, whatever the order of the methods
+        fields_ = dict(GOLDEN_SPECS[kind])
+        if permuted:
+            fields_["methods"] = (Method.MIN_RTP, Method.EA, Method.MIN_TP)
+        spec = ExperimentSpec(kind=kind, output_dir=str(tmp_path), **fields_)
+        manifest = run_experiment(spec)
+        want = json.dumps(manifest, indent=2) + "\n"
+        assert (tmp_path / "manifest.json").read_bytes() == want.encode()
+
     def test_numpy_scalar_in_scenario_recorded_as_its_number(self, tmp_path):
         # a loop over np.arange gives np.int64; json.dumps used to fail on it after the CSVs
         # were written, beside whatever manifest an earlier run had left there

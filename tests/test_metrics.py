@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -268,6 +269,19 @@ class TestSinrSurface:
         beams = synthesize(cfg, plan, Method.MIN_TP)
         with pytest.raises(ConfigError):
             sinr_surface(cfg, plan, beams, np.array([]), np.array([1.0]))
+
+    def test_one_beam_pair_only(self, scenario, monkeypatch):
+        # a stack of 2 pairs on a 5 x 4 grid used to give 40 records, so record
+        # i * len(ranges) + j no longer probed (theta[i], ranges[j])
+        cfg, plan = scenario
+        w_cm, w_an = synthesize(cfg, plan, Method.EA)
+        grid = (np.linspace(0.0, 180.0, 5), np.linspace(500.0, 2000.0, 4))
+        monkeypatch.setattr(metrics, "steering_factors", lambda *args: pytest.fail("evaluated"))
+        stacked = (np.stack([w_cm, w_cm]), np.stack([w_an, w_an]))
+        for beams in (stacked, (w_cm, stacked[1]), (w_cm, w_an[:4])):
+            shapes = re.escape(str([w.shape for w in beams]))
+            with pytest.raises(ValueError, match=rf"one pair of shape \(8,\), got {shapes}"):
+                sinr_surface(cfg, plan, beams, *grid)
 
     @pytest.mark.parametrize(
         "theta, r",
@@ -662,6 +676,24 @@ class TestBerSweep:
             if beta == 0.0:
                 se = math.sqrt(0.25 / (2.0 * num_symbols))
                 assert np.all(np.abs(got - 0.5) <= 4.0 * se), got
+
+    def test_error_counts_do_not_depend_on_the_chunk(self, scenario, monkeypatch):
+        # _CHUNK sets memory and time only: 2 pairs at 3 points, a count no chunk size divides
+        cfg, plan = scenario
+        snrs_db, num_symbols = np.array([0.0, 3.0, 6.0]), 2 * (1 << 14) + 5
+        seeds = [_ber_seed(cfg.rng_seed, i) for i in range(len(snrs_db))]
+        beams = stack([
+            stack([synthesize(replace(cfg, total_power_w=p), plan, m)
+                   for p in power_for_snr_db(cfg, snrs_db)])
+            for m in (Method.EA, Method.MIN_TP)
+        ])  # (pairs, points, N)
+        counts = []
+        for chunk in (1 << 12, 3 << 12, 1 << 13, 1 << 14):
+            monkeypatch.setattr(metrics, "_CHUNK", chunk)
+            counts.append(ber_sweep(cfg, plan, beams, cfg.bob, num_symbols, seeds))
+        assert counts[0].shape == (2, 3) and np.all(counts[0] > 0.0)
+        for got in counts[1:]:
+            np.testing.assert_array_equal(got, counts[0])
 
     def test_seed_count_must_match_points(self, scenario):
         cfg, plan = scenario
